@@ -5,6 +5,14 @@ over gt and reports both diagnostics per grid point, ``family`` evaluates a
 single coefficient tuple, and ``check-state`` loads a density-matrix file
 and reports what the diagnostics say about it.
 
+``scan-time`` runs the array kernel of ``dynamics``, ``states`` and
+``criteria`` over the gt grid in chunks of ``SCAN_CHUNK`` rows: closed-form
+populations, one validated stack of family states, the spin moments, both
+squeezing quotients and one partial-transpose spectrum per chunk.  The
+chunk bounds memory; a row's values do not depend on the chunk it lands in.
+``family`` and ``check-state`` call the same kernel on one state and read
+the negativity and the PPT verdict from one partial-transpose spectrum.
+
 Exit codes: 0 success, 2 numeric or validation failure, 64 usage error,
 65 unparseable input file.  Output is deterministic: floats carry 12
 significant digits in both formats, infinities appear as the token ``inf``,
@@ -14,6 +22,7 @@ and an undefined squeezing quotient appears as ``zero-mean-spin``.
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 
@@ -24,19 +33,24 @@ from .criteria import (
     SpinFrame,
     diagonal_family_entangled,
     family_squeezing_condition,
-    negativity,
-    ppt_entangled,
+    pt_spectrum,
+    spectrum_entangled,
+    spectrum_negativity,
     spin_moments,
+    spin_moments_stack,
     xi2_family,
+    xi_frame_stack,
+    xi_perp_stack,
     xi_squared,
     xi_squared_in_frame,
 )
-from .dynamics import ModelConfig, closed_form_coeffs, evolve_exact
+from .dynamics import ModelConfig, closed_form_populations, evolve_exact
 from .errors import (
     BadPhotonNumberError,
     BadSubsystemError,
     DimensionMismatchError,
     NonDiagonalError,
+    NonFiniteError,
     NonRealError,
     NotHermitianError,
     NotNormalizedError,
@@ -44,7 +58,13 @@ from .errors import (
     StateFormatError,
     ZeroMeanSpinError,
 )
-from .states import FamilyCoeffs, family_coeffs_from_density, family_density, load_density_matrix
+from .states import (
+    FamilyCoeffs,
+    family_coeffs_from_density,
+    family_density,
+    family_density_stack,
+    load_density_matrix,
+)
 
 EXIT_OK = 0
 EXIT_NUMERIC = 2
@@ -53,6 +73,18 @@ EXIT_PARSE = 65
 
 VERIFY_TOLERANCE = 1e-9
 ZERO_MEAN_TOKEN = "zero-mean-spin"
+
+# Grid rows per kernel call in scan-time: large enough that numpy's per-call
+# overhead vanishes, small enough that the largest temporary (12 complex 4x4
+# blocks per row in the spin-moment contraction, 1.5 MB) stays in cache and
+# leaves the peak memory of a long scan where the per-row loop had it.
+SCAN_CHUNK = 512
+
+# Any float literal with a leading minus, exponent form included, is a value
+# and not an option (argparse's own pattern misses "-1.5e-05").
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf(?:inity)?|nan)$", re.IGNORECASE
+)
 
 SCAN_COLUMNS = (
     "gt",
@@ -98,6 +130,7 @@ _VALIDATION_ERRORS = (
     BadSubsystemError,
     DimensionMismatchError,
     NonDiagonalError,
+    NonFiniteError,
     NonRealError,
     NotHermitianError,
     NotNormalizedError,
@@ -122,6 +155,10 @@ class ScanRow:
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage failures mapped to exit code 64."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -158,12 +195,6 @@ def _step_count(text: str) -> int:
 def _add_common_flags(parser: argparse.ArgumentParser):
     parser.add_argument(
         "--format", choices=("csv", "json"), default="csv", help="output format"
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=42,
-        help="seed for randomized verification modes (reserved; current commands are deterministic)",
     )
     parser.add_argument("--output", default=None, help="write the report to this path")
     parser.add_argument(
@@ -251,31 +282,34 @@ def _xi_optimized_or_none(rho):
 
 
 def build_scan_rows(photons: int, gt_max: float, steps: int):
-    """Closed-form scan rows on the uniform gt grid, both diagnostics per row."""
+    """Closed-form scan rows on the uniform gt grid, both diagnostics per row.
+
+    Runs the array kernel on ``SCAN_CHUNK`` rows at a time.  Where the mean
+    spin vanishes both quotients are ``inf``.
+    """
+    grid = np.linspace(0.0, gt_max, steps)
     fixed_frame = SpinFrame.canonical()
     rows = []
-    for gt in np.linspace(0.0, gt_max, steps):
-        coeffs = closed_form_coeffs(photons, float(gt))
-        rho = family_density(coeffs)
-        try:
-            xi_opt = xi_squared(rho).value
-        except ZeroMeanSpinError:
-            xi_opt = math.inf
-        try:
-            xi_fixed = xi_squared_in_frame(rho, fixed_frame)
-        except ZeroMeanSpinError:
-            xi_fixed = math.inf
-        rows.append(
-            ScanRow(
-                gt=float(gt),
-                x1=coeffs.x1,
-                x2=coeffs.x2,
-                x3=coeffs.x3,
-                xi2_optimized=xi_opt,
-                xi2_fixed_frame=xi_fixed,
-                negativity=negativity(rho),
-                ppt_entangled=ppt_entangled(rho),
-                xi2_flags_entangled=bool(xi_opt < 1.0),
+    for start in range(0, steps, SCAN_CHUNK):
+        gt = grid[start : start + SCAN_CHUNK]
+        x1, x2, x3 = closed_form_populations(photons, gt)
+        mats = family_density_stack(x1, x2, x3)
+        mean, second = spin_moments_stack(mats)
+        xi_opt = xi_perp_stack(mean, second).value
+        xi_fixed = xi_frame_stack(mean, second, fixed_frame).value
+        spectrum = pt_spectrum(mats, dims=(2, 2))
+        rows.extend(
+            map(
+                ScanRow,
+                gt.tolist(),
+                x1.tolist(),
+                x2.tolist(),
+                x3.tolist(),
+                xi_opt.tolist(),
+                xi_fixed.tolist(),
+                spectrum_negativity(spectrum).tolist(),
+                spectrum_entangled(spectrum).tolist(),
+                (xi_opt < 1.0).tolist(),
             )
         )
     return rows
@@ -309,6 +343,7 @@ def _cmd_scan_time(args) -> int:
 def _cmd_family(args) -> int:
     coeffs = FamilyCoeffs(args.x1, args.x2, args.x3, complex(args.y, 0.0))
     rho = family_density(coeffs)
+    spectrum = pt_spectrum(rho)
     try:
         xi_fam = xi2_family(coeffs)
     except ZeroMeanSpinError:
@@ -321,8 +356,8 @@ def _cmd_family(args) -> int:
         "xi2_family": xi_fam,
         "squeezing_condition": family_squeezing_condition(coeffs),
         "xi2_optimized": _xi_optimized_or_none(rho),
-        "negativity": negativity(rho),
-        "ppt_entangled": ppt_entangled(rho),
+        "negativity": float(spectrum_negativity(spectrum)),
+        "ppt_entangled": bool(spectrum_entangled(spectrum)),
     }
     _write(_render(FAMILY_COLUMNS, [row], args.format), args.output)
     if args.verify:
@@ -354,9 +389,10 @@ def _cmd_check_state(args) -> int:
             f"check-state needs dims [2, 2], file carries {list(rho.dims)}"
         )
     moments = spin_moments(rho)
+    spectrum = pt_spectrum(rho)
     row = {
-        "negativity": negativity(rho),
-        "ppt_entangled": ppt_entangled(rho),
+        "negativity": float(spectrum_negativity(spectrum)),
+        "ppt_entangled": bool(spectrum_entangled(spectrum)),
         "xi2_optimized": _xi_optimized_or_none(rho),
         "mean_x": moments.mean[0],
         "mean_y": moments.mean[1],

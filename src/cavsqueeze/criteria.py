@@ -10,6 +10,16 @@ Two independent criteria are implemented side by side:
 
 Closed forms for the symmetric family sit next to the generic machinery so
 either route can check the other.
+
+The generic machinery is one array kernel over stacks of 4x4 states:
+``spin_moments_stack`` (one elementwise contraction against the 12 stacked
+spin operators), ``xi_perp_stack`` (batched 2x2 eigenproblem),
+``xi_frame_stack`` (fixed triad) and ``pt_spectrum`` (the partial-transpose
+eigenvalues, from which ``spectrum_negativity`` and ``spectrum_entangled``
+read both PPT diagnostics).  The scalar functions ``spin_moments``,
+``xi_squared``, ``xi_squared_in_frame``, ``negativity`` and
+``ppt_entangled`` run the same kernel on a batch of one, so a state gets the
+same bits alone as inside a scan.
 """
 
 import math
@@ -69,14 +79,22 @@ _SPIN = CollectiveSpin(
     _collective_component(_PAULI_Z),
 )
 
-# Symmetrized second-moment operators (S_j S_k + S_k S_j)/2.
-_SECOND = [
-    [0.5 * (_SPIN[j] @ _SPIN[k] + _SPIN[k] @ _SPIN[j]) for k in range(3)]
-    for j in range(3)
-]
-for _row in _SECOND:
-    for _op in _row:
-        _op.setflags(write=False)
+# The 12 moment operators, transposed and stacked: S_x, S_y, S_z, then the
+# symmetrized second moments (S_j S_k + S_k S_j)/2 in row-major (j, k) order.
+# tr(rho O) is the sum over the last two axes of rho * O^T.
+_MOMENT_OPS_T = np.stack(
+    [op.T for op in _SPIN]
+    + [
+        (0.5 * (_SPIN[j] @ _SPIN[k] + _SPIN[k] @ _SPIN[j])).T
+        for j in range(3)
+        for k in range(3)
+    ]
+)
+_MOMENT_OPS_T.setflags(write=False)
+
+# A moment tr(rho O) of a Hermitian O whose imaginary part exceeds this
+# means rho was not Hermitian.
+MOMENT_IMAG_ATOL = 1e-10
 
 
 def collective_spin() -> CollectiveSpin:
@@ -128,46 +146,119 @@ class XiResult:
     entangled_flag: bool
 
 
-def _real_trace(rho_mat: np.ndarray, op: np.ndarray) -> float:
-    value = np.trace(rho_mat @ op)
-    if abs(value.imag) > 1e-10:
-        raise ValueError(f"moment has imaginary residue {value.imag:.3e}")
-    return float(value.real)
+class PerpStack(NamedTuple):
+    """Perp-optimal quotients of a stack of states.
+
+    ``value`` is clamped at 0 and is inf where the mean spin vanishes,
+    ``n1`` holds the unit variance axes, ``mean_sq`` the squared mean spins.
+    """
+
+    value: np.ndarray
+    n1: np.ndarray
+    mean_sq: np.ndarray
+
+
+class FrameStack(NamedTuple):
+    """Fixed-triad quotients of a stack; inf where ``plane_sq`` is at or below the floor."""
+
+    value: np.ndarray
+    plane_sq: np.ndarray
+
+
+def spin_moments_stack(mats: np.ndarray):
+    """Mean spins (N, 3) and symmetrized second moments (N, 3, 3) of N states.
+
+    ``mats`` is a stack of two-qubit density matrices, shape (N, 4, 4).  The
+    contraction is an elementwise product with the stacked transposed
+    operators summed over the last two axes, which gives a state the same
+    bits whatever the size of the stack (a matrix-product contraction such
+    as ``einsum`` does not).  Its temporary holds 12 N complex 4x4 blocks.
+    """
+    mats = np.asarray(mats, dtype=complex)
+    if mats.ndim != 3 or mats.shape[1:] != (4, 4):
+        raise DimensionMismatchError(
+            f"expected a stack of 4x4 two-qubit states, got shape {mats.shape}"
+        )
+    values = (mats[:, None] * _MOMENT_OPS_T).sum(axis=(-2, -1))
+    residue = float(np.abs(values.imag).max()) if values.size else 0.0
+    if residue > MOMENT_IMAG_ATOL:
+        raise ValueError(f"moment has imaginary residue {residue:.3e}")
+    real = values.real
+    return real[:, :3], real[:, 3:].reshape(-1, 3, 3)
+
+
+def _quadratic(a: np.ndarray, m: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a @ m @ b over stacks, summed in a fixed order."""
+    return ((a[..., :, None] * m).sum(axis=-2) * b).sum(axis=-1)
+
+
+def xi_perp_stack(mean: np.ndarray, second: np.ndarray) -> PerpStack:
+    """Perp-optimal squeezing quotient of each state of a stack.
+
+    Minimizes N var(S_n1) / |<S>|^2 over directions n1 orthogonal to the
+    mean spin: the smallest eigenvalue of the covariance restricted to that
+    plane, one batched 2x2 ``eigh``.  Rows with |<S>| <= MEAN_SPIN_FLOOR get
+    an infinite value.
+    """
+    mean_sq = (mean * mean).sum(axis=-1)
+    defined = mean_sq > MEAN_SPIN_FLOOR**2
+    # Vanishing rows get a stand-in direction so the arithmetic stays finite.
+    direction = np.where(defined[:, None], mean, (0.0, 0.0, 1.0))
+    norm_sq = np.where(defined, mean_sq, 1.0)
+    mhat = direction / np.sqrt(norm_sq)[:, None]
+    cov = second - mean[:, :, None] * mean[:, None, :]
+
+    # In-plane basis: the coordinate axis least aligned with the mean,
+    # projected onto the plane, and its cross product with the mean.
+    seed = np.eye(3)[np.argmin(np.abs(mhat), axis=-1)]
+    u = seed - (seed * mhat).sum(axis=-1)[:, None] * mhat
+    u /= np.sqrt((u * u).sum(axis=-1))[:, None]
+    v = np.cross(mhat, u)
+    uv = _quadratic(u, cov, v)
+    vu = _quadratic(v, cov, u)
+    restricted = np.empty((len(mhat), 2, 2))
+    restricted[:, 0, 0] = _quadratic(u, cov, u)
+    restricted[:, 1, 1] = _quadratic(v, cov, v)
+    restricted[:, 0, 1] = restricted[:, 1, 0] = 0.5 * (uv + vu)
+    w, vecs = np.linalg.eigh(restricted)
+    n1 = vecs[:, 0, 0, None] * u + vecs[:, 1, 0, None] * v
+    n1 /= np.sqrt((n1 * n1).sum(axis=-1))[:, None]
+    value = np.maximum(0.0, ATOM_COUNT * w[:, 0] / norm_sq)
+    return PerpStack(np.where(defined, value, np.inf), n1, mean_sq)
+
+
+def xi_frame_stack(mean: np.ndarray, second: np.ndarray, frame: SpinFrame) -> FrameStack:
+    """Quotient N var(S_n1) / (<S_n2>^2 + <S_n3>^2) of each state in one triad."""
+    along = (mean * frame.n1).sum(axis=-1)
+    variance = _quadratic(frame.n1, second, frame.n1) - along * along
+    m2 = (mean * frame.n2).sum(axis=-1)
+    m3 = (mean * frame.n3).sum(axis=-1)
+    plane_sq = m2 * m2 + m3 * m3
+    defined = plane_sq > MEAN_SPIN_FLOOR**2
+    value = ATOM_COUNT * variance / np.where(defined, plane_sq, 1.0)
+    return FrameStack(np.where(defined, value, np.inf), plane_sq)
+
+
+def _two_qubit_moments(rho: DensityMatrix):
+    if tuple(rho.dims) != (2, 2):
+        raise DimensionMismatchError(f"expected a two-qubit state, got dims {rho.dims}")
+    return spin_moments_stack(rho.mat[None])
 
 
 def spin_moments(rho: DensityMatrix) -> SpinMoments:
     """Mean vector tr(rho S_k) and symmetrized second-moment matrix."""
-    if tuple(rho.dims) != (2, 2):
-        raise DimensionMismatchError(f"expected a two-qubit state, got dims {rho.dims}")
-    mean = np.array([_real_trace(rho.mat, _SPIN[k]) for k in range(3)])
-    second = np.empty((3, 3))
-    for j in range(3):
-        for k in range(j, 3):
-            second[j, k] = second[k, j] = _real_trace(rho.mat, _SECOND[j][k])
-    return SpinMoments(mean, second)
+    mean, second = _two_qubit_moments(rho)
+    return SpinMoments(mean[0], second[0])
 
 
 def xi_squared_in_frame(rho: DensityMatrix, frame: SpinFrame) -> float:
     """Squeezing quotient N var(S_n1) / (<S_n2>^2 + <S_n3>^2) in a fixed triad."""
-    moments = spin_moments(rho)
-    variance = float(frame.n1 @ moments.second @ frame.n1) - float(
-        frame.n1 @ moments.mean
-    ) ** 2
-    denom = float(frame.n2 @ moments.mean) ** 2 + float(frame.n3 @ moments.mean) ** 2
-    if denom <= MEAN_SPIN_FLOOR**2:
+    result = xi_frame_stack(*_two_qubit_moments(rho), frame)
+    if math.isinf(result.value[0]):
         raise ZeroMeanSpinError(
-            f"mean spin projection on the (n2, n3) plane is {math.sqrt(denom):.3e}"
+            f"mean spin projection on the (n2, n3) plane is {math.sqrt(result.plane_sq[0]):.3e}"
         )
-    return ATOM_COUNT * variance / denom
-
-
-def _plane_basis(mhat: np.ndarray):
-    seed = np.zeros(3)
-    seed[int(np.argmin(np.abs(mhat)))] = 1.0
-    u = seed - (seed @ mhat) * mhat
-    u /= np.linalg.norm(u)
-    v = np.cross(mhat, u)
-    return u, v
+    return float(result.value[0])
 
 
 def _frame_about(n1: np.ndarray, mean: np.ndarray) -> SpinFrame:
@@ -277,33 +368,19 @@ def xi_squared(rho: DensityMatrix, policy: str = PERP_OPTIMAL) -> XiResult:
     """
     if policy not in (PERP_OPTIMAL, GLOBAL):
         raise ValueError(f"unknown policy {policy!r}")
-    moments = spin_moments(rho)
-    mean = moments.mean
-    mm = float(mean @ mean)
-    if mm <= MEAN_SPIN_FLOOR**2:
+    mean, second = _two_qubit_moments(rho)
+    perp = xi_perp_stack(mean, second)
+    mm = float(perp.mean_sq[0])
+    if math.isinf(perp.value[0]):
         raise ZeroMeanSpinError(
             f"|<S>| = {math.sqrt(mm):.3e} is at or below {MEAN_SPIN_FLOOR:g}"
         )
-    cov = moments.covariance()
-    cov = 0.5 * (cov + cov.T)
-
-    mhat = mean / math.sqrt(mm)
-    u, v = _plane_basis(mhat)
-    restricted = np.array(
-        [[u @ cov @ u, u @ cov @ v], [v @ cov @ u, v @ cov @ v]]
-    )
-    restricted = 0.5 * (restricted + restricted.T)
-    w, vecs = np.linalg.eigh(restricted)
-    n1 = vecs[0, 0] * u + vecs[1, 0] * v
-    n1 = n1 / np.linalg.norm(n1)
-    value = ATOM_COUNT * w[0] / mm
-
+    n1, value = perp.n1[0], float(perp.value[0])
     if policy == GLOBAL:
-        n1, value = _sphere_minimum(cov, mean, mm, baseline=(n1, value))
-
-    value = max(0.0, float(value))
-    frame = _frame_about(n1, mean)
-    return XiResult(value, frame, bool(value < 1.0))
+        cov = second[0] - np.outer(mean[0], mean[0])
+        n1, value = _sphere_minimum(cov, mean[0], mm, baseline=(n1, value))
+        value = max(0.0, float(value))
+    return XiResult(value, _frame_about(n1, mean[0]), bool(value < 1.0))
 
 
 def xi2_closed_n1(theta: float) -> float:
@@ -319,10 +396,29 @@ def xi2_closed_n1(theta: float) -> float:
     return (1.0 + s * s) / (c * c * c * c)
 
 
+def pt_spectrum(rho, dims=None) -> np.ndarray:
+    """Ascending eigenvalues of the partial transpose over the second factor.
+
+    ``rho`` is a DensityMatrix over two factors, or a bare ``(..., d, d)``
+    stack with its ``dims``; the result has shape ``(..., d)``.  Both PPT
+    diagnostics read this one spectrum.
+    """
+    return hermitian_eig(partial_transpose(rho, sub=1, dims=dims)).values
+
+
+def spectrum_negativity(values: np.ndarray) -> np.ndarray:
+    """Sum of the magnitudes of the negative eigenvalues of each spectrum."""
+    return np.maximum(0.0, -values).sum(axis=-1)
+
+
+def spectrum_entangled(values: np.ndarray) -> np.ndarray:
+    """True where the smallest eigenvalue is below PPT_EIGENVALUE_FLOOR."""
+    return values[..., 0] < PPT_EIGENVALUE_FLOOR
+
+
 def negativity(rho: DensityMatrix) -> float:
     """Sum of the magnitudes of the negative partial-transpose eigenvalues."""
-    values, _ = hermitian_eig(partial_transpose(rho, sub=1))
-    return float(np.sum(np.maximum(0.0, -values)))
+    return float(spectrum_negativity(pt_spectrum(rho)))
 
 
 def ppt_entangled(rho: DensityMatrix) -> bool:
@@ -335,8 +431,7 @@ def ppt_entangled(rho: DensityMatrix) -> bool:
         raise DimensionMismatchError(
             f"the two-sided verdict needs a 2x2 bipartition, got dims {rho.dims}"
         )
-    values, _ = hermitian_eig(partial_transpose(rho, sub=1))
-    return bool(values[0] < PPT_EIGENVALUE_FLOOR)
+    return bool(spectrum_entangled(pt_spectrum(rho)))
 
 
 def diagonal_family_entangled(c: FamilyCoeffs) -> bool:

@@ -5,7 +5,8 @@ coupling g, so time enters only through the product gt.  Starting from both
 atoms in the ground state and n photons in the mode, the reduced atomic
 state stays inside the symmetric family, with populations following closed
 trigonometric forms in the phase theta = lambda * gt,
-lambda = sqrt(2*(2n - 1)).
+lambda = sqrt(2*(2n - 1)).  ``closed_form_populations`` evaluates them over a
+whole array of gt values; ``closed_form_coeffs`` is the same call for one.
 """
 
 import math
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadPhotonNumberError
+from .errors import BadPhotonNumberError, NonFiniteError
 from .linalg import evolution_operator, kron
 from .states import DensityMatrix, FamilyCoeffs, density_from_pure, partial_trace
 
@@ -39,6 +40,8 @@ class ModelConfig:
         if n < 0:
             raise BadPhotonNumberError(f"n_photons must be >= 0, got {n}")
         gt = float(self.gt)
+        if not math.isfinite(gt):
+            raise NonFiniteError(f"gt must be finite, got {gt}")
         if gt < 0.0:
             raise ValueError(f"gt must be >= 0, got {gt}")
         cutoff = int(self.field_cutoff) if self.field_cutoff else n + 1
@@ -93,8 +96,8 @@ def evolve_exact(cfg: ModelConfig) -> DensityMatrix:
     return partial_trace(joint, keep=(0, 1))
 
 
-def closed_form_coeffs(n_photons: int, gt: float) -> FamilyCoeffs:
-    """Closed-form family populations of the reduced atomic state.
+def closed_form_populations(n_photons: int, gt):
+    """Closed-form family populations (x1, x2, x3) over an array of gt values.
 
     For n >= 1, with c = cos(theta) and theta = rabi_frequency(n) * gt:
 
@@ -103,17 +106,33 @@ def closed_form_coeffs(n_photons: int, gt: float) -> FamilyCoeffs:
         x3 = (n c + n - 1)^2 / (2n-1)^2
 
     n = 0 is the trivial stationary case and returns the constant (0, 0, 1).
+    Each population is a float array of the shape of ``gt``; the coherence
+    of these states is zero.
+
+    Raises
+    ------
+    NonFiniteError
+        If any gt is NaN or infinite.
     """
     n = int(n_photons)
     if n < 0:
         raise BadPhotonNumberError(f"n_photons must be >= 0, got {n}")
+    gt = np.asarray(gt, dtype=float)
+    if not np.isfinite(gt).all():
+        raise NonFiniteError("gt must be finite")
     if n == 0:
-        return FamilyCoeffs(0.0, 0.0, 1.0, 0j)
-    theta = rabi_frequency(n) * float(gt)
-    c = math.cos(theta)
-    s = math.sin(theta)
+        return np.zeros_like(gt), np.zeros_like(gt), np.ones_like(gt)
+    theta = rabi_frequency(n) * gt
+    c = np.cos(theta)
+    s = np.sin(theta)
     denom = float(2 * n - 1)
     x1 = n * (n - 1) * (c - 1.0) ** 2 / denom**2
     x2 = n * s * s / denom
     x3 = (n * c + (n - 1)) ** 2 / denom**2
-    return FamilyCoeffs(x1, x2, x3, 0j)
+    return x1, x2, x3
+
+
+def closed_form_coeffs(n_photons: int, gt: float) -> FamilyCoeffs:
+    """Closed-form family coefficients at one gt (see closed_form_populations)."""
+    x1, x2, x3 = closed_form_populations(n_photons, [float(gt)])
+    return FamilyCoeffs(x1[0], x2[0], x3[0], 0j)

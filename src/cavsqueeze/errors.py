@@ -43,3 +43,7 @@ class NonRealError(ValueError):
 
 class StateFormatError(ValueError):
     """A density-matrix file does not match the expected layout."""
+
+
+class NonFiniteError(ValueError):
+    """An input holds a NaN or infinite value where a finite number is required."""

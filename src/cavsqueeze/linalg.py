@@ -9,9 +9,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NoConvergenceError, NotHermitianError
+from .errors import NoConvergenceError, NonFiniteError, NotHermitianError
 
-# Entrywise tolerance for accepting a matrix as Hermitian.
+# Entrywise tolerance for accepting a matrix as Hermitian, here and in the
+# density-matrix validator.
 HERMITIAN_ATOL = 1e-10
 
 
@@ -28,30 +29,36 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def hermitian_eig(h: np.ndarray) -> EigenDecomposition:
-    """Diagonalize a Hermitian matrix.
+    """Diagonalize a Hermitian matrix or a stack of them.
 
     Parameters
     ----------
     h:
-        Square matrix, Hermitian within ``HERMITIAN_ATOL`` entrywise.
+        Array of shape ``(..., n, n)``, each matrix Hermitian within
+        ``HERMITIAN_ATOL`` entrywise.
 
     Returns
     -------
     EigenDecomposition
-        Real eigenvalues in ascending order and the unitary of column
-        eigenvectors, satisfying ``h @ V = V @ diag(values)``.
+        Real eigenvalues in ascending order, shape ``(..., n)``, and the
+        unitaries of column eigenvectors, satisfying
+        ``h @ V = V * values[..., None, :]``.
 
     Raises
     ------
     NotHermitianError
-        If ``h`` is not square or not Hermitian within tolerance.
+        If the matrices are not square or not Hermitian within tolerance.
+    NonFiniteError
+        If any entry is NaN or infinite.
     NoConvergenceError
         If the underlying solver fails to converge.
     """
     h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise NotHermitianError(f"expected a square matrix, got shape {h.shape}")
-    deviation = float(np.abs(h - h.conj().T).max()) if h.size else 0.0
+    if not np.isfinite(h).all():
+        raise NonFiniteError("matrix has a non-finite entry")
+    deviation = float(np.abs(h - np.swapaxes(h, -1, -2).conj()).max()) if h.size else 0.0
     if deviation > HERMITIAN_ATOL:
         raise NotHermitianError(
             f"matrix is not Hermitian: max |h - h^dagger| = {deviation:.3e}"

@@ -8,6 +8,12 @@ used throughout is
     |3> = |gg>.
 
 Family states are X1|1><1| + X2|2><2| + X3|3><3| + Y|1><3| + conj(Y)|3><1|.
+
+The checks run on arrays: ``validate_density_stack`` validates a stack of
+matrices and ``check_family_coeffs`` applies the coefficient rules to arrays
+of coefficients.  ``DensityMatrix`` and ``FamilyCoeffs`` call them on a
+single instance, and ``family_density_stack`` builds a validated stack of
+family states for a whole scan at once.
 """
 
 import json
@@ -20,15 +26,18 @@ import numpy as np
 from .errors import (
     BadSubsystemError,
     DimensionMismatchError,
+    NonFiniteError,
     NotHermitianError,
     NotNormalizedError,
     NotPositiveError,
     StateFormatError,
 )
+from .linalg import HERMITIAN_ATOL
 
 TRACE_ATOL = 1e-10
 PSD_ATOL = 1e-10
-HERMITIAN_ATOL = 1e-10
+# Slack on the family coefficient rules: range, sum and coherence bound.
+FAMILY_ATOL = 1e-12
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -45,13 +54,69 @@ SYMMETRIC_BASIS = np.array(
 SYMMETRIC_BASIS.setflags(write=False)
 
 
+def _reject(bad: np.ndarray, error, message):
+    """Raise ``error`` for the first True entry of ``bad``.
+
+    ``message(index)`` describes the offending entry; inside a stack the
+    text starts with the entry's index, so a scalar check reads as before.
+    """
+    if bad.any():
+        index = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        where = f"entry {index[0] if len(index) == 1 else index}: " if index else ""
+        raise error(where + message(index))
+
+
+def validate_density_stack(mats, dims) -> np.ndarray:
+    """Check a density matrix, or a stack of them, and return it as complex.
+
+    ``mats`` has shape ``(..., d, d)`` with d the product of ``dims``.  Every
+    matrix must be finite, Hermitian within HERMITIAN_ATOL, of unit trace
+    within TRACE_ATOL and positive semidefinite within PSD_ATOL (one batched
+    ``eigvalsh``).  The first failing matrix names the typed error.
+    """
+    mats = np.asarray(mats, dtype=complex)
+    dims = tuple(int(d) for d in dims)
+    if not dims or any(d < 1 for d in dims):
+        raise DimensionMismatchError(f"invalid factor dimensions {dims}")
+    total = math.prod(dims)
+    if mats.ndim < 2 or mats.shape[-2:] != (total, total):
+        raise DimensionMismatchError(
+            f"matrix shape {mats.shape} does not match dims {dims}"
+        )
+    _reject(
+        ~np.isfinite(mats).all(axis=(-2, -1)),
+        NonFiniteError,
+        lambda i: "not finite: the matrix holds a NaN or infinite entry",
+    )
+    herm = np.abs(mats - np.swapaxes(mats, -1, -2).conj()).max(axis=(-2, -1))
+    _reject(
+        herm > HERMITIAN_ATOL,
+        NotHermitianError,
+        lambda i: f"not Hermitian: max |rho - rho^dagger| = {herm[i]:.3e}",
+    )
+    tr = np.trace(mats, axis1=-2, axis2=-1).real
+    _reject(
+        np.abs(tr - 1.0) > TRACE_ATOL,
+        NotNormalizedError,
+        lambda i: f"not unit trace: trace = {tr[i]:.12g}",
+    )
+    smallest = np.linalg.eigvalsh(mats)[..., 0]
+    _reject(
+        smallest < -PSD_ATOL,
+        NotPositiveError,
+        lambda i: f"not positive semidefinite: minimum eigenvalue = {smallest[i]:.3e}",
+    )
+    return mats
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Validated density matrix with its tensor factorization.
 
-    Construction rejects inputs that are not Hermitian within 1e-10, whose
-    trace differs from 1 by more than 1e-10, or whose minimum eigenvalue is
-    below -1e-10.
+    Construction runs ``validate_density_stack`` on the one matrix: it
+    rejects non-finite entries, inputs that are not Hermitian within 1e-10,
+    whose trace differs from 1 by more than 1e-10, or whose minimum
+    eigenvalue is below -1e-10.
     """
 
     mat: np.ndarray
@@ -60,26 +125,11 @@ class DensityMatrix:
     def __post_init__(self):
         mat = np.array(self.mat, dtype=complex)
         dims = tuple(int(d) for d in self.dims)
-        if not dims or any(d < 1 for d in dims):
-            raise DimensionMismatchError(f"invalid factor dimensions {dims}")
-        total = math.prod(dims)
-        if mat.ndim != 2 or mat.shape != (total, total):
+        if mat.ndim != 2:
             raise DimensionMismatchError(
                 f"matrix shape {mat.shape} does not match dims {dims}"
             )
-        herm = float(np.abs(mat - mat.conj().T).max())
-        if herm > HERMITIAN_ATOL:
-            raise NotHermitianError(
-                f"not Hermitian: max |rho - rho^dagger| = {herm:.3e}"
-            )
-        tr = mat.trace().real
-        if abs(tr - 1.0) > TRACE_ATOL:
-            raise NotNormalizedError(f"not unit trace: trace = {tr:.12g}")
-        smallest = float(np.linalg.eigvalsh(mat)[0])
-        if smallest < -PSD_ATOL:
-            raise NotPositiveError(
-                f"not positive semidefinite: minimum eigenvalue = {smallest:.3e}"
-            )
+        validate_density_stack(mat, dims)
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "dims", dims)
@@ -89,13 +139,54 @@ class DensityMatrix:
         return self.mat.shape[0]
 
 
+def check_family_coeffs(x1, x2, x3, y=0.0):
+    """The FamilyCoeffs rules applied to arrays of coefficients.
+
+    Every value must be finite, each population must lie in [0, 1] and the
+    three must sum to 1, and |y| <= sqrt(x1*x3), all within 1e-12.  Returns
+    the inputs broadcast together as float, float, float and complex arrays.
+    """
+    x1, x2, x3, y = np.broadcast_arrays(
+        np.asarray(x1, dtype=float),
+        np.asarray(x2, dtype=float),
+        np.asarray(x3, dtype=float),
+        np.asarray(y, dtype=complex),
+    )
+    _reject(
+        ~(np.isfinite(x1) & np.isfinite(x2) & np.isfinite(x3) & np.isfinite(y)),
+        NonFiniteError,
+        lambda i: f"coefficients must be finite, got x1, x2, x3, y = "
+        f"{x1[i]}, {x2[i]}, {x3[i]}, {y[i]}",
+    )
+    for name, value in (("x1", x1), ("x2", x2), ("x3", x3)):
+        _reject(
+            (value < -FAMILY_ATOL) | (value > 1.0 + FAMILY_ATOL),
+            NotPositiveError,
+            lambda i: f"{name} = {value[i]:.12g} is outside [0, 1]",
+        )
+    total = x1 + x2 + x3
+    _reject(
+        np.abs(total - 1.0) > FAMILY_ATOL,
+        NotNormalizedError,
+        lambda i: f"populations must sum to 1: x1 + x2 + x3 = {total[i]:.15g}",
+    )
+    bound = np.sqrt(np.maximum(x1, 0.0) * np.maximum(x3, 0.0))
+    _reject(
+        np.abs(y) > bound + FAMILY_ATOL,
+        NotPositiveError,
+        lambda i: f"|y| = {abs(y[i]):.12g} exceeds sqrt(x1*x3) = {bound[i]:.12g}",
+    )
+    return x1, x2, x3, y
+
+
 @dataclass(frozen=True)
 class FamilyCoeffs:
     """Coefficients (x1, x2, x3, y) of a symmetric-family state.
 
-    The populations must lie in [0, 1] and sum to 1 within 1e-12; the
-    coherence must satisfy |y| <= sqrt(x1*x3) within 1e-12, otherwise the
-    matrix the coefficients describe would not be positive.
+    The values must be finite, the populations must lie in [0, 1] and sum
+    to 1 within 1e-12, and the coherence must satisfy |y| <= sqrt(x1*x3)
+    within 1e-12, otherwise the matrix the coefficients describe would not
+    be positive (``check_family_coeffs`` on one tuple).
     """
 
     x1: float
@@ -108,20 +199,7 @@ class FamilyCoeffs:
         object.__setattr__(self, "x2", float(self.x2))
         object.__setattr__(self, "x3", float(self.x3))
         object.__setattr__(self, "y", complex(self.y))
-        for name in ("x1", "x2", "x3"):
-            value = getattr(self, name)
-            if not -1e-12 <= value <= 1.0 + 1e-12:
-                raise NotPositiveError(f"{name} = {value:.12g} is outside [0, 1]")
-        total = self.x1 + self.x2 + self.x3
-        if abs(total - 1.0) > 1e-12:
-            raise NotNormalizedError(
-                f"populations must sum to 1: x1 + x2 + x3 = {total:.15g}"
-            )
-        bound = math.sqrt(max(self.x1, 0.0) * max(self.x3, 0.0))
-        if abs(self.y) > bound + 1e-12:
-            raise NotPositiveError(
-                f"|y| = {abs(self.y):.12g} exceeds sqrt(x1*x3) = {bound:.12g}"
-            )
+        check_family_coeffs(self.x1, self.x2, self.x3, self.y)
 
 
 def density_from_pure(psi: np.ndarray, dims: Sequence[int]) -> DensityMatrix:
@@ -184,9 +262,10 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
 def partial_transpose(rho, sub: int = 1, dims=None) -> np.ndarray:
     """Transpose one factor of a bipartite operator.
 
-    Accepts a DensityMatrix over exactly two factors, or a bare square array
-    together with explicit ``dims``.  Returns a plain array because the
-    result is generally not positive.
+    Accepts a DensityMatrix over exactly two factors, or a bare array of
+    shape ``(..., d, d)`` (one matrix or a stack) together with explicit
+    ``dims``.  Returns a plain array because the result is generally not
+    positive.
     """
     if isinstance(rho, DensityMatrix):
         mat, dims = rho.mat, rho.dims
@@ -200,25 +279,40 @@ def partial_transpose(rho, sub: int = 1, dims=None) -> np.ndarray:
     if sub not in (0, 1):
         raise BadSubsystemError(f"subsystem must be 0 or 1, got {sub}")
     d0, d1 = dims
-    blocks = mat.reshape(d0, d1, d0, d1)
-    axes = (2, 1, 0, 3) if sub == 0 else (0, 3, 2, 1)
-    return blocks.transpose(axes).reshape(d0 * d1, d0 * d1).copy()
+    lead = mat.shape[:-2]
+    k = len(lead)
+    blocks = mat.reshape(lead + (d0, d1, d0, d1))
+    axes = (k + 2, k + 1, k, k + 3) if sub == 0 else (k, k + 3, k + 2, k + 1)
+    return blocks.transpose(tuple(range(k)) + axes).reshape(mat.shape).copy()
+
+
+def _family_matrices(x1, x2, x3, y) -> np.ndarray:
+    """Family states in the computational basis, shape ``x1.shape + (4, 4)``."""
+    half = 0.5 * np.asarray(x2)
+    mats = np.zeros(np.shape(x1) + (4, 4), dtype=complex)
+    mats[..., 0, 0] = x1
+    mats[..., 0, 3] = y
+    mats[..., 1, 1] = mats[..., 1, 2] = mats[..., 2, 1] = mats[..., 2, 2] = half
+    mats[..., 3, 0] = np.conj(y)
+    mats[..., 3, 3] = x3
+    return mats
+
+
+def family_density_stack(x1, x2, x3, y=0.0) -> np.ndarray:
+    """Validated family states for arrays of coefficients, shape ``(..., 4, 4)``.
+
+    Applies the FamilyCoeffs rules and the density-matrix checks to the
+    whole stack at once; the first invalid tuple raises the same typed error
+    that building it alone would.
+    """
+    return validate_density_stack(
+        _family_matrices(*check_family_coeffs(x1, x2, x3, y)), (2, 2)
+    )
 
 
 def family_density(c: FamilyCoeffs) -> DensityMatrix:
     """Two-atom density matrix of the symmetric family in the computational basis."""
-    half = 0.5 * c.x2
-    y = complex(c.y)
-    mat = np.array(
-        [
-            [c.x1, 0.0, 0.0, y],
-            [0.0, half, half, 0.0],
-            [0.0, half, half, 0.0],
-            [y.conjugate(), 0.0, 0.0, c.x3],
-        ],
-        dtype=complex,
-    )
-    return DensityMatrix(mat, (2, 2))
+    return DensityMatrix(_family_matrices(c.x1, c.x2, c.x3, c.y), (2, 2))
 
 
 def family_coeffs_from_density(rho: DensityMatrix, atol: float = 1e-10) -> FamilyCoeffs:

@@ -1,0 +1,125 @@
+"""Non-finite input is rejected with NonFiniteError, never turned into a verdict."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import cavsqueeze as cs
+from cavsqueeze import NonFiniteError
+from cavsqueeze.cli import EXIT_NUMERIC, main
+
+BAD_VALUES = (math.nan, math.inf, -math.inf)
+
+
+def run_cli(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_error_is_a_value_error():
+    assert issubclass(NonFiniteError, ValueError)
+
+
+@pytest.mark.parametrize("bad", BAD_VALUES)
+def test_density_matrix_rejects_non_finite_entry(bad):
+    mat = np.eye(4, dtype=complex) / 4.0
+    mat[1, 2] = bad
+    with pytest.raises(NonFiniteError):
+        cs.DensityMatrix(mat, (2, 2))
+
+
+def test_density_matrix_rejects_all_nan():
+    with pytest.raises(NonFiniteError):
+        cs.DensityMatrix(np.full((4, 4), math.nan), (2, 2))
+
+
+@pytest.mark.parametrize("bad", BAD_VALUES)
+@pytest.mark.parametrize("slot", range(4))
+def test_family_coeffs_reject_non_finite(bad, slot):
+    values = [0.5, 0.2, 0.3, 0.0]
+    values[slot] = bad
+    with pytest.raises(NonFiniteError):
+        cs.FamilyCoeffs(*values)
+
+
+def test_family_coeffs_reject_non_finite_imaginary_coherence():
+    with pytest.raises(NonFiniteError):
+        cs.FamilyCoeffs(0.5, 0.2, 0.3, complex(0.0, math.nan))
+
+
+@pytest.mark.parametrize("bad", BAD_VALUES)
+def test_model_config_rejects_non_finite_gt(bad):
+    with pytest.raises(NonFiniteError):
+        cs.ModelConfig(1, bad)
+
+
+@pytest.mark.parametrize("bad", BAD_VALUES)
+def test_closed_form_coeffs_reject_non_finite_gt(bad):
+    with pytest.raises(NonFiniteError):
+        cs.closed_form_coeffs(1, bad)
+
+
+def test_hermitian_eig_rejects_nan():
+    with pytest.raises(NonFiniteError):
+        cs.hermitian_eig(np.full((3, 3), math.nan))
+
+
+def test_check_state_nan_entry_exits_2_with_empty_stdout(tmp_path, capsys):
+    rows = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+    rows[0][3] = [math.nan, 0.0]
+    rows[3][0] = [math.nan, 0.0]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({"dims": [2, 2], "rows": rows}))  # writes the NaN literal
+    assert run_cli(["check-state", str(path)]) == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--x1=nan", "--y=nan", "--y=inf"])
+def test_family_non_finite_flag_exits_2_with_empty_stdout(flag, capsys):
+    values = {"--x1": "0.5", "--x2": "0.2", "--x3": "0.3", "--y": "0"}
+    name, value = flag.split("=")
+    values[name] = value
+    argv = ["family"] + [f"{k}={v}" for k, v in values.items()]
+    assert run_cli(argv) == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
+_finite = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+_non_finite = st.sampled_from(BAD_VALUES)
+
+
+@settings(max_examples=60, deadline=None)
+@given(x1=_finite, x3=_finite, share=_finite)
+def test_valid_family_gives_finite_verdicts(x1, x3, share):
+    total = x1 + x3
+    if total > 1.0:
+        x1, x3 = x1 / total, x3 / total
+    x2 = 1.0 - x1 - x3
+    y = share * math.sqrt(x1 * x3)
+    rho = cs.family_density(cs.FamilyCoeffs(x1, x2, x3, y))
+    assert math.isfinite(cs.negativity(rho))
+    assert isinstance(cs.ppt_entangled(rho), bool)
+    try:
+        value = cs.xi_squared(rho).value
+    except cs.ZeroMeanSpinError:
+        return
+    assert math.isfinite(value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bad=_non_finite, row=st.integers(0, 3), col=st.integers(0, 3))
+def test_any_non_finite_entry_raises(bad, row, col):
+    mat = np.eye(4, dtype=complex) / 4.0
+    mat[row, col] = bad
+    with pytest.raises(NonFiniteError):
+        cs.DensityMatrix(mat, (2, 2))
