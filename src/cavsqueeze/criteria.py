@@ -35,7 +35,7 @@ from .errors import (
     ZeroMeanSpinError,
 )
 from .linalg import hermitian_eig, kron
-from .states import DensityMatrix, FamilyCoeffs, partial_transpose
+from .states import DensityMatrix, FamilyCoeffs, check_hermitian, partial_transpose
 
 ATOM_COUNT = 2
 
@@ -91,10 +91,6 @@ _MOMENT_OPS_T = np.stack(
     ]
 )
 _MOMENT_OPS_T.setflags(write=False)
-
-# A moment tr(rho O) of a Hermitian O whose imaginary part exceeds this
-# means rho was not Hermitian.
-MOMENT_IMAG_ATOL = 1e-10
 
 
 def collective_spin() -> CollectiveSpin:
@@ -173,17 +169,16 @@ def spin_moments_stack(mats: np.ndarray):
     operators summed over the last two axes, which gives a state the same
     bits whatever the size of the stack (a matrix-product contraction such
     as ``einsum`` does not).  Its temporary holds 12 N complex 4x4 blocks.
+    A state that is not Hermitian by the density-matrix rule raises
+    NotHermitianError; the moments are the real parts of the traces.
     """
     mats = np.asarray(mats, dtype=complex)
     if mats.ndim != 3 or mats.shape[1:] != (4, 4):
         raise DimensionMismatchError(
             f"expected a stack of 4x4 two-qubit states, got shape {mats.shape}"
         )
-    values = (mats[:, None] * _MOMENT_OPS_T).sum(axis=(-2, -1))
-    residue = float(np.abs(values.imag).max()) if values.size else 0.0
-    if residue > MOMENT_IMAG_ATOL:
-        raise ValueError(f"moment has imaginary residue {residue:.3e}")
-    real = values.real
+    check_hermitian(mats)
+    real = (mats[:, None] * _MOMENT_OPS_T).sum(axis=(-2, -1)).real
     return real[:, :3], real[:, 3:].reshape(-1, 3, 3)
 
 

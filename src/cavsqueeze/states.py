@@ -66,6 +66,21 @@ def _reject(bad: np.ndarray, error, message):
         raise error(where + message(index))
 
 
+def check_hermitian(mats: np.ndarray):
+    """Reject matrices that are not Hermitian within HERMITIAN_ATOL entrywise.
+
+    The first matrix of the ``(..., d, d)`` stack that fails raises
+    NotHermitianError; the density-matrix validator and the moment kernel
+    share this one rule.
+    """
+    herm = np.abs(mats - np.swapaxes(mats, -1, -2).conj()).max(axis=(-2, -1))
+    _reject(
+        herm > HERMITIAN_ATOL,
+        NotHermitianError,
+        lambda i: f"not Hermitian: max |rho - rho^dagger| = {herm[i]:.3e}",
+    )
+
+
 def validate_density_stack(mats, dims) -> np.ndarray:
     """Check a density matrix, or a stack of them, and return it as complex.
 
@@ -88,12 +103,7 @@ def validate_density_stack(mats, dims) -> np.ndarray:
         NonFiniteError,
         lambda i: "not finite: the matrix holds a NaN or infinite entry",
     )
-    herm = np.abs(mats - np.swapaxes(mats, -1, -2).conj()).max(axis=(-2, -1))
-    _reject(
-        herm > HERMITIAN_ATOL,
-        NotHermitianError,
-        lambda i: f"not Hermitian: max |rho - rho^dagger| = {herm[i]:.3e}",
-    )
+    check_hermitian(mats)
     tr = np.trace(mats, axis1=-2, axis2=-1).real
     _reject(
         np.abs(tr - 1.0) > TRACE_ATOL,
@@ -356,10 +366,11 @@ def load_density_matrix(source: Union[str, IO[str]]) -> DensityMatrix:
     if not isinstance(doc, dict) or "dims" not in doc or "rows" not in doc:
         raise StateFormatError("document must carry 'dims' and 'rows' fields")
     dims = doc["dims"]
+    # Exact type tests: JSON true/false load as bool, a subclass of int.
     if (
         not isinstance(dims, list)
         or not dims
-        or not all(isinstance(d, int) and d >= 1 for d in dims)
+        or not all(type(d) is int and d >= 1 for d in dims)
     ):
         raise StateFormatError("'dims' must be a list of positive integers")
     total = math.prod(dims)
@@ -374,7 +385,7 @@ def load_density_matrix(source: Union[str, IO[str]]) -> DensityMatrix:
             if (
                 not isinstance(entry, list)
                 or len(entry) != 2
-                or not all(isinstance(p, (int, float)) for p in entry)
+                or not all(type(p) in (int, float) for p in entry)
             ):
                 raise StateFormatError(f"entry ({i}, {j}) must be a [re, im] pair")
             mat[i, j] = complex(entry[0], entry[1])

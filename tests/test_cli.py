@@ -82,7 +82,7 @@ def test_scan_json_matches_csv(capsys):
             if isinstance(jrow[col], bool):
                 assert crow[col] == ("true" if jrow[col] else "false")
             elif isinstance(jrow[col], str):
-                assert crow[col] == jrow[col]  # "inf" travels as a token
+                assert crow[col] == jrow[col]  # "zero-mean-spin" travels as a token
             else:
                 assert float(crow[col]) == jrow[col]
 
@@ -110,6 +110,28 @@ def test_scan_verify_passes(capsys):
     err = capsys.readouterr().err
     assert "verify:" in err
     assert "over 11 rows" in err
+
+
+# n = 1 puts theta = sqrt(2) gt, so the middle of three points is theta = pi/2:
+# the state |s><s|, entangled with negativity 1/2 and no mean spin.
+HALF_PI_SCAN = ["scan-time", "--photons", "1", "--gt-max", "2.221441469079183", "--steps", "3"]
+
+
+def test_scan_prints_undefined_quotient_as_token(capsys):
+    assert run_cli(HALF_PI_SCAN) == EXIT_OK
+    row = parse_csv(capsys.readouterr().out)[1]
+    assert row["x2"] == "1"
+    assert row["xi2_optimized"] == row["xi2_fixed_frame"] == ZERO_MEAN_TOKEN
+    assert row["negativity"] == "0.5"
+    assert row["ppt_entangled"] == "true"
+    assert row["xi2_flags_entangled"] == "false"
+
+    assert run_cli(HALF_PI_SCAN + ["--format", "json"]) == EXIT_OK
+    row = json.loads(capsys.readouterr().out)[1]
+    assert row["xi2_optimized"] == row["xi2_fixed_frame"] == ZERO_MEAN_TOKEN
+    assert row["negativity"] == 0.5
+    assert row["ppt_entangled"] is True
+    assert row["xi2_flags_entangled"] is False
 
 
 def test_scan_usage_errors():
@@ -230,6 +252,19 @@ def test_check_state_verify(tmp_path, capsys):
     write_state(path, mat, (2, 2))
     assert run_cli(["check-state", str(path), "--verify"]) == EXIT_OK
     assert "verify:" in capsys.readouterr().err
+
+
+def test_check_state_accepts_hermitian_residue_within_tolerance(tmp_path, capsys):
+    # 0.9e-10j above the diagonal only: Hermitian within HERMITIAN_ATOL, so
+    # the moments must be read, not rejected for their imaginary residue.
+    mat = np.eye(4, dtype=complex) / 4.0
+    mat[np.triu_indices(4, 1)] += 0.9e-10j
+    path = tmp_path / "near.json"
+    write_state(path, mat, (2, 2))
+    assert run_cli(["check-state", str(path)]) == EXIT_OK
+    row = parse_csv(capsys.readouterr().out)[0]
+    assert row["xi2_optimized"] == ZERO_MEAN_TOKEN
+    assert row["ppt_entangled"] == "false"
 
 
 def test_check_state_bad_trace_exit_2(tmp_path, capsys):

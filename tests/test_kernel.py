@@ -210,6 +210,21 @@ def test_non_positive_matrix_fails_the_stack_like_the_scalar():
         cs.DensityMatrix(stack[7], (2, 2))
 
 
+def test_moment_kernel_uses_the_validator_hermiticity_rule():
+    # Within HERMITIAN_ATOL the validator accepts the state and the kernel
+    # reads the real moments; beyond it both raise NotHermitianError.
+    near = np.eye(4, dtype=complex) / 4.0
+    near[np.triu_indices(4, 1)] += 0.9e-10j
+    rho = cs.DensityMatrix(near, (2, 2))
+    mean, second = cs.spin_moments_stack(rho.mat[None])
+    assert np.abs(mean).max() < 1e-9
+    assert np.allclose(second[0], np.eye(3) / 2.0, atol=1e-9)
+    stack = np.tile(np.eye(4, dtype=complex) / 4.0, (5, 1, 1))
+    stack[3, 0, 1] = 0.2
+    with pytest.raises(cs.NotHermitianError, match="^entry 3: "):
+        cs.spin_moments_stack(stack)
+
+
 def test_kernel_rejects_states_that_are_not_two_qubit():
     with pytest.raises(cs.DimensionMismatchError):
         cs.spin_moments_stack(np.zeros((3, 3, 3)))

@@ -300,6 +300,18 @@ class TestLoadDensityMatrix:
         with pytest.raises(StateFormatError):
             load_density_matrix(io.StringIO(json.dumps(doc)))
 
+    def test_rejects_boolean_dims(self):
+        doc = self._doc(np.eye(4) / 4.0, (2, 2))
+        doc["dims"] = [True, 4]
+        with pytest.raises(StateFormatError, match="dims"):
+            load_density_matrix(io.StringIO(json.dumps(doc)))
+
+    def test_rejects_boolean_entry_part(self):
+        doc = self._doc(np.eye(2) / 2.0, (2,))
+        doc["rows"][0][1] = [0.0, False]
+        with pytest.raises(StateFormatError, match="pair"):
+            load_density_matrix(io.StringIO(json.dumps(doc)))
+
     def test_rejects_row_count_mismatch(self):
         doc = self._doc(np.eye(2) / 2.0, (2,))
         doc["rows"] = doc["rows"][:1]
