@@ -7,15 +7,20 @@ state stays inside the symmetric family, with populations following closed
 trigonometric forms in the phase theta = lambda * gt,
 lambda = sqrt(2*(2n - 1)).  ``closed_form_populations`` evaluates them over a
 whole array of gt values; ``closed_form_coeffs`` is the same call for one.
+
+``evolve_exact`` is the independent route that checks those forms: it
+diagonalizes the full-space Hamiltonian once per (n, cutoff) and evolves
+every gt at that pair by phases in its eigenbasis.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadPhotonNumberError, NonFiniteError
-from .linalg import evolution_operator, kron
+from .linalg import hermitian_eig, kron
 from .states import DensityMatrix, FamilyCoeffs, density_from_pure, partial_trace
 
 _SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -79,8 +84,27 @@ def build_hamiltonian(cfg: ModelConfig) -> np.ndarray:
     return raising + raising.conj().T
 
 
+@functools.lru_cache(maxsize=1)
+def _eigensystem(n_photons: int, field_cutoff: int):
+    """Read-only (values, vectors) of the Hamiltonian at one (n, cutoff).
+
+    Every caller sweeps gt at a single (n, cutoff), so one entry serves a
+    whole sweep and retains one eigensystem.
+    """
+    values, vectors = hermitian_eig(
+        build_hamiltonian(ModelConfig(n_photons, 0.0, field_cutoff))
+    )
+    values.flags.writeable = False
+    vectors.flags.writeable = False
+    return values, vectors
+
+
 def evolve_exact(cfg: ModelConfig) -> DensityMatrix:
     """Evolve |g, g, n> for phase gt and trace out the field.
+
+    One eigendecomposition of the Hamiltonian serves every gt at a given
+    (n, cutoff); each call applies the phases exp(-i*E*gt) of the
+    eigenvalues E to the initial state's components in that eigenbasis.
 
     Returns
     -------
@@ -89,10 +113,11 @@ def evolve_exact(cfg: ModelConfig) -> DensityMatrix:
         numerical noise.
     """
     d = cfg.field_cutoff
-    psi0 = np.zeros(4 * d, dtype=complex)
-    psi0[3 * d + cfg.n_photons] = 1.0  # |g, g> x |n>
-    u = evolution_operator(build_hamiltonian(cfg), cfg.gt)
-    joint = density_from_pure(u @ psi0, (2, 2, d))
+    values, vectors = _eigensystem(cfg.n_photons, d)
+    # components of |g, g> x |n> in the eigenbasis: row 3d + n of V, conjugated
+    initial = vectors[3 * d + cfg.n_photons].conj()
+    psi = vectors @ (np.exp(-1j * values * cfg.gt) * initial)
+    joint = density_from_pure(psi, (2, 2, d))
     return partial_trace(joint, keep=(0, 1))
 
 

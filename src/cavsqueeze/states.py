@@ -346,19 +346,35 @@ def family_coeffs_from_density(rho: DensityMatrix, atol: float = 1e-10) -> Famil
     return FamilyCoeffs(sym[0, 0].real, sym[1, 1].real, sym[3, 3].real, sym[0, 3])
 
 
+def _entry_part(part) -> float:
+    """A JSON number as a float; an integer beyond float range reads as +-inf.
+
+    That is what a literal such as 1e400 loads as, so both reach the
+    validator's NonFiniteError instead of an OverflowError.
+    """
+    try:
+        return float(part)
+    except OverflowError:
+        return math.inf if part > 0 else -math.inf
+
+
 def load_density_matrix(source: Union[str, IO[str]]) -> DensityMatrix:
     """Load a density matrix from the JSON state-file format.
 
     The document must carry ``dims`` (list of integers) and ``rows`` (list of
     rows, each entry a two-element [re, im] pair), row-major with exactly
-    dim*dim entries.  Layout problems raise StateFormatError; a well-formed
-    file describing an invalid state raises the usual validation errors.
+    dim*dim entries.  Text that is not UTF-8 and layout problems raise
+    StateFormatError; a well-formed file describing an invalid state raises
+    the usual validation errors.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    try:
+        if hasattr(source, "read"):
+            text = source.read()
+        else:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise StateFormatError(f"not UTF-8 text: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -388,5 +404,5 @@ def load_density_matrix(source: Union[str, IO[str]]) -> DensityMatrix:
                 or not all(type(p) in (int, float) for p in entry)
             ):
                 raise StateFormatError(f"entry ({i}, {j}) must be a [re, im] pair")
-            mat[i, j] = complex(entry[0], entry[1])
+            mat[i, j] = complex(_entry_part(entry[0]), _entry_part(entry[1]))
     return DensityMatrix(mat, tuple(dims))

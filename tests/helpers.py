@@ -94,6 +94,21 @@ def random_frame(rng):
     return cs.SpinFrame(q[:, 0], q[:, 1], q[:, 2])
 
 
+def propagator_evolution(cfg):
+    """Reduced two-atom matrix of exp(-i*H*gt)|g, g, n>, one full propagator per call.
+
+    Builds the unitary with ``evolution_operator`` and traces out the field
+    by reshaping the state vector, so it shares neither the cached
+    eigensystem nor ``partial_trace`` with ``evolve_exact``.
+    """
+    d = cfg.field_cutoff
+    psi0 = np.zeros(4 * d, dtype=complex)
+    psi0[3 * d + cfg.n_photons] = 1.0
+    psi = cs.evolution_operator(cs.build_hamiltonian(cfg), cfg.gt) @ psi0
+    amplitudes = psi.reshape(4, d)  # atom pair x photon number
+    return amplitudes @ amplitudes.conj().T
+
+
 def reference_global_minimum(rho):
     """Exact whole-sphere squeezing minimum via the reduced quadratic form.
 

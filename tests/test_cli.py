@@ -317,6 +317,15 @@ def test_check_state_missing_file_exit_65(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_check_state_non_utf8_file_exit_65(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps({"dims": [2, 2]}).encode("utf-16-le"))
+    assert run_cli(["check-state", str(path)]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "UTF-8" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # serialization details
 

@@ -14,6 +14,8 @@ from cavsqueeze import (
     family_coeffs_from_density,
     rabi_frequency,
 )
+from cavsqueeze.dynamics import _eigensystem
+from helpers import propagator_evolution
 
 
 class TestModelConfig:
@@ -125,6 +127,42 @@ class TestEvolveExact:
         base = evolve_exact(ModelConfig(2, 1.3))
         padded = evolve_exact(ModelConfig(2, 1.3, field_cutoff=9))
         assert np.abs(base.mat - padded.mat).max() < 1e-12
+
+    def test_matches_propagator_across_cache_hits_and_misses(self):
+        # (n, field_cutoff, gt); 0 is the default cutoff n + 1.  A larger
+        # cutoff follows the default one at the same n, so an eigensystem
+        # reused across cutoffs would fail on shape or values.
+        sequence = [
+            (2, 0, 0.0),
+            (2, 0, 1.3),
+            (2, 9, 1.3),
+            (2, 9, 0.4),
+            (2, 0, 0.4),
+            (5, 0, 2.7),
+            (5, 0, 0.1),
+            (1, 0, 0.9),
+            (5, 0, 2.7),
+            (5, 7, 2.7),
+            (60, 0, 1.1),
+            (60, 0, 3.0),
+            (2, 0, 1.3),
+        ]
+        _eigensystem.cache_clear()
+        for n, cutoff, gt in sequence:
+            cfg = ModelConfig(n, gt, field_cutoff=cutoff)
+            want = propagator_evolution(cfg)
+            assert np.abs(evolve_exact(cfg).mat - want).max() < 1e-12, (n, cutoff, gt)
+        info = _eigensystem.cache_info()
+        keys = [(n, cutoff) for n, cutoff, _ in sequence]
+        changes = 1 + sum(a != b for a, b in zip(keys, keys[1:]))
+        assert (info.misses, info.hits) == (changes, len(sequence) - changes)
+
+    def test_cached_eigensystem_is_read_only(self):
+        values, vectors = _eigensystem(3, 4)
+        for array in (values, vectors):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
 
     def test_reduced_state_stays_in_family(self):
         rho = evolve_exact(ModelConfig(5, 2.7))

@@ -82,6 +82,21 @@ def test_check_state_nan_entry_exits_2_with_empty_stdout(tmp_path, capsys):
     assert "finite" in captured.err
 
 
+@pytest.mark.parametrize(
+    "part, literal", [(0, "1" + "0" * 400), (1, "-" + "9" * 401)], ids=["re", "im"]
+)
+def test_check_state_huge_integer_entry_exits_2_with_empty_stdout(tmp_path, capsys, part, literal):
+    # an integer beyond float range is as non-finite as the literal 1e400
+    rows = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+    rows[0][3][part] = "HUGE"
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dims": [2, 2], "rows": rows}).replace('"HUGE"', literal))
+    assert run_cli(["check-state", str(path)]) == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
 @pytest.mark.parametrize("flag", ["--x1=nan", "--y=nan", "--y=inf"])
 def test_family_non_finite_flag_exits_2_with_empty_stdout(flag, capsys):
     values = {"--x1": "0.5", "--x2": "0.2", "--x3": "0.3", "--y": "0"}
