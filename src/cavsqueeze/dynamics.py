@@ -9,8 +9,9 @@ lambda = sqrt(2*(2n - 1)).  ``closed_form_populations`` evaluates them over a
 whole array of gt values; ``closed_form_coeffs`` is the same call for one.
 
 ``evolve_exact`` is the independent route that checks those forms: it
-diagonalizes the full-space Hamiltonian once per (n, cutoff) and evolves
-every gt at that pair by phases in its eigenbasis.
+diagonalizes the full-space Hamiltonian once per (n, cutoff), evolves
+every gt at that pair by phases in its eigenbasis and traces the field out
+of the state vector.
 """
 
 import functools
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import BadPhotonNumberError, NonFiniteError
 from .linalg import hermitian_eig, kron
-from .states import DensityMatrix, FamilyCoeffs, density_from_pure, partial_trace
+from .states import DensityMatrix, FamilyCoeffs, unit_state_vector
 
 _SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 _I2 = np.eye(2, dtype=complex)
@@ -105,6 +106,8 @@ def evolve_exact(cfg: ModelConfig) -> DensityMatrix:
     One eigendecomposition of the Hamiltonian serves every gt at a given
     (n, cutoff); each call applies the phases exp(-i*E*gt) of the
     eigenvalues E to the initial state's components in that eigenbasis.
+    The evolved vector must have unit norm within 1e-10, and the reduced
+    state is validated as a ``DensityMatrix``.
 
     Returns
     -------
@@ -116,9 +119,13 @@ def evolve_exact(cfg: ModelConfig) -> DensityMatrix:
     values, vectors = _eigensystem(cfg.n_photons, d)
     # components of |g, g> x |n> in the eigenbasis: row 3d + n of V, conjugated
     initial = vectors[3 * d + cfg.n_photons].conj()
-    psi = vectors @ (np.exp(-1j * values * cfg.gt) * initial)
-    joint = density_from_pure(psi, (2, 2, d))
-    return partial_trace(joint, keep=(0, 1))
+    psi = unit_state_vector(vectors @ (np.exp(-1j * values * cfg.gt) * initial))
+    # Tracing the field out of |psi><psi| leaves A A^dagger, with A the
+    # (atom pair, photon number) = (4, d) view of psi.  The 4d-square joint
+    # state, Hermitian and positive by construction, is never formed; its
+    # trace, the squared norm, is checked above and again on the result.
+    amps = psi.reshape(4, d)
+    return DensityMatrix(amps @ amps.conj().T, (2, 2))
 
 
 def closed_form_populations(n_photons: int, gt):

@@ -212,12 +212,18 @@ class FamilyCoeffs:
         check_family_coeffs(self.x1, self.x2, self.x3, self.y)
 
 
-def density_from_pure(psi: np.ndarray, dims: Sequence[int]) -> DensityMatrix:
-    """Rank-1 density matrix |psi><psi| of a normalized state vector."""
+def unit_state_vector(psi: np.ndarray) -> np.ndarray:
+    """``psi`` flattened to complex, rejected unless its norm is 1 within 1e-10."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     norm = float(np.linalg.norm(psi))
     if abs(norm - 1.0) > 1e-10:
         raise NotNormalizedError(f"state vector is not normalized: norm = {norm:.12g}")
+    return psi
+
+
+def density_from_pure(psi: np.ndarray, dims: Sequence[int]) -> DensityMatrix:
+    """Rank-1 density matrix |psi><psi| of a normalized state vector."""
+    psi = unit_state_vector(psi)
     return DensityMatrix(np.outer(psi, psi.conj()), tuple(dims))
 
 

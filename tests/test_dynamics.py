@@ -10,8 +10,11 @@ from cavsqueeze import (
     annihilation,
     build_hamiltonian,
     closed_form_coeffs,
+    density_from_pure,
+    evolution_operator,
     evolve_exact,
     family_coeffs_from_density,
+    partial_trace,
     rabi_frequency,
 )
 from cavsqueeze.dynamics import _eigensystem
@@ -156,6 +159,21 @@ class TestEvolveExact:
         keys = [(n, cutoff) for n, cutoff, _ in sequence]
         changes = 1 + sum(a != b for a, b in zip(keys, keys[1:]))
         assert (info.misses, info.hits) == (changes, len(sequence) - changes)
+
+    def test_matches_partial_trace_of_the_joint_state(self):
+        # evolve_exact traces the field out of the state vector; the joint
+        # |psi><psi| route through the validated DensityMatrix and
+        # partial_trace must give the same reduced state.
+        for n, cutoff, gt in ((1, 0, 0.7), (3, 6, 2.2), (20, 0, 1.9)):
+            cfg = ModelConfig(n, gt, field_cutoff=cutoff)
+            d = cfg.field_cutoff
+            psi0 = np.zeros(4 * d, dtype=complex)
+            psi0[3 * d + n] = 1.0
+            psi = evolution_operator(build_hamiltonian(cfg), gt) @ psi0
+            want = partial_trace(density_from_pure(psi, (2, 2, d)), keep=(0, 1))
+            got = evolve_exact(cfg)
+            assert got.dims == want.dims == (2, 2)
+            assert np.abs(got.mat - want.mat).max() < 1e-12, (n, cutoff, gt)
 
     def test_cached_eigensystem_is_read_only(self):
         values, vectors = _eigensystem(3, 4)
