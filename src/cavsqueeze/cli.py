@@ -5,6 +5,11 @@ over gt and reports both diagnostics per grid point, ``family`` evaluates a
 single coefficient tuple, and ``check-state`` loads a density-matrix file
 and reports what the diagnostics say about it.
 
+Each report has one row type, a ``NamedTuple`` whose fields are its columns
+in output order: ``ScanRow``, ``FamilyRow`` and ``CheckRow``.  The CSV
+header and the JSON keys are those field names, so a column is named in one
+place only.
+
 ``scan-time`` runs the array kernel of ``dynamics``, ``states`` and
 ``criteria`` over the gt grid in chunks of ``SCAN_CHUNK`` rows: closed-form
 populations, one validated stack of family states, the spin moments, both
@@ -26,7 +31,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,48 +87,7 @@ _NEGATIVE_NUMBER = re.compile(
     r"^-(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf(?:inity)?|nan)$", re.IGNORECASE
 )
 
-SCAN_COLUMNS = (
-    "gt",
-    "x1",
-    "x2",
-    "x3",
-    "xi2_optimized",
-    "xi2_fixed_frame",
-    "negativity",
-    "ppt_entangled",
-    "xi2_flags_entangled",
-)
-
-FAMILY_COLUMNS = (
-    "x1",
-    "x2",
-    "x3",
-    "y",
-    "xi2_family",
-    "squeezing_condition",
-    "xi2_optimized",
-    "negativity",
-    "ppt_entangled",
-)
-
-CHECK_COLUMNS = (
-    "negativity",
-    "ppt_entangled",
-    "xi2_optimized",
-    "mean_x",
-    "mean_y",
-    "mean_z",
-    "second_xx",
-    "second_xy",
-    "second_xz",
-    "second_yy",
-    "second_yz",
-    "second_zz",
-)
-
-
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     """One gt grid point of a time scan."""
 
     gt: float
@@ -135,6 +99,40 @@ class ScanRow:
     negativity: float
     ppt_entangled: bool
     xi2_flags_entangled: bool
+
+
+class FamilyRow(NamedTuple):
+    """The ``family`` report of one coefficient tuple."""
+
+    x1: float
+    x2: float
+    x3: float
+    y: float
+    xi2_family: float
+    squeezing_condition: bool
+    xi2_optimized: float
+    negativity: float
+    ppt_entangled: bool
+
+
+class CheckRow(NamedTuple):
+    """The ``check-state`` report: both diagnostics and the spin moments."""
+
+    negativity: float
+    ppt_entangled: bool
+    xi2_optimized: float
+    mean_x: float
+    mean_y: float
+    mean_z: float
+    second_xx: float
+    second_xy: float
+    second_xz: float
+    second_yy: float
+    second_yz: float
+    second_zz: float
+
+
+SCAN_COLUMNS = ScanRow._fields
 
 
 class _Parser(argparse.ArgumentParser):
@@ -237,12 +235,14 @@ def _json_value(value):
     return float(_format_float(value))
 
 
-def _render(columns, rows, fmt: str) -> str:
+def _render(rows, fmt: str) -> str:
+    """Report text of a non-empty list of rows of one row type."""
+    columns = type(rows[0])._fields
     if fmt == "csv":
         lines = [",".join(columns)]
-        lines += [",".join(_csv_cell(row[col]) for col in columns) for row in rows]
+        lines += [",".join(map(_csv_cell, row)) for row in rows]
         return "\n".join(lines) + "\n"
-    doc = [{col: _json_value(row[col]) for col in columns} for row in rows]
+    doc = [dict(zip(columns, map(_json_value, row))) for row in rows]
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -255,13 +255,19 @@ def _write(text: str, output):
 
 
 def _diagnose(mats):
-    """Spin moments, perp-optimal quotients and PT spectra of a stack of states.
+    """Spin moments and the report columns of a stack of states.
 
-    ``mats`` is a validated (N, 4, 4) stack; a quotient is inf where the
-    mean spin vanishes.
+    ``mats`` is a validated (N, 4, 4) stack.  Returns the mean spins (N, 3)
+    and second moments (N, 3, 3) as arrays, then the columns
+    ``xi2_optimized``, ``negativity`` and ``ppt_entangled`` as lists of
+    Python floats and bools; a quotient is inf where the mean spin
+    vanishes.
     """
     mean, second = spin_moments_stack(mats)
-    return mean, second, xi_perp_stack(mean, second).value, pt_spectrum(mats, dims=(2, 2))
+    xi_opt = xi_perp_stack(mean, second).value
+    spectrum = pt_spectrum(mats, dims=(2, 2))
+    columns = (xi_opt, spectrum_negativity(spectrum), spectrum_entangled(spectrum))
+    return (mean, second, *(column.tolist() for column in columns))
 
 
 def build_scan_rows(photons: int, gt_max: float, steps: int):
@@ -276,30 +282,21 @@ def build_scan_rows(photons: int, gt_max: float, steps: int):
     for start in range(0, steps, SCAN_CHUNK):
         gt = grid[start : start + SCAN_CHUNK]
         x1, x2, x3 = closed_form_populations(photons, gt)
-        mats = family_density_stack(x1, x2, x3)
-        mean, second, xi_opt, spectrum = _diagnose(mats)
+        mean, second, xi_opt, negativity, entangled = _diagnose(
+            family_density_stack(x1, x2, x3)
+        )
         xi_fixed = xi_frame_stack(mean, second, fixed_frame).value
+        populations = (column.tolist() for column in (gt, x1, x2, x3))
+        flags = [value < 1.0 for value in xi_opt]
         rows.extend(
-            map(
-                ScanRow,
-                gt.tolist(),
-                x1.tolist(),
-                x2.tolist(),
-                x3.tolist(),
-                xi_opt.tolist(),
-                xi_fixed.tolist(),
-                spectrum_negativity(spectrum).tolist(),
-                spectrum_entangled(spectrum).tolist(),
-                (xi_opt < 1.0).tolist(),
-            )
+            map(ScanRow, *populations, xi_opt, xi_fixed.tolist(), negativity, entangled, flags)
         )
     return rows
 
 
 def _cmd_scan_time(args) -> int:
     rows = build_scan_rows(args.photons, args.gt_max, args.steps)
-    values = [{col: getattr(row, col) for col in SCAN_COLUMNS} for row in rows]
-    _write(_render(SCAN_COLUMNS, values, args.format), args.output)
+    _write(_render(rows, args.format), args.output)
     if args.verify:
         worst = 0.0
         for row in rows:
@@ -324,23 +321,16 @@ def _cmd_scan_time(args) -> int:
 def _cmd_family(args) -> int:
     coeffs = FamilyCoeffs(args.x1, args.x2, args.x3, complex(args.y, 0.0))
     rho = family_density(coeffs)
-    _, _, xi_opt, spectrum = _diagnose(rho.mat[None])
+    _, _, (xi_opt,), (negativity,), (entangled,) = _diagnose(rho.mat[None])
     try:
         xi_fam = xi2_family(coeffs)
     except ZeroMeanSpinError:
         xi_fam = math.inf
-    row = {
-        "x1": coeffs.x1,
-        "x2": coeffs.x2,
-        "x3": coeffs.x3,
-        "y": args.y,
-        "xi2_family": xi_fam,
-        "squeezing_condition": family_squeezing_condition(coeffs),
-        "xi2_optimized": float(xi_opt[0]),
-        "negativity": float(spectrum_negativity(spectrum)[0]),
-        "ppt_entangled": bool(spectrum_entangled(spectrum)[0]),
-    }
-    _write(_render(FAMILY_COLUMNS, [row], args.format), args.output)
+    condition = family_squeezing_condition(coeffs)
+    row = FamilyRow(
+        coeffs.x1, coeffs.x2, coeffs.x3, args.y, xi_fam, condition, xi_opt, negativity, entangled
+    )
+    _write(_render([row], args.format), args.output)
     if args.verify:
         worst = 0.0
         if not math.isinf(xi_fam):
@@ -348,7 +338,7 @@ def _cmd_family(args) -> int:
             worst = abs(generic - xi_fam)
         agree = True
         if complex(coeffs.y) == 0:
-            agree = diagonal_family_entangled(coeffs) == row["ppt_entangled"]
+            agree = diagonal_family_entangled(coeffs) == row.ppt_entangled
         print(
             f"verify: |fixed-frame generic - closed form| = {worst:.3e}, "
             f"closed-form verdict agrees = {str(agree).lower()}",
@@ -369,27 +359,15 @@ def _cmd_check_state(args) -> int:
         raise DimensionMismatchError(
             f"check-state needs dims [2, 2], file carries {list(rho.dims)}"
         )
-    (mean,), (second,), xi_opt, spectrum = _diagnose(rho.mat[None])
-    row = {
-        "negativity": float(spectrum_negativity(spectrum)[0]),
-        "ppt_entangled": bool(spectrum_entangled(spectrum)[0]),
-        "xi2_optimized": float(xi_opt[0]),
-        "mean_x": mean[0],
-        "mean_y": mean[1],
-        "mean_z": mean[2],
-        "second_xx": second[0, 0],
-        "second_xy": second[0, 1],
-        "second_xz": second[0, 2],
-        "second_yy": second[1, 1],
-        "second_yz": second[1, 2],
-        "second_zz": second[2, 2],
-    }
-    _write(_render(CHECK_COLUMNS, [row], args.format), args.output)
+    (mean,), (second,), (xi_opt,), (negativity,), (entangled,) = _diagnose(rho.mat[None])
+    # the moment cells: the mean, then the upper triangle of second, row-major
+    row = CheckRow(negativity, entangled, xi_opt, *mean, *second[np.triu_indices(3)])
+    _write(_render([row], args.format), args.output)
     if args.verify:
         worst = 0.0
-        if not math.isinf(row["xi2_optimized"]):
+        if not math.isinf(xi_opt):
             wide = xi_squared(rho, policy=GLOBAL).value
-            worst = max(0.0, wide - row["xi2_optimized"])
+            worst = max(0.0, wide - xi_opt)
         print(
             f"verify: global search exceeds in-plane optimum by {worst:.3e}",
             file=sys.stderr,

@@ -31,6 +31,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     NonDiagonalError,
+    NonFiniteError,
     NonRealError,
     ZeroMeanSpinError,
 )
@@ -110,6 +111,9 @@ class SpinFrame:
         axes = []
         for name in ("n1", "n2", "n3"):
             axis = np.asarray(getattr(self, name), dtype=float).reshape(3)
+            if not np.isfinite(axis).all():
+                # NaN would pass the orthonormality test below
+                raise NonFiniteError(f"frame axis {name} has a non-finite entry")
             axis.setflags(write=False)
             object.__setattr__(self, name, axis)
             axes.append(axis)

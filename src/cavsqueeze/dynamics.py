@@ -16,6 +16,7 @@ of the state vector.
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +25,24 @@ from .errors import BadPhotonNumberError, NonFiniteError
 from .linalg import hermitian_eig, kron
 from .states import DensityMatrix, FamilyCoeffs, unit_state_vector
 
-_SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-_I2 = np.eye(2, dtype=complex)
+# Real operators: the Hamiltonian built from them is real symmetric, which
+# ``hermitian_eig`` keeps real.
+_SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]])
+_I2 = np.eye(2)
+
+
+def _photon_number(value) -> int:
+    """A photon number as an int: integers, numpy integers and integral floats.
+
+    A fractional or non-finite value raises BadPhotonNumberError instead of
+    being truncated.
+    """
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    number = float(value)
+    if not (math.isfinite(number) and number.is_integer()):
+        raise BadPhotonNumberError(f"photon number must be a finite whole number, got {value!r}")
+    return int(number)
 
 
 @dataclass(frozen=True)
@@ -42,7 +59,7 @@ class ModelConfig:
     field_cutoff: int = 0
 
     def __post_init__(self):
-        n = int(self.n_photons)
+        n = _photon_number(self.n_photons)
         if n < 0:
             raise BadPhotonNumberError(f"n_photons must be >= 0, got {n}")
         gt = float(self.gt)
@@ -62,7 +79,7 @@ class ModelConfig:
 
 def rabi_frequency(n_photons: int) -> float:
     """Collective oscillation frequency sqrt(2*(2n - 1)) in units of g."""
-    n = int(n_photons)
+    n = _photon_number(n_photons)
     if n < 1:
         raise BadPhotonNumberError(f"rabi_frequency needs n_photons >= 1, got {n}")
     return math.sqrt(2.0 * (2.0 * n - 1.0))
@@ -70,19 +87,19 @@ def rabi_frequency(n_photons: int) -> float:
 
 def annihilation(cutoff: int) -> np.ndarray:
     """Truncated mode lowering operator, a|k> = sqrt(k)|k-1>."""
-    return np.diag(np.sqrt(np.arange(1, cutoff)), k=1).astype(complex)
+    return np.diag(np.sqrt(np.arange(1, cutoff)), k=1)
 
 
 def build_hamiltonian(cfg: ModelConfig) -> np.ndarray:
     """Interaction Hamiltonian on atom1 x atom2 x field, in units of g.
 
-    Exactly Hermitian by construction and commuting with the excitation
-    number, so the sector reachable from |g, g, n> never leaves the
-    truncation.
+    Real symmetric (so exactly Hermitian) by construction and commuting
+    with the excitation number, so the sector reachable from |g, g, n>
+    never leaves the truncation.
     """
     a = annihilation(cfg.field_cutoff)
     raising = kron(kron(_SIGMA_PLUS, _I2), a) + kron(kron(_I2, _SIGMA_PLUS), a)
-    return raising + raising.conj().T
+    return raising + raising.T
 
 
 @functools.lru_cache(maxsize=1)
@@ -145,8 +162,10 @@ def closed_form_populations(n_photons: int, gt):
     ------
     NonFiniteError
         If any gt is NaN or infinite.
+    BadPhotonNumberError
+        If n is negative, fractional or not finite.
     """
-    n = int(n_photons)
+    n = _photon_number(n_photons)
     if n < 0:
         raise BadPhotonNumberError(f"n_photons must be >= 0, got {n}")
     gt = np.asarray(gt, dtype=float)

@@ -38,6 +38,9 @@ TRACE_ATOL = 1e-10
 PSD_ATOL = 1e-10
 # Slack on the family coefficient rules: range, sum and coherence bound.
 FAMILY_ATOL = 1e-12
+# Largest entry outside the family pattern that family_coeffs_from_density
+# accepts as numerical noise.
+FAMILY_RESIDUAL_ATOL = 1e-10
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -295,6 +298,10 @@ def partial_transpose(rho, sub: int = 1, dims=None) -> np.ndarray:
     if sub not in (0, 1):
         raise BadSubsystemError(f"subsystem must be 0 or 1, got {sub}")
     d0, d1 = dims
+    if mat.shape[-2:] != (d0 * d1, d0 * d1):
+        raise DimensionMismatchError(
+            f"matrix shape {mat.shape} does not match dims {dims}"
+        )
     lead = mat.shape[:-2]
     k = len(lead)
     blocks = mat.reshape(lead + (d0, d1, d0, d1))
@@ -331,12 +338,12 @@ def family_density(c: FamilyCoeffs) -> DensityMatrix:
     return DensityMatrix(_family_matrices(c.x1, c.x2, c.x3, c.y), (2, 2))
 
 
-def family_coeffs_from_density(rho: DensityMatrix, atol: float = 1e-10) -> FamilyCoeffs:
+def family_coeffs_from_density(rho: DensityMatrix) -> FamilyCoeffs:
     """Read family coefficients back from a two-atom state.
 
     Rotates into the symmetric basis and checks that every element outside
-    the family pattern (including the antisymmetric population) is below
-    ``atol``.
+    the family pattern (including the antisymmetric population) is at most
+    ``FAMILY_RESIDUAL_ATOL``.
     """
     if rho.mat.shape != (4, 4):
         raise DimensionMismatchError(f"expected a 4x4 state, got {rho.mat.shape}")
@@ -345,7 +352,7 @@ def family_coeffs_from_density(rho: DensityMatrix, atol: float = 1e-10) -> Famil
     for i, j in ((0, 0), (1, 1), (3, 3), (0, 3), (3, 0)):
         residual[i, j] = 0.0
     worst = float(np.abs(residual).max())
-    if worst > atol:
+    if worst > FAMILY_RESIDUAL_ATOL:
         raise ValueError(
             f"state lies outside the symmetric family: residual = {worst:.3e}"
         )

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 import cavsqueeze as cs
-from cavsqueeze.cli import SCAN_COLUMNS, _render, build_scan_rows
+from cavsqueeze.cli import _render, build_scan_rows
 from helpers import (
     check_eigensolver_invariants,
     check_evolution_group_property,
@@ -90,8 +90,7 @@ def test_criterion_03_transpose_detects_where_squeezing_stays_blind():
                 f"squeezing quotient {row.xi2_optimized} dipped below 1 at gt = {gt}"
             )
         assert not row.xi2_flags_entangled
-    values = [{col: getattr(row, col) for col in SCAN_COLUMNS} for row in rows]
-    text = _render(SCAN_COLUMNS, values, "csv")
+    text = _render(rows, "csv")
     golden = GOLDEN_SCAN.read_text(encoding="utf-8")
     assert text == golden, "scan output drifted from the committed reference CSV"
     print(

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,6 +96,22 @@ def test_scan_output_file_matches_stdout(tmp_path, capsys):
     assert run_cli(args + ["--output", str(path)]) == EXIT_OK
     assert capsys.readouterr().out == ""
     assert path.read_text(encoding="utf-8") == stdout_text
+
+
+def test_scan_json_bytes_match_reference_csv(capsys):
+    # the committed reference scan, re-typed: booleans native, the token a
+    # string, every other cell a float
+    def typed(cell):
+        if cell in ("true", "false"):
+            return cell == "true"
+        return cell if cell == ZERO_MEAN_TOKEN else float(cell)
+
+    reference = Path(__file__).parent / "data" / "scan_n1_gt3_301.csv"
+    rows = parse_csv(reference.read_text(encoding="utf-8"))
+    expected = json.dumps([{k: typed(v) for k, v in row.items()} for row in rows], indent=2)
+    args = ["scan-time", "--photons", "1", "--gt-max", "3", "--steps", "301", "--format", "json"]
+    assert run_cli(args) == EXIT_OK
+    assert capsys.readouterr().out == expected + "\n"
 
 
 def test_scan_is_deterministic(capsys):

@@ -10,6 +10,7 @@ from cavsqueeze import (
     annihilation,
     build_hamiltonian,
     closed_form_coeffs,
+    closed_form_populations,
     density_from_pure,
     evolution_operator,
     evolve_exact,
@@ -42,6 +43,31 @@ class TestModelConfig:
         with pytest.raises(ValueError, match="cannot hold"):
             ModelConfig(4, 0.0, field_cutoff=3)
 
+    def test_accepts_integral_photon_numbers(self):
+        for n in (2, 2.0, np.int64(2), np.float64(2.0)):
+            cfg = ModelConfig(n, 0.5)
+            assert cfg.n_photons == 2 and type(cfg.n_photons) is int
+
+
+# Truncating would run 2.5 as 2; NaN and inf must fail with the typed error
+# too, not with int()'s ValueError or OverflowError.
+BAD_PHOTON_NUMBERS = (2.5, -0.5, 1e-9 + 1, math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("n", BAD_PHOTON_NUMBERS)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: ModelConfig(n, 0.5),
+        lambda n: closed_form_populations(n, [0.5]),
+        rabi_frequency,
+    ],
+    ids=["ModelConfig", "closed_form_populations", "rabi_frequency"],
+)
+def test_rejects_non_integral_photon_number(n, call):
+    with pytest.raises(BadPhotonNumberError):
+        call(n)
+
 
 class TestRabiFrequency:
     def test_values(self):
@@ -52,6 +78,11 @@ class TestRabiFrequency:
     def test_rejects_zero_photons(self):
         with pytest.raises(BadPhotonNumberError):
             rabi_frequency(0)
+
+
+def test_hamiltonian_is_real_and_evolution_complex():
+    assert build_hamiltonian(ModelConfig(3, 0.0)).dtype == np.float64
+    assert evolve_exact(ModelConfig(3, 0.7)).mat.dtype == np.complex128
 
 
 class TestAnnihilation:

@@ -48,6 +48,15 @@ def test_hermitian_eig_ascending_and_reconstructs():
     assert np.abs(rebuilt - h).max() < 1e-12
 
 
+def test_hermitian_eig_keeps_real_input_real():
+    h = np.array([[2.0, 1.0], [1.0, -1.0]])
+    values, vectors = hermitian_eig(h)
+    assert vectors.dtype == np.float64
+    assert np.abs((vectors * values) @ vectors.T - h).max() < 1e-12
+    assert hermitian_eig(h.astype(complex)).vectors.dtype == np.complex128
+    assert hermitian_eig(np.eye(3, dtype=int)).vectors.dtype == np.float64
+
+
 def test_hermitian_eig_rejects_non_hermitian():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(NotHermitianError, match="not Hermitian"):

@@ -1,4 +1,4 @@
-"""Non-finite input is rejected with NonFiniteError, never turned into a verdict."""
+"""Non-finite or malformed input is rejected with a typed error, never turned into a verdict."""
 
 import json
 import math
@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cavsqueeze as cs
-from cavsqueeze import NonFiniteError
+from cavsqueeze import DimensionMismatchError, NonFiniteError
 from cavsqueeze.cli import EXIT_NUMERIC, main
 
 BAD_VALUES = (math.nan, math.inf, -math.inf)
@@ -63,6 +63,33 @@ def test_model_config_rejects_non_finite_gt(bad):
 def test_closed_form_coeffs_reject_non_finite_gt(bad):
     with pytest.raises(NonFiniteError):
         cs.closed_form_coeffs(1, bad)
+
+
+@pytest.mark.parametrize("bad", BAD_VALUES)
+@pytest.mark.parametrize("axis", range(3))
+def test_spin_frame_rejects_non_finite_axis(bad, axis):
+    axes = [row.copy() for row in np.eye(3)]
+    axes[axis][0] = bad
+    with pytest.raises(NonFiniteError):
+        cs.SpinFrame(*axes)
+
+
+def test_nan_frame_never_reaches_a_quotient():
+    rho = cs.family_density(cs.FamilyCoeffs(0.5, 0.2, 0.3, 0.0))
+    with pytest.raises(NonFiniteError):
+        cs.xi_squared_in_frame(rho, cs.SpinFrame([math.nan, 0.0, 0.0], [0, 1, 0], [0, 0, 1]))
+
+
+@pytest.mark.parametrize("shape", [(6, 6), (3, 4, 4, 3), (4,)])
+def test_partial_transpose_rejects_shape_off_dims(shape):
+    mat = np.zeros(shape)
+    with pytest.raises(DimensionMismatchError):
+        cs.partial_transpose(mat, dims=(2, 2))
+
+
+def test_pt_spectrum_rejects_shape_off_dims():
+    with pytest.raises(DimensionMismatchError):
+        cs.pt_spectrum(np.eye(6) / 6, dims=(2, 2))
 
 
 def test_hermitian_eig_rejects_nan():
