@@ -19,15 +19,19 @@ chunk bounds memory; a row's values do not depend on the chunk it lands in.
 and read the negativity and the PPT verdict from one partial-transpose
 spectrum.
 
+Both formats follow one cell rule.  A float's CSV text is ``"%.12g" % v``,
+except that -0 prints as ``0`` and an infinite value, which is always an
+undefined squeezing quotient (vanishing mean spin), as ``zero-mean-spin``;
+its JSON text is ``repr(float(csv_text))``, with the token quoted.  So the
+two formats parse to the same numbers, and no column prints ``inf``.
+Booleans print as ``true`` and ``false`` in both.  ``_render`` applies the
+rule a whole column at a time and fills one template per row.
+
 Exit codes: 0 success, 2 numeric or validation failure, 64 usage error,
-65 unparseable input file.  Output is deterministic: floats carry 12
-significant digits in both formats, and an undefined squeezing quotient
-(vanishing mean spin) appears as ``zero-mean-spin`` in every command and
-both formats.  No column prints ``inf``.
+65 unparseable input file.
 """
 
 import argparse
-import json
 import math
 import re
 import sys
@@ -80,6 +84,20 @@ ZERO_MEAN_TOKEN = "zero-mean-spin"
 # blocks per row in the spin-moment contraction, 1.5 MB) stays in cache and
 # leaves the peak memory of a long scan where the per-row loop had it.
 SCAN_CHUNK = 512
+
+# The cell rule (see the module docstring): what "%.12g" and then repr
+# print for -0 and +-inf, and what the report prints instead.  NaN, which no
+# validated input yields, prints as nan in CSV and as NaN, which Python's
+# json module reads, in JSON.
+_FLOAT_FORMAT = "%.12g"
+_CSV_SPECIAL = {"-0": "0", "inf": ZERO_MEAN_TOKEN, "-inf": ZERO_MEAN_TOKEN}
+_JSON_SPECIAL = {
+    "-0.0": "0.0",
+    "inf": f'"{ZERO_MEAN_TOKEN}"',
+    "-inf": f'"{ZERO_MEAN_TOKEN}"',
+    "nan": "NaN",
+}
+_BOOL_TEXT = {True: "true", False: "false"}
 
 # Any float literal with a leading minus, exponent form included, is a value
 # and not an option (argparse's own pattern misses "-1.5e-05").
@@ -212,38 +230,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _format_float(value: float) -> str:
-    if math.isinf(value):
-        return ZERO_MEAN_TOKEN
-    if value == 0.0:
-        return "0"
-    return format(float(value), ".12g")
-
-
-def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return _format_float(value)
-
-
-def _json_value(value):
-    if isinstance(value, bool):
-        return value
-    if math.isinf(value):
-        return ZERO_MEAN_TOKEN
-    # Round through the CSV representation so both formats parse identically.
-    return float(_format_float(value))
+def _column_text(column, kind, fmt: str):
+    """Cell texts of one report column, formatted in one pass of ``map`` calls."""
+    if kind is bool:
+        return map(_BOOL_TEXT.__getitem__, column)
+    text = list(map(_FLOAT_FORMAT.__mod__, column))
+    if fmt == "json":
+        text = list(map(repr, map(float, text)))
+        special = _JSON_SPECIAL
+    else:
+        special = _CSV_SPECIAL
+    return map(special.get, text, text)
 
 
 def _render(rows, fmt: str) -> str:
     """Report text of a non-empty list of rows of one row type."""
-    columns = type(rows[0])._fields
+    row_type = type(rows[0])
+    kinds = row_type.__annotations__
+    columns = [
+        _column_text(column, kinds[name], fmt)
+        for name, column in zip(row_type._fields, zip(*rows))
+    ]
     if fmt == "csv":
-        lines = [",".join(columns)]
-        lines += [",".join(map(_csv_cell, row)) for row in rows]
-        return "\n".join(lines) + "\n"
-    doc = [dict(zip(columns, map(_json_value, row))) for row in rows]
-    return json.dumps(doc, indent=2) + "\n"
+        lines = [",".join(row_type._fields), *map(",".join, zip(*columns)), ""]
+        return "\n".join(lines)
+    members = ",\n".join(f'    "{name}": %s' for name in row_type._fields)
+    template = "  {\n" + members + "\n  }"
+    return "[\n" + ",\n".join(map(template.__mod__, zip(*columns))) + "\n]\n"
 
 
 def _write(text: str, output):

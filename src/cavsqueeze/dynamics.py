@@ -31,8 +31,9 @@ _SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]])
 _I2 = np.eye(2)
 
 
-def _photon_number(value) -> int:
-    """A photon number as an int: integers, numpy integers and integral floats.
+def _photon_number(value, what: str = "photon number") -> int:
+    """A photon number (or a Fock-level count) as an int: integers, numpy
+    integers and integral floats.
 
     A fractional or non-finite value raises BadPhotonNumberError instead of
     being truncated.
@@ -41,7 +42,7 @@ def _photon_number(value) -> int:
         return int(value)
     number = float(value)
     if not (math.isfinite(number) and number.is_integer()):
-        raise BadPhotonNumberError(f"photon number must be a finite whole number, got {value!r}")
+        raise BadPhotonNumberError(f"{what} must be a finite whole number, got {value!r}")
     return int(number)
 
 
@@ -67,7 +68,7 @@ class ModelConfig:
             raise NonFiniteError(f"gt must be finite, got {gt}")
         if gt < 0.0:
             raise ValueError(f"gt must be >= 0, got {gt}")
-        cutoff = int(self.field_cutoff) if self.field_cutoff else n + 1
+        cutoff = _photon_number(self.field_cutoff, "field_cutoff") if self.field_cutoff else n + 1
         if cutoff < n + 1:
             raise ValueError(
                 f"field_cutoff = {cutoff} cannot hold the initial |n={n}> photon state"

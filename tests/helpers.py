@@ -5,11 +5,13 @@ every suite at 500+ instances.  All randomness flows through an explicit
 numpy Generator so failures replay exactly.
 """
 
+import json
 import math
 
 import numpy as np
 
 import cavsqueeze as cs
+from cavsqueeze.cli import ZERO_MEAN_TOKEN
 from cavsqueeze.criteria import spin_moments
 
 _PAULIS = (
@@ -138,6 +140,44 @@ def reference_global_minimum(rho):
         reduced = reduced - np.outer(coupling, coupling) / parallel
     smallest = float(np.linalg.eigvalsh(0.5 * (reduced + reduced.T))[0])
     return max(2.0 * smallest / mm, 0.0)
+
+
+def _reference_float_text(value):
+    if math.isinf(value):
+        return ZERO_MEAN_TOKEN
+    if value == 0.0:
+        return "0"
+    return format(float(value), ".12g")
+
+
+def _reference_csv_cell(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return _reference_float_text(value)
+
+
+def _reference_json_value(value):
+    if isinstance(value, bool):
+        return value
+    if math.isinf(value):
+        return ZERO_MEAN_TOKEN
+    return float(_reference_float_text(value))
+
+
+def reference_render(rows, fmt):
+    """CLI report text of a non-empty list of rows, one cell at a time.
+
+    Formats each cell by its Python type and hands JSON to
+    ``json.dumps(indent=2)`` over one dict per row, so it shares no code
+    with the column-at-a-time ``cli._render`` it checks.
+    """
+    columns = type(rows[0])._fields
+    if fmt == "csv":
+        lines = [",".join(columns)]
+        lines += [",".join(map(_reference_csv_cell, row)) for row in rows]
+        return "\n".join(lines) + "\n"
+    doc = [dict(zip(columns, map(_reference_json_value, row))) for row in rows]
+    return json.dumps(doc, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

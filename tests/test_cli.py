@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavsqueeze.cli import (
     EXIT_NUMERIC,
@@ -14,9 +16,14 @@ from cavsqueeze.cli import (
     EXIT_USAGE,
     ZERO_MEAN_TOKEN,
     SCAN_COLUMNS,
+    CheckRow,
+    FamilyRow,
+    ScanRow,
+    _render,
     build_scan_rows,
     main,
 )
+from helpers import reference_render
 
 
 def run_cli(argv):
@@ -112,6 +119,23 @@ def test_scan_json_bytes_match_reference_csv(capsys):
     args = ["scan-time", "--photons", "1", "--gt-max", "3", "--steps", "301", "--format", "json"]
     assert run_cli(args) == EXIT_OK
     assert capsys.readouterr().out == expected + "\n"
+
+
+# (photons, gt-max, steps).  The last grid lands within the mean-spin floor
+# of both gt < 5 where the n = 1 mean spin vanishes, so two rows print the
+# token.
+SCAN_AT_SCALE = [(1, 3.0, 3001), (2, 10.0, 3001), (7, 4.2, 1025), (40, 0.75, 301), (1, 5.001358, 8606)]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("photons, gt_max, steps", SCAN_AT_SCALE)
+def test_scan_output_matches_reference_render(photons, gt_max, steps, fmt, capsys):
+    args = ["scan-time", "--photons", str(photons), "--gt-max", repr(gt_max), "--steps", str(steps)]
+    assert run_cli(args + ["--format", fmt]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out == reference_render(build_scan_rows(photons, gt_max, steps), fmt)
+    if steps == 8606:
+        assert out.count(ZERO_MEAN_TOKEN) == 4  # two rows, two quotient columns each
 
 
 def test_scan_is_deterministic(capsys):
@@ -367,6 +391,43 @@ def test_json_numbers_round_trip_csv_exactly(capsys):
         if isinstance(jval, bool) or jval == ZERO_MEAN_TOKEN:
             continue
         assert float(csv_row[key]) == jval
+
+
+def _signed(magnitudes):
+    return magnitudes | magnitudes.map(lambda v: -v)
+
+
+# Floats where the cell rule has a case of its own: zeros of both signs, the
+# infinite quotient, integer values ("1" in CSV, "1.0" in JSON), [1e12, 1e16)
+# where "%.12g" writes an exponent and repr does not, the exponent switch
+# near 1e-5 and subnormals, whose 12 printed digits are more than they hold.
+_FLOAT_CELLS = (
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, 1.0, 1e12, 1e16, 1e-5, 5e-324])
+    | _signed(st.integers(1, 10**15).map(float))
+    | _signed(st.floats(1e12, 1e16, exclude_max=True))
+    | _signed(st.floats(1e-6, 1e-4))
+    | _signed(st.floats(0.0, 2.2250738585072014e-308, exclude_min=True, exclude_max=True))
+    | st.floats()
+)
+# check-state fills its moment cells with numpy float64s
+_FLOAT_CELLS = _FLOAT_CELLS | _FLOAT_CELLS.map(np.float64)
+
+
+def _rows_of(row_type):
+    cells = [
+        st.booleans() if kind is bool else _FLOAT_CELLS
+        for kind in row_type.__annotations__.values()
+    ]
+    return st.lists(st.tuples(*cells).map(lambda t: row_type(*t)), min_size=1, max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.sampled_from([ScanRow, FamilyRow, CheckRow]).flatmap(_rows_of),
+    fmt=st.sampled_from(["csv", "json"]),
+)
+def test_render_matches_reference_render(rows, fmt):
+    assert _render(rows, fmt) == reference_render(rows, fmt)
 
 
 def test_seed_flag_is_gone():

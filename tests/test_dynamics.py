@@ -28,8 +28,9 @@ class TestModelConfig:
         assert cfg.field_cutoff == 4
 
     def test_explicit_cutoff(self):
-        cfg = ModelConfig(2, 0.5, field_cutoff=7)
-        assert cfg.field_cutoff == 7
+        for cutoff in (7, 7.0, np.int64(7)):
+            cfg = ModelConfig(2, 0.5, field_cutoff=cutoff)
+            assert cfg.field_cutoff == 7 and type(cfg.field_cutoff) is int
 
     def test_rejects_negative_photons(self):
         with pytest.raises(BadPhotonNumberError):
@@ -67,6 +68,12 @@ BAD_PHOTON_NUMBERS = (2.5, -0.5, 1e-9 + 1, math.nan, math.inf, -math.inf)
 def test_rejects_non_integral_photon_number(n, call):
     with pytest.raises(BadPhotonNumberError):
         call(n)
+
+
+@pytest.mark.parametrize("cutoff", (7.9, math.nan, math.inf, -math.inf))
+def test_rejects_non_integral_field_cutoff(cutoff):
+    with pytest.raises(BadPhotonNumberError, match="field_cutoff"):
+        ModelConfig(2, 0.5, field_cutoff=cutoff)
 
 
 class TestRabiFrequency:
