@@ -10,11 +10,9 @@ closed-form coefficient family makes the comparison cheap enough to sweep.
 from .criteria import (
     GLOBAL,
     PERP_OPTIMAL,
-    CollectiveSpin,
     SpinFrame,
     SpinMoments,
     XiResult,
-    collective_spin,
     diagonal_family_entangled,
     family_squeezing_condition,
     negativity,
@@ -44,6 +42,7 @@ from .errors import (
     BadPhotonNumberError,
     BadSubsystemError,
     DimensionMismatchError,
+    NegativeTimeError,
     NoConvergenceError,
     NonDiagonalError,
     NonFiniteError,
@@ -54,81 +53,18 @@ from .errors import (
     StateFormatError,
     ZeroMeanSpinError,
 )
-from .linalg import EigenDecomposition, evolution_operator, hermitian_eig, kron
+from .linalg import EigenDecomposition, hermitian_eig
 from .states import (
     SYMMETRIC_BASIS,
     DensityMatrix,
     FamilyCoeffs,
     check_family_coeffs,
-    density_from_pure,
     family_coeffs_from_density,
     family_density,
     family_density_stack,
     load_density_matrix,
-    partial_trace,
     partial_transpose,
     validate_density_stack,
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BadPhotonNumberError",
-    "BadSubsystemError",
-    "CollectiveSpin",
-    "DensityMatrix",
-    "DimensionMismatchError",
-    "EigenDecomposition",
-    "FamilyCoeffs",
-    "GLOBAL",
-    "ModelConfig",
-    "NoConvergenceError",
-    "NonDiagonalError",
-    "NonFiniteError",
-    "NonRealError",
-    "NotHermitianError",
-    "NotNormalizedError",
-    "NotPositiveError",
-    "PERP_OPTIMAL",
-    "SYMMETRIC_BASIS",
-    "SpinFrame",
-    "SpinMoments",
-    "StateFormatError",
-    "XiResult",
-    "ZeroMeanSpinError",
-    "annihilation",
-    "build_hamiltonian",
-    "check_family_coeffs",
-    "closed_form_coeffs",
-    "closed_form_populations",
-    "collective_spin",
-    "density_from_pure",
-    "diagonal_family_entangled",
-    "evolution_operator",
-    "evolve_exact",
-    "family_coeffs_from_density",
-    "family_density",
-    "family_density_stack",
-    "family_squeezing_condition",
-    "hermitian_eig",
-    "kron",
-    "load_density_matrix",
-    "negativity",
-    "partial_trace",
-    "partial_transpose",
-    "ppt_entangled",
-    "pt_spectrum",
-    "rabi_frequency",
-    "spectrum_entangled",
-    "spectrum_negativity",
-    "spin_moments",
-    "spin_moments_stack",
-    "validate_density_stack",
-    "xi2_closed_n1",
-    "xi2_family",
-    "xi_frame_stack",
-    "xi_perp_stack",
-    "xi_squared",
-    "xi_squared_in_frame",
-    "__version__",
-]

@@ -150,9 +150,6 @@ class CheckRow(NamedTuple):
     second_zz: float
 
 
-SCAN_COLUMNS = ScanRow._fields
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse with usage failures mapped to exit code 64."""
 

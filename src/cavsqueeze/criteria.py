@@ -35,7 +35,7 @@ from .errors import (
     NonRealError,
     ZeroMeanSpinError,
 )
-from .linalg import hermitian_eig, kron
+from .linalg import hermitian_eig
 from .states import DensityMatrix, FamilyCoeffs, check_hermitian, partial_transpose
 
 ATOM_COUNT = 2
@@ -60,24 +60,9 @@ _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _I2 = np.eye(2, dtype=complex)
 
 
-class CollectiveSpin(NamedTuple):
-    """Collective spin components S_k = (sigma_k x 1 + 1 x sigma_k)/2."""
-
-    sx: np.ndarray
-    sy: np.ndarray
-    sz: np.ndarray
-
-
-def _collective_component(pauli: np.ndarray) -> np.ndarray:
-    op = 0.5 * (kron(pauli, _I2) + kron(_I2, pauli))
-    op.setflags(write=False)
-    return op
-
-
-_SPIN = CollectiveSpin(
-    _collective_component(_PAULI_X),
-    _collective_component(_PAULI_Y),
-    _collective_component(_PAULI_Z),
+# Collective spin components S_k = (sigma_k x 1 + 1 x sigma_k)/2, k = x, y, z.
+_SPIN = tuple(
+    0.5 * (np.kron(pauli, _I2) + np.kron(_I2, pauli)) for pauli in (_PAULI_X, _PAULI_Y, _PAULI_Z)
 )
 
 # The 12 moment operators, transposed and stacked: S_x, S_y, S_z, then the
@@ -92,11 +77,6 @@ _MOMENT_OPS_T = np.stack(
     ]
 )
 _MOMENT_OPS_T.setflags(write=False)
-
-
-def collective_spin() -> CollectiveSpin:
-    """The three collective spin component matrices (read-only views)."""
-    return _SPIN
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,9 +112,6 @@ class SpinMoments:
 
     mean: np.ndarray
     second: np.ndarray
-
-    def covariance(self) -> np.ndarray:
-        return self.second - np.outer(self.mean, self.mean)
 
 
 @dataclass(frozen=True, eq=False)

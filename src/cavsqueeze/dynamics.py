@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadPhotonNumberError, NonFiniteError
-from .linalg import hermitian_eig, kron
+from .errors import BadPhotonNumberError, NegativeTimeError, NonFiniteError
+from .linalg import hermitian_eig
 from .states import DensityMatrix, FamilyCoeffs, unit_state_vector
 
 # Real operators: the Hamiltonian built from them is real symmetric, which
@@ -52,7 +52,10 @@ class ModelConfig:
 
     field_cutoff is the number of retained Fock levels (0 .. cutoff-1) and
     defaults to n_photons + 1, the smallest truncation that holds the full
-    excitation sector reachable from |g, g, n>.
+    excitation sector reachable from |g, g, n>.  A negative, fractional or
+    non-finite photon number or cutoff, or a cutoff below n_photons + 1,
+    raises BadPhotonNumberError; a non-finite gt raises NonFiniteError and a
+    negative one NegativeTimeError.
     """
 
     n_photons: int
@@ -67,10 +70,10 @@ class ModelConfig:
         if not math.isfinite(gt):
             raise NonFiniteError(f"gt must be finite, got {gt}")
         if gt < 0.0:
-            raise ValueError(f"gt must be >= 0, got {gt}")
+            raise NegativeTimeError(f"gt must be >= 0, got {gt}")
         cutoff = _photon_number(self.field_cutoff, "field_cutoff") if self.field_cutoff else n + 1
         if cutoff < n + 1:
-            raise ValueError(
+            raise BadPhotonNumberError(
                 f"field_cutoff = {cutoff} cannot hold the initial |n={n}> photon state"
             )
         object.__setattr__(self, "n_photons", n)
@@ -99,7 +102,7 @@ def build_hamiltonian(cfg: ModelConfig) -> np.ndarray:
     never leaves the truncation.
     """
     a = annihilation(cfg.field_cutoff)
-    raising = kron(kron(_SIGMA_PLUS, _I2), a) + kron(kron(_I2, _SIGMA_PLUS), a)
+    raising = np.kron(np.kron(_SIGMA_PLUS, _I2), a) + np.kron(np.kron(_I2, _SIGMA_PLUS), a)
     return raising + raising.T
 
 

@@ -25,6 +25,10 @@ class BadPhotonNumberError(ValueError):
     """Photon number outside the validity range of a formula."""
 
 
+class NegativeTimeError(ValueError):
+    """An evolution phase gt is negative."""
+
+
 class DimensionMismatchError(ValueError):
     """Operator or state dimensions do not match the expected layout."""
 

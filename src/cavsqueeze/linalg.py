@@ -25,11 +25,6 @@ class EigenDecomposition(NamedTuple):
     vectors: np.ndarray
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the left factor on the slow index."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def hermitian_eig(h: np.ndarray) -> EigenDecomposition:
     """Diagonalize a Hermitian matrix or a stack of them.
 
@@ -73,9 +68,3 @@ def hermitian_eig(h: np.ndarray) -> EigenDecomposition:
         raise NoConvergenceError(f"eigensolver did not converge: {exc}") from exc
     return EigenDecomposition(values, vectors)
 
-
-def evolution_operator(h: np.ndarray, t: float) -> np.ndarray:
-    """Unitary exp(-i*h*t) of a Hermitian generator, via eigendecomposition."""
-    values, vectors = hermitian_eig(h)
-    phases = np.exp(-1j * values * float(t))
-    return (vectors * phases) @ vectors.conj().T

@@ -19,7 +19,7 @@ family states for a whole scan at once.
 import json
 import math
 from dataclasses import dataclass
-from typing import IO, Sequence, Union
+from typing import IO, Union
 
 import numpy as np
 
@@ -147,10 +147,6 @@ class DensityMatrix:
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "dims", dims)
 
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
 
 def check_family_coeffs(x1, x2, x3, y=0.0):
     """The FamilyCoeffs rules applied to arrays of coefficients.
@@ -222,60 +218,6 @@ def unit_state_vector(psi: np.ndarray) -> np.ndarray:
     if abs(norm - 1.0) > 1e-10:
         raise NotNormalizedError(f"state vector is not normalized: norm = {norm:.12g}")
     return psi
-
-
-def density_from_pure(psi: np.ndarray, dims: Sequence[int]) -> DensityMatrix:
-    """Rank-1 density matrix |psi><psi| of a normalized state vector."""
-    psi = unit_state_vector(psi)
-    return DensityMatrix(np.outer(psi, psi.conj()), tuple(dims))
-
-
-def _keep_as_tuple(keep) -> tuple:
-    if isinstance(keep, (int, np.integer)):
-        return (int(keep),)
-    try:
-        return tuple(int(k) for k in keep)
-    except TypeError:
-        raise BadSubsystemError(f"invalid subsystem selection {keep!r}") from None
-
-
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Trace out every factor except ``keep``.
-
-    Parameters
-    ----------
-    rho:
-        State over at least two tensor factors.
-    keep:
-        Index of the factor to keep, or a contiguous ascending group of
-        factor indices.
-
-    Returns
-    -------
-    DensityMatrix
-        Reduced state over the kept factors.
-    """
-    dims = rho.dims
-    if len(dims) < 2:
-        raise BadSubsystemError("partial trace needs at least two tensor factors")
-    keep_t = _keep_as_tuple(keep)
-    if not keep_t or len(set(keep_t)) != len(keep_t):
-        raise BadSubsystemError(f"invalid subsystem selection {keep_t}")
-    if any(k < 0 or k >= len(dims) for k in keep_t):
-        raise BadSubsystemError(
-            f"subsystem {keep_t} out of range for {len(dims)} factors"
-        )
-    if list(keep_t) != list(range(keep_t[0], keep_t[-1] + 1)):
-        raise BadSubsystemError(f"kept factors {keep_t} must be contiguous ascending")
-    if len(keep_t) == len(dims):
-        raise BadSubsystemError("keeping every factor leaves nothing to trace out")
-    lo, hi = keep_t[0], keep_t[-1] + 1
-    d_before = math.prod(dims[:lo]) if lo else 1
-    d_keep = math.prod(dims[lo:hi])
-    d_after = math.prod(dims[hi:]) if hi < len(dims) else 1
-    blocks = rho.mat.reshape(d_before, d_keep, d_after, d_before, d_keep, d_after)
-    reduced = np.einsum("aibajb->ij", blocks)
-    return DensityMatrix(reduced, dims[lo:hi])
 
 
 def partial_transpose(rho, sub: int = 1, dims=None) -> np.ndarray:

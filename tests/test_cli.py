@@ -15,7 +15,6 @@ from cavsqueeze.cli import (
     EXIT_PARSE,
     EXIT_USAGE,
     ZERO_MEAN_TOKEN,
-    SCAN_COLUMNS,
     CheckRow,
     FamilyRow,
     ScanRow,
@@ -46,7 +45,7 @@ def test_scan_shape_and_header(capsys):
     assert run_cli(["scan-time", "--photons", "1", "--steps", "11", "--gt-max", "1.0"]) == EXIT_OK
     out = capsys.readouterr().out
     rows = parse_csv(out)
-    assert out.splitlines()[0] == ",".join(SCAN_COLUMNS)
+    assert out.splitlines()[0] == ",".join(ScanRow._fields)
     assert len(rows) == 11
     assert rows[0]["gt"] == "0"
     assert rows[-1]["gt"] == "1"
@@ -85,8 +84,8 @@ def test_scan_json_matches_csv(capsys):
     rows = parse_csv(capsys.readouterr().out)
     assert len(doc) == len(rows) == 7
     for jrow, crow in zip(doc, rows):
-        assert set(jrow) == set(SCAN_COLUMNS)
-        for col in SCAN_COLUMNS:
+        assert set(jrow) == set(ScanRow._fields)
+        for col in ScanRow._fields:
             if isinstance(jrow[col], bool):
                 assert crow[col] == ("true" if jrow[col] else "false")
             elif isinstance(jrow[col], str):

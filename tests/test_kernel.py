@@ -13,7 +13,7 @@ import pytest
 
 import cavsqueeze as cs
 from cavsqueeze.cli import SCAN_CHUNK, build_scan_rows
-from helpers import random_density
+from helpers import SPIN_OPERATORS, random_density
 
 STEPS = 2500
 GT_MAX = 6.0
@@ -102,11 +102,10 @@ def test_generic_states_get_the_same_bits_alone_and_stacked():
 
 def _loop_moments(mat):
     """Per-state reference: 12 separate traces tr(rho O), as a loop would take them."""
-    spin = cs.collective_spin()
-    mean = [np.trace(mat @ op).real for op in spin]
+    mean = [np.trace(mat @ op).real for op in SPIN_OPERATORS]
     second = [
-        [np.trace(mat @ (0.5 * (spin[j] @ spin[k] + spin[k] @ spin[j]))).real for k in range(3)]
-        for j in range(3)
+        [np.trace(mat @ (0.5 * (sj @ sk + sk @ sj))).real for sk in SPIN_OPERATORS]
+        for sj in SPIN_OPERATORS
     ]
     return np.array(mean), np.array(second)
 

@@ -3,41 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from cavsqueeze import (
-    NoConvergenceError,
-    NotHermitianError,
+from cavsqueeze import NoConvergenceError, NotHermitianError, hermitian_eig
+from helpers import (
+    check_eigensolver_invariants,
+    check_evolution_group_property,
     evolution_operator,
-    hermitian_eig,
-    kron,
+    random_hermitian,
 )
-from helpers import check_eigensolver_invariants, check_evolution_group_property, random_hermitian
-
-
-def test_kron_block_layout():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
-    b = np.array([[0.0, 5.0], [6.0, 7.0]], dtype=complex)
-    out = kron(a, b)
-    assert out.shape == (4, 4)
-    # left factor on the slow index: out = [[a00*b, a01*b], [a10*b, a11*b]]
-    assert np.array_equal(out[:2, :2], 1.0 * b)
-    assert np.array_equal(out[:2, 2:], 2.0 * b)
-    assert np.array_equal(out[2:, :2], 3.0 * b)
-    assert np.array_equal(out[2:, 2:], 4.0 * b)
-
-
-def test_kron_associativity_exact_on_dyadic_entries():
-    # dyadic rationals keep every product exact, so equality is entrywise
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        a = rng.integers(-8, 9, size=(2, 2)) / 8.0
-        b = rng.integers(-8, 9, size=(3, 3)) / 8.0
-        c = rng.integers(-8, 9, size=(2, 2)) / 8.0
-        assert np.array_equal(kron(kron(a, b), c), kron(a, kron(b, c)))
-
-
-def test_kron_identity_embedding():
-    h = np.array([[1.0, 1j], [-1j, 2.0]])
-    assert np.array_equal(kron(np.eye(1), h), h)
 
 
 def test_hermitian_eig_ascending_and_reconstructs():

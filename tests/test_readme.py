@@ -1,0 +1,46 @@
+"""The README's library tour runs and gives the values its comments state."""
+
+import ast
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# The commented values of the tour, in order: a boolean, a number rounded to
+# the digits shown, or, ending in "...", a number cut after them.
+EXPECTED = ("True", "0.109...", "34.1", "0.625", "0.625")
+
+_SHOWN = re.compile(r"\s*(True|False|-?\d+(?:\.\d+)?(?:\.\.\.)?)")
+
+
+def _tour_source():
+    section = README.read_text(encoding="utf-8").split("## Library tour", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def _matches(value, shown):
+    if shown in ("True", "False"):
+        return value is (shown == "True")
+    if shown.endswith("..."):
+        return str(float(value)).startswith(shown[:-3])
+    decimals = len(shown.partition(".")[2])
+    return f"{value:.{decimals}f}" == shown
+
+
+def test_library_tour_values_match_its_comments():
+    source = _tour_source()
+    lines = source.splitlines()
+    namespace = {}
+    checked = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.Expr):
+            exec(compile(ast.Module([node], []), README.name, "exec"), namespace)
+            continue
+        shown = _SHOWN.match(lines[node.end_lineno - 1].partition("#")[2])
+        assert shown, f"tour line {node.lineno} has no value comment"
+        value = eval(compile(ast.Expression(node.value), README.name, "eval"), namespace)
+        assert _matches(value, shown.group(1)), (
+            f"tour line {node.lineno}: comment says {shown.group(1)}, got {value!r}"
+        )
+        checked.append(shown.group(1))
+    assert tuple(checked) == EXPECTED

@@ -16,13 +16,12 @@ from cavsqueeze import (
     NotNormalizedError,
     NotPositiveError,
     StateFormatError,
-    density_from_pure,
     family_coeffs_from_density,
     family_density,
     load_density_matrix,
-    partial_trace,
     partial_transpose,
 )
+from cavsqueeze.states import unit_state_vector
 from helpers import check_pt_involution, random_density, random_family_coeffs
 
 BELL_PHI_PLUS = 0.5 * np.array(
@@ -53,7 +52,7 @@ class TestDensityMatrix:
     def test_valid_state_roundtrips(self):
         rho = DensityMatrix(np.eye(4) / 4.0, (2, 2))
         assert rho.dims == (2, 2)
-        assert rho.dim == 4
+        assert rho.mat.shape == (4, 4)
         assert rho.mat.dtype == complex
 
     def test_rejects_shape_mismatch(self):
@@ -126,65 +125,9 @@ class TestFamilyCoeffs:
         FamilyCoeffs(0.25, 0.5, 0.25, -0.25)
 
 
-def test_density_from_pure_bell_state():
-    psi = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
-    rho = density_from_pure(psi, (2, 2))
-    assert np.abs(rho.mat - BELL_PHI_PLUS).max() < 1e-15
-
-
-def test_density_from_pure_rejects_unnormalized():
-    with pytest.raises(NotNormalizedError):
-        density_from_pure(np.array([1.0, 1.0]), (2,))
-
-
-class TestPartialTrace:
-    def test_product_state_factors(self):
-        rng = np.random.default_rng(5)
-        a = random_density(rng, (2,)).mat
-        b = random_density(rng, (3,)).mat
-        joint = DensityMatrix(np.kron(a, b), (2, 3))
-        assert np.abs(partial_trace(joint, 0).mat - a).max() < 1e-12
-        assert np.abs(partial_trace(joint, 1).mat - b).max() < 1e-12
-
-    def test_keep_group_of_three_factors(self):
-        rng = np.random.default_rng(6)
-        rho = random_density(rng, (2, 2, 3))
-        kept = partial_trace(rho, keep=(0, 1))
-        assert kept.dims == (2, 2)
-        assert abs(kept.mat.trace() - 1.0) < 1e-12
-        # tracing in two stages must agree with one stage
-        stage = partial_trace(partial_trace(rho, keep=(0, 1)), keep=0)
-        direct = partial_trace(rho, keep=0)
-        assert np.abs(stage.mat - direct.mat).max() < 1e-12
-
-    def test_result_is_validated_state(self):
-        rng = np.random.default_rng(7)
-        reduced = partial_trace(random_density(rng, (2, 4)), keep=1)
-        assert reduced.dims == (4,)
-
-    def test_rejects_non_contiguous_keep(self):
-        rng = np.random.default_rng(8)
-        rho = random_density(rng, (2, 2, 2))
-        with pytest.raises(BadSubsystemError, match="contiguous"):
-            partial_trace(rho, keep=(0, 2))
-
-    def test_rejects_keep_everything(self):
-        rng = np.random.default_rng(9)
-        rho = random_density(rng, (2, 2))
-        with pytest.raises(BadSubsystemError):
-            partial_trace(rho, keep=(0, 1))
-
-    def test_rejects_out_of_range(self):
-        rng = np.random.default_rng(10)
-        rho = random_density(rng, (2, 2))
-        with pytest.raises(BadSubsystemError):
-            partial_trace(rho, keep=2)
-
-    def test_rejects_single_factor(self):
-        rng = np.random.default_rng(11)
-        rho = random_density(rng, (4,))
-        with pytest.raises(BadSubsystemError):
-            partial_trace(rho, keep=0)
+def test_unit_state_vector_rejects_unnormalized():
+    with pytest.raises(NotNormalizedError, match="norm = 1.41421356237"):
+        unit_state_vector(np.array([1.0, 1.0]))
 
 
 class TestPartialTranspose:
