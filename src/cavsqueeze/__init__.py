@@ -36,6 +36,7 @@ from .dynamics import (
     closed_form_coeffs,
     closed_form_populations,
     evolve_exact,
+    evolve_exact_stack,
     rabi_frequency,
 )
 from .errors import (
@@ -49,8 +50,11 @@ from .errors import (
     NonRealError,
     NotHermitianError,
     NotNormalizedError,
+    NotOrthonormalError,
     NotPositiveError,
+    OutsideFamilyError,
     StateFormatError,
+    UnknownPolicyError,
     ZeroMeanSpinError,
 )
 from .linalg import EigenDecomposition, hermitian_eig
@@ -60,6 +64,7 @@ from .states import (
     FamilyCoeffs,
     check_family_coeffs,
     family_coeffs_from_density,
+    family_coeffs_stack,
     family_density,
     family_density_stack,
     load_density_matrix,

@@ -33,6 +33,8 @@ from .errors import (
     NonDiagonalError,
     NonFiniteError,
     NonRealError,
+    NotOrthonormalError,
+    UnknownPolicyError,
     ZeroMeanSpinError,
 )
 from .linalg import hermitian_eig
@@ -99,7 +101,7 @@ class SpinFrame:
             axes.append(axis)
         gram = np.array([[a @ b for b in axes] for a in axes])
         if float(np.abs(gram - np.eye(3)).max()) > 1e-10:
-            raise ValueError("frame axes are not orthonormal within 1e-10")
+            raise NotOrthonormalError("frame axes are not orthonormal within 1e-10")
 
     @classmethod
     def canonical(cls) -> "SpinFrame":
@@ -343,7 +345,7 @@ def xi_squared(rho: DensityMatrix, policy: str = PERP_OPTIMAL) -> XiResult:
         If |<S>| <= 1e-8; the quotient is undefined there.
     """
     if policy not in (PERP_OPTIMAL, GLOBAL):
-        raise ValueError(f"unknown policy {policy!r}")
+        raise UnknownPolicyError(f"unknown policy {policy!r}")
     mean, second = _two_qubit_moments(rho)
     perp = xi_perp_stack(mean, second)
     mm = float(perp.mean_sq[0])

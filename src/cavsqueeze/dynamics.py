@@ -8,10 +8,11 @@ trigonometric forms in the phase theta = lambda * gt,
 lambda = sqrt(2*(2n - 1)).  ``closed_form_populations`` evaluates them over a
 whole array of gt values; ``closed_form_coeffs`` is the same call for one.
 
-``evolve_exact`` is the independent route that checks those forms: it
-diagonalizes the full-space Hamiltonian once per (n, cutoff), evolves
-every gt at that pair by phases in its eigenbasis and traces the field out
-of the state vector.
+``evolve_exact_stack`` is the independent route that checks those forms:
+it diagonalizes the full-space Hamiltonian once per (n, cutoff), evolves a
+whole array of gt values at that pair by phases in its eigenbasis and
+traces the field out of the state vectors.  ``evolve_exact`` is the same
+call for one gt.
 """
 
 import functools
@@ -21,9 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadPhotonNumberError, NegativeTimeError, NonFiniteError
+from .errors import (
+    BadPhotonNumberError,
+    NegativeTimeError,
+    NonFiniteError,
+    NotNormalizedError,
+)
 from .linalg import hermitian_eig
-from .states import DensityMatrix, FamilyCoeffs, unit_state_vector
+from .states import DensityMatrix, FamilyCoeffs, _reject, validate_density_stack
 
 # Real operators: the Hamiltonian built from them is real symmetric, which
 # ``hermitian_eig`` keeps real.
@@ -63,22 +69,30 @@ class ModelConfig:
     field_cutoff: int = 0
 
     def __post_init__(self):
-        n = _photon_number(self.n_photons)
-        if n < 0:
-            raise BadPhotonNumberError(f"n_photons must be >= 0, got {n}")
-        gt = float(self.gt)
-        if not math.isfinite(gt):
-            raise NonFiniteError(f"gt must be finite, got {gt}")
-        if gt < 0.0:
-            raise NegativeTimeError(f"gt must be >= 0, got {gt}")
-        cutoff = _photon_number(self.field_cutoff, "field_cutoff") if self.field_cutoff else n + 1
-        if cutoff < n + 1:
-            raise BadPhotonNumberError(
-                f"field_cutoff = {cutoff} cannot hold the initial |n={n}> photon state"
-            )
+        n, gt, cutoff = _model_rules(self.n_photons, float(self.gt), self.field_cutoff)
         object.__setattr__(self, "n_photons", n)
-        object.__setattr__(self, "gt", gt)
+        object.__setattr__(self, "gt", float(gt))
         object.__setattr__(self, "field_cutoff", cutoff)
+
+
+def _model_rules(n_photons, gt, field_cutoff):
+    """ModelConfig's rules on a photon number, a gt array and a cutoff.
+
+    Returns (n, gt as a float array, cutoff); the first bad gt entry of an
+    array is named in the error.
+    """
+    n = _photon_number(n_photons)
+    if n < 0:
+        raise BadPhotonNumberError(f"n_photons must be >= 0, got {n}")
+    gt = np.asarray(gt, dtype=float)
+    _reject(~np.isfinite(gt), NonFiniteError, lambda i: f"gt must be finite, got {gt[i]}")
+    _reject(gt < 0.0, NegativeTimeError, lambda i: f"gt must be >= 0, got {gt[i]}")
+    cutoff = _photon_number(field_cutoff, "field_cutoff") if field_cutoff else n + 1
+    if cutoff < n + 1:
+        raise BadPhotonNumberError(
+            f"field_cutoff = {cutoff} cannot hold the initial |n={n}> photon state"
+        )
+    return n, gt, cutoff
 
 
 def rabi_frequency(n_photons: int) -> float:
@@ -121,14 +135,50 @@ def _eigensystem(n_photons: int, field_cutoff: int):
     return values, vectors
 
 
+def evolve_exact_stack(n_photons: int, gt, field_cutoff: int = 0) -> np.ndarray:
+    """Evolve |g, g, n> for every phase in ``gt`` and trace out the field.
+
+    ``gt`` is an array of phases (any shape) checked by ModelConfig's rules;
+    the first bad entry names the typed error.  One eigendecomposition of
+    the Hamiltonian serves every gt at a given (n, cutoff): each phase
+    applies exp(-i*E*gt) to the initial state's components in that
+    eigenbasis.  The eigenvectors are real, so the evolved vectors come from
+    two real products, one for each part of the phases.  Each vector must
+    have unit norm within 1e-10 (NotNormalizedError), and the stack of
+    reduced states is validated once with ``validate_density_stack``.
+
+    Returns
+    -------
+    numpy.ndarray
+        Reduced two-atom states, shape ``gt.shape + (4, 4)``, diagonal in
+        the symmetric basis up to numerical noise.
+    """
+    n, gt, d = _model_rules(n_photons, gt, field_cutoff)
+    values, vectors = _eigensystem(n, d)
+    # components of |g, g> x |n> in the eigenbasis: row 3d + n of V (real)
+    initial = vectors[3 * d + n]
+    angles = np.multiply.outer(gt, values)
+    psi = np.empty(angles.shape, dtype=complex)
+    psi.real = (np.cos(angles) * initial) @ vectors.T
+    psi.imag = (np.sin(angles) * -initial) @ vectors.T
+    norm = np.linalg.norm(psi, axis=-1)
+    _reject(
+        np.abs(norm - 1.0) > 1e-10,
+        NotNormalizedError,
+        lambda i: f"state vector is not normalized: norm = {norm[i]:.12g}",
+    )
+    # Tracing the field out of |psi><psi| leaves A A^dagger, with A the
+    # (atom pair, photon number) = (4, d) view of psi.  The 4d-square joint
+    # state, Hermitian and positive by construction, is never formed; its
+    # trace, the squared norm, is checked above and again on the result.
+    amps = psi.reshape(gt.shape + (4, d))
+    return validate_density_stack(amps @ np.swapaxes(amps, -1, -2).conj(), (2, 2))
+
+
 def evolve_exact(cfg: ModelConfig) -> DensityMatrix:
     """Evolve |g, g, n> for phase gt and trace out the field.
 
-    One eigendecomposition of the Hamiltonian serves every gt at a given
-    (n, cutoff); each call applies the phases exp(-i*E*gt) of the
-    eigenvalues E to the initial state's components in that eigenbasis.
-    The evolved vector must have unit norm within 1e-10, and the reduced
-    state is validated as a ``DensityMatrix``.
+    ``evolve_exact_stack`` on the one phase ``cfg.gt``.
 
     Returns
     -------
@@ -136,17 +186,9 @@ def evolve_exact(cfg: ModelConfig) -> DensityMatrix:
         Reduced two-atom state, diagonal in the symmetric basis up to
         numerical noise.
     """
-    d = cfg.field_cutoff
-    values, vectors = _eigensystem(cfg.n_photons, d)
-    # components of |g, g> x |n> in the eigenbasis: row 3d + n of V, conjugated
-    initial = vectors[3 * d + cfg.n_photons].conj()
-    psi = unit_state_vector(vectors @ (np.exp(-1j * values * cfg.gt) * initial))
-    # Tracing the field out of |psi><psi| leaves A A^dagger, with A the
-    # (atom pair, photon number) = (4, d) view of psi.  The 4d-square joint
-    # state, Hermitian and positive by construction, is never formed; its
-    # trace, the squared norm, is checked above and again on the result.
-    amps = psi.reshape(4, d)
-    return DensityMatrix(amps @ amps.conj().T, (2, 2))
+    return DensityMatrix(
+        evolve_exact_stack(cfg.n_photons, cfg.gt, cfg.field_cutoff), (2, 2)
+    )
 
 
 def closed_form_populations(n_photons: int, gt):

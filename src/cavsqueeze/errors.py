@@ -51,3 +51,15 @@ class StateFormatError(ValueError):
 
 class NonFiniteError(ValueError):
     """An input holds a NaN or infinite value where a finite number is required."""
+
+
+class OutsideFamilyError(ValueError):
+    """A two-atom state has weight outside the symmetric-family pattern."""
+
+
+class NotOrthonormalError(ValueError):
+    """The axes of a measurement frame are not orthonormal within tolerance."""
+
+
+class UnknownPolicyError(ValueError):
+    """A frame-optimization policy name is not one the library implements."""

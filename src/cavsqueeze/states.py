@@ -12,8 +12,10 @@ Family states are X1|1><1| + X2|2><2| + X3|3><3| + Y|1><3| + conj(Y)|3><1|.
 The checks run on arrays: ``validate_density_stack`` validates a stack of
 matrices and ``check_family_coeffs`` applies the coefficient rules to arrays
 of coefficients.  ``DensityMatrix`` and ``FamilyCoeffs`` call them on a
-single instance, and ``family_density_stack`` builds a validated stack of
-family states for a whole scan at once.
+single instance, ``family_density_stack`` builds a validated stack of
+family states for a whole scan at once, and ``family_coeffs_stack`` reads
+the coefficients back from a stack (``family_coeffs_from_density`` is the
+same call on one state).
 """
 
 import json
@@ -30,6 +32,7 @@ from .errors import (
     NotHermitianError,
     NotNormalizedError,
     NotPositiveError,
+    OutsideFamilyError,
     StateFormatError,
 )
 from .linalg import HERMITIAN_ATOL
@@ -211,15 +214,6 @@ class FamilyCoeffs:
         check_family_coeffs(self.x1, self.x2, self.x3, self.y)
 
 
-def unit_state_vector(psi: np.ndarray) -> np.ndarray:
-    """``psi`` flattened to complex, rejected unless its norm is 1 within 1e-10."""
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > 1e-10:
-        raise NotNormalizedError(f"state vector is not normalized: norm = {norm:.12g}")
-    return psi
-
-
 def partial_transpose(rho, sub: int = 1, dims=None) -> np.ndarray:
     """Transpose one factor of a bipartite operator.
 
@@ -280,25 +274,37 @@ def family_density(c: FamilyCoeffs) -> DensityMatrix:
     return DensityMatrix(_family_matrices(c.x1, c.x2, c.x3, c.y), (2, 2))
 
 
-def family_coeffs_from_density(rho: DensityMatrix) -> FamilyCoeffs:
-    """Read family coefficients back from a two-atom state.
+def family_coeffs_stack(mats):
+    """Family coefficients read back from a stack of two-atom states.
 
-    Rotates into the symmetric basis and checks that every element outside
-    the family pattern (including the antisymmetric population) is at most
-    ``FAMILY_RESIDUAL_ATOL``.
+    ``mats`` is a ``(..., 4, 4)`` stack of validated states.  Each is rotated
+    into the symmetric basis; an element outside the family pattern
+    (including the antisymmetric population) larger than
+    ``FAMILY_RESIDUAL_ATOL`` raises OutsideFamilyError for the first state
+    that has one.  Returns the arrays (x1, x2, x3, y) after the FamilyCoeffs
+    rules of ``check_family_coeffs``.
     """
-    if rho.mat.shape != (4, 4):
-        raise DimensionMismatchError(f"expected a 4x4 state, got {rho.mat.shape}")
-    sym = SYMMETRIC_BASIS.conj().T @ rho.mat @ SYMMETRIC_BASIS
+    mats = np.asarray(mats, dtype=complex)
+    if mats.ndim < 2 or mats.shape[-2:] != (4, 4):
+        raise DimensionMismatchError(f"expected 4x4 states, got shape {mats.shape}")
+    sym = SYMMETRIC_BASIS.conj().T @ mats @ SYMMETRIC_BASIS
     residual = sym.copy()
     for i, j in ((0, 0), (1, 1), (3, 3), (0, 3), (3, 0)):
-        residual[i, j] = 0.0
-    worst = float(np.abs(residual).max())
-    if worst > FAMILY_RESIDUAL_ATOL:
-        raise ValueError(
-            f"state lies outside the symmetric family: residual = {worst:.3e}"
-        )
-    return FamilyCoeffs(sym[0, 0].real, sym[1, 1].real, sym[3, 3].real, sym[0, 3])
+        residual[..., i, j] = 0.0
+    worst = np.abs(residual).max(axis=(-2, -1))
+    _reject(
+        worst > FAMILY_RESIDUAL_ATOL,
+        OutsideFamilyError,
+        lambda i: f"state lies outside the symmetric family: residual = {worst[i]:.3e}",
+    )
+    return check_family_coeffs(
+        sym[..., 0, 0].real, sym[..., 1, 1].real, sym[..., 3, 3].real, sym[..., 0, 3]
+    )
+
+
+def family_coeffs_from_density(rho: DensityMatrix) -> FamilyCoeffs:
+    """Read family coefficients back from one two-atom state (see family_coeffs_stack)."""
+    return FamilyCoeffs(*family_coeffs_stack(rho.mat))
 
 
 def _entry_part(part) -> float:

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cavsqueeze import cli
 from cavsqueeze.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -18,10 +20,13 @@ from cavsqueeze.cli import (
     CheckRow,
     FamilyRow,
     ScanRow,
+    VERIFY_CHUNK,
     _render,
     build_scan_rows,
     main,
 )
+from cavsqueeze.criteria import XiResult, xi_squared
+from cavsqueeze.dynamics import closed_form_populations
 from helpers import reference_render
 
 
@@ -150,6 +155,24 @@ def test_scan_verify_passes(capsys):
     err = capsys.readouterr().err
     assert "verify:" in err
     assert "over 11 rows" in err
+
+
+def test_scan_verify_fails_on_shifted_populations(monkeypatch, capsys):
+    # Moving 1e-8 from x3 to x1 keeps a valid family state, so only the
+    # comparison with the exact evolution can catch it; the grid is one row
+    # longer than a verify chunk.
+    def shifted(photons, gt):
+        x1, x2, x3 = closed_form_populations(photons, gt)
+        return x1 + 1e-8, x2, x3 - 1e-8
+
+    monkeypatch.setattr(cli, "closed_form_populations", shifted)
+    steps = VERIFY_CHUNK + 1
+    argv = ["scan-time", "--photons", "2", "--steps", str(steps), "--verify"]
+    assert run_cli(argv) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    found = re.search(r"verify: max \|closed form - evolved\| = (\S+) over (\d+) rows", err)
+    assert abs(float(found.group(1)) - 1e-8) < 1e-10
+    assert int(found.group(2)) == steps
 
 
 # n = 1 puts theta = sqrt(2) gt, so the middle of three points is theta = pi/2:
@@ -292,6 +315,19 @@ def test_check_state_verify(tmp_path, capsys):
     write_state(path, mat, (2, 2))
     assert run_cli(["check-state", str(path), "--verify"]) == EXIT_OK
     assert "verify:" in capsys.readouterr().err
+
+
+def test_check_state_verify_fails_when_value_and_frame_disagree(tmp_path, monkeypatch, capsys):
+    def off_by_1e_8(rho, policy):
+        result = xi_squared(rho, policy=policy)
+        return XiResult(result.value * (1.0 + 1e-8), result.frame, result.entangled_flag)
+
+    monkeypatch.setattr(cli, "xi_squared", off_by_1e_8)
+    path = tmp_path / "diag.json"
+    write_state(path, np.diag([0.1, 0.2, 0.3, 0.4]), (2, 2))
+    assert run_cli(["check-state", str(path), "--verify"]) == EXIT_NUMERIC
+    found = re.search(r"in its frame\| = (\S+) relative", capsys.readouterr().err)
+    assert abs(float(found.group(1)) - 1e-8) < 1e-10
 
 
 def test_check_state_accepts_hermitian_residue_within_tolerance(tmp_path, capsys):

@@ -11,7 +11,9 @@ from cavsqueeze import (
     FamilyCoeffs,
     NonDiagonalError,
     NonRealError,
+    NotOrthonormalError,
     SpinFrame,
+    UnknownPolicyError,
     ZeroMeanSpinError,
     diagonal_family_entangled,
     family_density,
@@ -114,9 +116,9 @@ class TestSpinFrame:
         assert np.array_equal(frame.n3, [0.0, 0.0, 1.0])
 
     def test_rejects_non_orthonormal(self):
-        with pytest.raises(ValueError, match="orthonormal"):
+        with pytest.raises(NotOrthonormalError, match="orthonormal"):
             SpinFrame([1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
-        with pytest.raises(ValueError, match="orthonormal"):
+        with pytest.raises(NotOrthonormalError, match="orthonormal"):
             SpinFrame([2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0])
 
     def test_random_frames_accepted(self):
@@ -181,7 +183,7 @@ class TestXiSquared:
             xi_squared(family_density(FamilyCoeffs(0.5, 0.0, 0.5, -0.5)))
 
     def test_rejects_unknown_policy(self):
-        with pytest.raises(ValueError, match="policy"):
+        with pytest.raises(UnknownPolicyError, match="policy"):
             xi_squared(family_density(SQUEEZED_COEFFS), policy="fastest")
 
     def test_global_not_above_perp(self):

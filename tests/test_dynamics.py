@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,14 +9,19 @@ from cavsqueeze import (
     FamilyCoeffs,
     ModelConfig,
     NegativeTimeError,
+    NonFiniteError,
+    NotNormalizedError,
     annihilation,
     build_hamiltonian,
     closed_form_coeffs,
     closed_form_populations,
     evolve_exact,
+    evolve_exact_stack,
     family_coeffs_from_density,
     rabi_frequency,
 )
+from cavsqueeze import dynamics
+from cavsqueeze.cli import VERIFY_CHUNK
 from cavsqueeze.dynamics import _eigensystem
 from helpers import evolution_operator, propagator_evolution
 
@@ -223,6 +229,60 @@ class TestEvolveExact:
         coeffs = family_coeffs_from_density(rho)
         assert abs(coeffs.x1 + coeffs.x2 + coeffs.x3 - 1.0) < 1e-12
         assert abs(coeffs.y) < 1e-12
+
+
+class TestEvolveExactStack:
+    def test_rows_match_the_scalar_route(self):
+        # Every n from 0 to 60, default and larger cutoffs; a few arrays are
+        # longer than a verify chunk.
+        rng = np.random.default_rng(19)
+        for n in range(61):
+            size = VERIFY_CHUNK + 3 if n in (0, 1, 7, 33, 60) else 5
+            cutoff = 0 if n % 3 else n + 1 + int(rng.integers(1, 4))
+            gt = rng.uniform(0.0, 10.0, size)
+            stack = evolve_exact_stack(n, gt, field_cutoff=cutoff)
+            assert stack.shape == (size, 4, 4) and stack.dtype == np.complex128
+            for row, value in zip(stack, gt):
+                want = evolve_exact(ModelConfig(n, value, field_cutoff=cutoff)).mat
+                assert np.abs(row - want).max() <= 1e-14, (n, cutoff, value)
+
+    def test_rows_do_not_depend_on_the_stack(self):
+        gt = np.linspace(0.0, 7.3, 2 * VERIFY_CHUNK + 5)
+        for n in (1, 12, 60):
+            whole = evolve_exact_stack(n, gt)
+            for start in range(0, len(gt), VERIFY_CHUNK):
+                part = evolve_exact_stack(n, gt[start : start + VERIFY_CHUNK])
+                assert np.abs(whole[start : start + VERIFY_CHUNK] - part).max() <= 1e-14
+
+    def test_keeps_the_shape_of_gt(self):
+        assert evolve_exact_stack(2, np.zeros((2, 3))).shape == (2, 3, 4, 4)
+        assert evolve_exact_stack(2, 0.5).shape == (4, 4)
+
+    @pytest.mark.parametrize(
+        "bad, error, text",
+        [
+            (math.nan, NonFiniteError, "gt must be finite, got nan"),
+            (math.inf, NonFiniteError, "gt must be finite, got inf"),
+            (-0.25, NegativeTimeError, "gt must be >= 0, got -0.25"),
+        ],
+    )
+    def test_names_the_first_bad_gt(self, bad, error, text):
+        gt = np.linspace(0.0, 2.0, 9)
+        gt[5] = gt[7] = bad
+        with pytest.raises(error, match=f"^entry 5: {re.escape(text)}$"):
+            evolve_exact_stack(3, gt)
+
+    def test_applies_the_model_rules(self):
+        with pytest.raises(BadPhotonNumberError):
+            evolve_exact_stack(-1, [0.5])
+        with pytest.raises(BadPhotonNumberError, match="cannot hold"):
+            evolve_exact_stack(4, [0.5], field_cutoff=3)
+
+    def test_rejects_unnormalized(self, monkeypatch):
+        values, vectors = _eigensystem(2, 3)
+        monkeypatch.setattr(dynamics, "_eigensystem", lambda n, d: (values, 1.5 * vectors))
+        with pytest.raises(NotNormalizedError, match="^entry 0: .*norm = 2.25$"):
+            evolve_exact_stack(2, [0.5, 1.0])
 
 
 class TestClosedFormCoeffs:

@@ -12,16 +12,19 @@ from cavsqueeze import (
     DensityMatrix,
     DimensionMismatchError,
     FamilyCoeffs,
+    ModelConfig,
     NotHermitianError,
     NotNormalizedError,
     NotPositiveError,
+    OutsideFamilyError,
     StateFormatError,
+    evolve_exact,
     family_coeffs_from_density,
+    family_coeffs_stack,
     family_density,
     load_density_matrix,
     partial_transpose,
 )
-from cavsqueeze.states import unit_state_vector
 from helpers import check_pt_involution, random_density, random_family_coeffs
 
 BELL_PHI_PLUS = 0.5 * np.array(
@@ -125,11 +128,6 @@ class TestFamilyCoeffs:
         FamilyCoeffs(0.25, 0.5, 0.25, -0.25)
 
 
-def test_unit_state_vector_rejects_unnormalized():
-    with pytest.raises(NotNormalizedError, match="norm = 1.41421356237"):
-        unit_state_vector(np.array([1.0, 1.0]))
-
-
 class TestPartialTranspose:
     def test_bell_state_spectrum(self):
         rho = DensityMatrix(BELL_PHI_PLUS, (2, 2))
@@ -186,9 +184,38 @@ class TestFamilyStates:
             assert abs(back.x3 - c.x3) < 1e-12
             assert abs(back.y - c.y) < 1e-12
 
+    def test_stack_matches_per_state_route(self):
+        # Evolved states carry noise outside the family pattern, random
+        # family states carry complex coherence; both read back the same
+        # from a stack as one at a time, and as the explicit entries say.
+        rng = np.random.default_rng(17)
+        states = [
+            evolve_exact(ModelConfig(n, gt)).mat for n, gt in ((1, 0.3), (2, 1.7), (7, 2.2), (40, 0.9))
+        ]
+        states += [family_density(random_family_coeffs(rng, real_y=False)).mat for _ in range(100)]
+        x1, x2, x3, y = family_coeffs_stack(np.array(states))
+        for i, mat in enumerate(states):
+            one = family_coeffs_from_density(DensityMatrix(mat, (2, 2)))
+            assert (x1[i], x2[i], x3[i], y[i]) == (one.x1, one.x2, one.x3, one.y)
+            explicit = (
+                mat[0, 0].real,
+                0.5 * (mat[1, 1] + mat[1, 2] + mat[2, 1] + mat[2, 2]).real,
+                mat[3, 3].real,
+                mat[0, 3],
+            )
+            assert np.abs(np.subtract((x1[i], x2[i], x3[i], y[i]), explicit)).max() < 1e-15
+
+    def test_stack_names_the_first_state_outside_the_family(self):
+        rng = np.random.default_rng(18)
+        states = np.array([family_density(random_family_coeffs(rng)).mat for _ in range(9)])
+        states[6] = random_density(rng, (2, 2)).mat
+        states[8] = random_density(rng, (2, 2)).mat
+        with pytest.raises(OutsideFamilyError, match="^entry 6: state lies outside"):
+            family_coeffs_stack(states)
+
     def test_rejects_generic_state(self):
         rng = np.random.default_rng(14)
-        with pytest.raises(ValueError, match="outside the symmetric family"):
+        with pytest.raises(OutsideFamilyError, match="outside the symmetric family"):
             family_coeffs_from_density(random_density(rng, (2, 2)))
 
     def test_rejects_antisymmetric_population(self):
@@ -201,7 +228,7 @@ class TestFamilyStates:
             ],
             dtype=complex,
         )
-        with pytest.raises(ValueError, match="outside the symmetric family"):
+        with pytest.raises(OutsideFamilyError, match="outside the symmetric family"):
             family_coeffs_from_density(DensityMatrix(singlet, (2, 2)))
 
     def test_rejects_wrong_size(self):
