@@ -42,6 +42,7 @@ from .dynamics import (
 from .errors import (
     BadPhotonNumberError,
     BadSubsystemError,
+    CavsqueezeError,
     DimensionMismatchError,
     NegativeTimeError,
     NoConvergenceError,
@@ -53,6 +54,7 @@ from .errors import (
     NotOrthonormalError,
     NotPositiveError,
     OutsideFamilyError,
+    SectorCouplingError,
     StateFormatError,
     UnknownPolicyError,
     ZeroMeanSpinError,

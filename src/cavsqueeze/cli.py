@@ -16,8 +16,10 @@ populations, one validated stack of family states, the spin moments, both
 squeezing quotients and one partial-transpose spectrum per chunk.  The
 chunk bounds memory; a row's values do not depend on the chunk it lands in.
 ``scan-time --verify`` evolves the printed gt values exactly in chunks of
-``VERIFY_CHUNK`` rows (``evolve_exact_stack``), reads the populations back
-(``family_coeffs_stack``) and compares them with the printed columns.
+``VERIFY_CHUNK`` rows with ``evolve_exact_stack``, which builds and checks
+the full Hamiltonian once per photon number and diagonalizes only the
+excitation sector of |g, g, n>, at most 4 x 4.  It reads the populations
+back (``family_coeffs_stack``) and compares them with the printed columns.
 ``family`` and ``check-state`` call the same kernel on a stack of one state
 and read the negativity and the PPT verdict from one partial-transpose
 spectrum.
@@ -30,11 +32,14 @@ two formats parse to the same numbers, and no column prints ``inf``.
 Booleans print as ``true`` and ``false`` in both.  ``_render`` applies the
 rule a whole column at a time and fills one template per row.
 
-Exit codes: 0 success, 2 numeric or validation failure, 64 usage error,
+``main`` parses with one parser, built on the first call.  Exit codes: 0
+success, 2 numeric or validation failure (a ``CavsqueezeError`` or an
+``OSError``; any other exception is a bug and propagates), 64 usage error,
 65 unparseable input file.
 """
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -58,7 +63,12 @@ from .criteria import (
     xi_squared_in_frame,
 )
 from .dynamics import closed_form_populations, evolve_exact_stack
-from .errors import DimensionMismatchError, StateFormatError, ZeroMeanSpinError
+from .errors import (
+    CavsqueezeError,
+    DimensionMismatchError,
+    StateFormatError,
+    ZeroMeanSpinError,
+)
 from .states import (
     FamilyCoeffs,
     family_coeffs_stack,
@@ -89,10 +99,10 @@ ZERO_MEAN_TOKEN = "zero-mean-spin"
 SCAN_CHUNK = 512
 
 # Grid rows per exact evolution in scan-time --verify.  A chunk's
-# temporaries are (rows, 4(n+1)) blocks of phases and evolved vectors: at
-# n = 60 they peak at about 0.9 MB for 64 rows (measured with tracemalloc),
-# under the 1 MB the per-row route spent on a complex copy of the
-# eigenvectors, where a whole 201-row scan in one chunk peaks at 2 MB.
+# temporaries are (rows, 4) sector amplitudes and (rows, 4, 4) reduced
+# states at any n: with tracemalloc at n = 60 and 201 rows, 64-row chunks
+# peak at 0.11 MB and one 201-row chunk at 0.28 MB.  The full Hamiltonian
+# built on a cache miss (1.5 MB at n = 60) does not depend on the chunk.
 VERIFY_CHUNK = 64
 
 # The cell rule (see the module docstring): what "%.12g" and then repr
@@ -199,11 +209,20 @@ def _step_count(text: str) -> int:
     return value
 
 
+def _path(text: str) -> str:
+    # open() raises a bare ValueError on a NUL byte, which main does not catch
+    if "\0" in text:
+        raise argparse.ArgumentTypeError("a path cannot hold a NUL byte")
+    return text
+
+
 def _add_common_flags(parser: argparse.ArgumentParser):
     parser.add_argument(
         "--format", choices=("csv", "json"), default="csv", help="output format"
     )
-    parser.add_argument("--output", default=None, help="write the report to this path")
+    parser.add_argument(
+        "--output", type=_path, default=None, help="write the report to this path"
+    )
     parser.add_argument(
         "--verify",
         action="store_true",
@@ -231,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(family)
 
     check = sub.add_parser("check-state", help="validate a density-matrix file and report the diagnostics")
-    check.add_argument("file", help="path to a JSON density-matrix document")
+    check.add_argument("file", type=_path, help="path to a JSON density-matrix document")
     _add_common_flags(check)
 
     return parser
@@ -404,8 +423,18 @@ def _cmd_check_state(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process.
+
+    Parsing leaves an argparse parser as it was, and building one costs more
+    than most requests (a help formatter per argument).
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "scan-time":
             return _cmd_scan_time(args)
@@ -415,7 +444,7 @@ def main(argv=None) -> int:
     except StateFormatError as exc:
         print(f"cavsqueeze: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ValueError, OSError) as exc:
+    except (CavsqueezeError, OSError) as exc:
         print(f"cavsqueeze: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

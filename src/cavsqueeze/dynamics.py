@@ -8,11 +8,14 @@ trigonometric forms in the phase theta = lambda * gt,
 lambda = sqrt(2*(2n - 1)).  ``closed_form_populations`` evaluates them over a
 whole array of gt values; ``closed_form_coeffs`` is the same call for one.
 
-``evolve_exact_stack`` is the independent route that checks those forms:
-it diagonalizes the full-space Hamiltonian once per (n, cutoff), evolves a
-whole array of gt values at that pair by phases in its eigenbasis and
-traces the field out of the state vectors.  ``evolve_exact`` is the same
-call for one gt.
+``evolve_exact_stack`` is the independent route that checks those forms.
+Once per (n, cutoff) it builds the full-space Hamiltonian, checks that no
+entry couples two excitation numbers, and diagonalizes the block of the
+excitation sector that holds |g, g, n>: |g,g,n>, |e,g,n-1>, |g,e,n-1> and
+|e,e,n-2>, at most 4 x 4 at any n or cutoff.  It evolves a whole array of gt
+values at that pair by phases in the sector's eigenbasis and traces the
+field out of the state vectors.  ``evolve_exact`` is the same call for one
+gt.
 """
 
 import functools
@@ -27,6 +30,7 @@ from .errors import (
     NegativeTimeError,
     NonFiniteError,
     NotNormalizedError,
+    SectorCouplingError,
 )
 from .linalg import hermitian_eig
 from .states import DensityMatrix, FamilyCoeffs, _reject, validate_density_stack
@@ -35,6 +39,9 @@ from .states import DensityMatrix, FamilyCoeffs, _reject, validate_density_stack
 # ``hermitian_eig`` keeps real.
 _SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]])
 _I2 = np.eye(2)
+# Atomic excitations of the four atom-pair blocks |ee>, |eg>, |ge>, |gg> of
+# the flat index (i*2 + j)*d + k, where basis state 0 is e and 1 is g.
+_ATOM_EXCITATIONS = np.array([2, 1, 1, 0])
 
 
 def _photon_number(value, what: str = "photon number") -> int:
@@ -122,30 +129,47 @@ def build_hamiltonian(cfg: ModelConfig) -> np.ndarray:
 
 @functools.lru_cache(maxsize=1)
 def _eigensystem(n_photons: int, field_cutoff: int):
-    """Read-only (values, vectors) of the Hamiltonian at one (n, cutoff).
+    """Read-only (indices, values, vectors) of the sector of |g, g, n>.
 
-    Every caller sweeps gt at a single (n, cutoff), so one entry serves a
-    whole sweep and retains one eigensystem.
+    Builds the full Hamiltonian at (n, cutoff) and raises SectorCouplingError
+    if any nonzero entry couples two excitation numbers.  The sector with
+    the n excitations of |g, g, n> is then closed, and only its block is
+    diagonalized: ``indices`` are the ascending flat indices of its states
+    (|e,e,n-2>, |e,g,n-1>, |g,e,n-1> and |g,g,n>, those that exist), and
+    ``values`` and ``vectors`` are the block's eigensystem.  Every caller
+    sweeps gt at a single (n, cutoff), so one entry serves a whole sweep.
     """
-    values, vectors = hermitian_eig(
-        build_hamiltonian(ModelConfig(n_photons, 0.0, field_cutoff))
-    )
-    values.flags.writeable = False
-    vectors.flags.writeable = False
-    return values, vectors
+    h = build_hamiltonian(ModelConfig(n_photons, 0.0, field_cutoff))
+    excitations = (_ATOM_EXCITATIONS[:, None] + np.arange(field_cutoff)).ravel()
+    rows, cols = np.nonzero(h)
+    leaks = np.flatnonzero(excitations[rows] != excitations[cols])
+    if leaks.size:
+        i, j = rows[leaks[0]], cols[leaks[0]]
+        raise SectorCouplingError(
+            f"Hamiltonian entry ({i}, {j}) = {h[i, j]:.6g} couples excitation "
+            f"numbers {excitations[i]} and {excitations[j]}"
+        )
+    indices = np.flatnonzero(excitations == n_photons)
+    values, vectors = hermitian_eig(h[np.ix_(indices, indices)])
+    for array in (indices, values, vectors):
+        array.flags.writeable = False
+    return indices, values, vectors
 
 
 def evolve_exact_stack(n_photons: int, gt, field_cutoff: int = 0) -> np.ndarray:
     """Evolve |g, g, n> for every phase in ``gt`` and trace out the field.
 
     ``gt`` is an array of phases (any shape) checked by ModelConfig's rules;
-    the first bad entry names the typed error.  One eigendecomposition of
-    the Hamiltonian serves every gt at a given (n, cutoff): each phase
-    applies exp(-i*E*gt) to the initial state's components in that
-    eigenbasis.  The eigenvectors are real, so the evolved vectors come from
-    two real products, one for each part of the phases.  Each vector must
-    have unit norm within 1e-10 (NotNormalizedError), and the stack of
-    reduced states is validated once with ``validate_density_stack``.
+    the first bad entry names the typed error.  The full Hamiltonian at
+    (n, cutoff) is built and checked, and the block of its excitation
+    sector that holds |g, g, n> (at most 4 x 4) is diagonalized once per
+    pair (see ``_eigensystem``); a Hamiltonian that couples two excitation
+    numbers raises SectorCouplingError.  Each phase applies exp(-i*E*gt) to
+    the initial state's components in the sector's eigenbasis.  The
+    eigenvectors are real, so the evolved vectors come from two real
+    products, one for each part of the phases.  Each vector must have unit
+    norm within 1e-10 (NotNormalizedError), and the stack of reduced states
+    is validated once with ``validate_density_stack``.
 
     Returns
     -------
@@ -154,9 +178,10 @@ def evolve_exact_stack(n_photons: int, gt, field_cutoff: int = 0) -> np.ndarray:
         the symmetric basis up to numerical noise.
     """
     n, gt, d = _model_rules(n_photons, gt, field_cutoff)
-    values, vectors = _eigensystem(n, d)
-    # components of |g, g> x |n> in the eigenbasis: row 3d + n of V (real)
-    initial = vectors[3 * d + n]
+    indices, values, vectors = _eigensystem(n, d)
+    # components of |g, g> x |n> in the eigenbasis: the last row of V (real),
+    # since 3d + n is the largest flat index in the sector
+    initial = vectors[-1]
     angles = np.multiply.outer(gt, values)
     psi = np.empty(angles.shape, dtype=complex)
     psi.real = (np.cos(angles) * initial) @ vectors.T
@@ -168,10 +193,14 @@ def evolve_exact_stack(n_photons: int, gt, field_cutoff: int = 0) -> np.ndarray:
         lambda i: f"state vector is not normalized: norm = {norm[i]:.12g}",
     )
     # Tracing the field out of |psi><psi| leaves A A^dagger, with A the
-    # (atom pair, photon number) = (4, d) view of psi.  The 4d-square joint
-    # state, Hermitian and positive by construction, is never formed; its
-    # trace, the squared norm, is checked above and again on the result.
-    amps = psi.reshape(gt.shape + (4, d))
+    # (atom pair, photon number) amplitudes of psi.  Outside the sector A is
+    # zero, so its columns are the sector's photon numbers only, and the
+    # joint state, Hermitian and positive by construction, is never formed;
+    # its trace, the squared norm, is checked above and again on the result.
+    atoms, photons = np.divmod(indices, d)
+    photons -= photons.min()
+    amps = np.zeros(gt.shape + (4, photons.max() + 1), dtype=complex)
+    amps[..., atoms, photons] = psi
     return validate_density_stack(amps @ np.swapaxes(amps, -1, -2).conj(), (2, 2))
 
 

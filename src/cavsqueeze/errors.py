@@ -1,65 +1,79 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library.
+
+Every type derives from ``CavsqueezeError``, so a caller can tell the
+library's typed failures from an untyped error, which is a bug.  Each also
+derives from the built-in type it refines (``ValueError`` or
+``RuntimeError``).
+"""
 
 
-class NotHermitianError(ValueError):
+class CavsqueezeError(Exception):
+    """Base of every error the library raises on purpose."""
+
+
+class NotHermitianError(CavsqueezeError, ValueError):
     """A matrix required to be Hermitian deviates beyond tolerance."""
 
 
-class NoConvergenceError(RuntimeError):
+class NoConvergenceError(CavsqueezeError, RuntimeError):
     """The eigensolver failed to converge."""
 
 
-class NotNormalizedError(ValueError):
+class NotNormalizedError(CavsqueezeError, ValueError):
     """A state vector norm or a density-matrix trace differs from 1."""
 
 
-class NotPositiveError(ValueError):
+class NotPositiveError(CavsqueezeError, ValueError):
     """An operator that must be positive semidefinite has a negative eigenvalue."""
 
 
-class BadSubsystemError(ValueError):
+class BadSubsystemError(CavsqueezeError, ValueError):
     """A subsystem selection does not match the tensor factorization."""
 
 
-class BadPhotonNumberError(ValueError):
+class BadPhotonNumberError(CavsqueezeError, ValueError):
     """Photon number outside the validity range of a formula."""
 
 
-class NegativeTimeError(ValueError):
+class NegativeTimeError(CavsqueezeError, ValueError):
     """An evolution phase gt is negative."""
 
 
-class DimensionMismatchError(ValueError):
+class DimensionMismatchError(CavsqueezeError, ValueError):
     """Operator or state dimensions do not match the expected layout."""
 
 
-class ZeroMeanSpinError(ValueError):
+class ZeroMeanSpinError(CavsqueezeError, ValueError):
     """The mean collective spin vanishes, so the squeezing quotient is undefined."""
 
 
-class NonDiagonalError(ValueError):
+class NonDiagonalError(CavsqueezeError, ValueError):
     """Coherence is present where a diagonal-family formula is required."""
 
 
-class NonRealError(ValueError):
+class NonRealError(CavsqueezeError, ValueError):
     """Complex coherence where a real-coherence formula is required."""
 
 
-class StateFormatError(ValueError):
+class StateFormatError(CavsqueezeError, ValueError):
     """A density-matrix file does not match the expected layout."""
 
 
-class NonFiniteError(ValueError):
+class NonFiniteError(CavsqueezeError, ValueError):
     """An input holds a NaN or infinite value where a finite number is required."""
 
 
-class OutsideFamilyError(ValueError):
+class OutsideFamilyError(CavsqueezeError, ValueError):
     """A two-atom state has weight outside the symmetric-family pattern."""
 
 
-class NotOrthonormalError(ValueError):
+class NotOrthonormalError(CavsqueezeError, ValueError):
     """The axes of a measurement frame are not orthonormal within tolerance."""
 
 
-class UnknownPolicyError(ValueError):
+class UnknownPolicyError(CavsqueezeError, ValueError):
     """A frame-optimization policy name is not one the library implements."""
+
+
+class SectorCouplingError(CavsqueezeError, ValueError):
+    """A Hamiltonian entry couples two different excitation numbers."""

@@ -27,6 +27,7 @@ from cavsqueeze.cli import (
 )
 from cavsqueeze.criteria import XiResult, xi_squared
 from cavsqueeze.dynamics import closed_form_populations
+from cavsqueeze.errors import CavsqueezeError, NoConvergenceError
 from helpers import reference_render
 
 
@@ -465,5 +466,82 @@ def test_render_matches_reference_render(rows, fmt):
     assert _render(rows, fmt) == reference_render(rows, fmt)
 
 
+def test_nul_byte_in_a_path_is_a_usage_error(capsys):
+    assert run_cli(["check-state", "state\0.json"]) == EXIT_USAGE
+    assert run_cli(["scan-time", "--steps", "3", "--output", "out\0.csv"]) == EXIT_USAGE
+    assert capsys.readouterr().err.count("cannot hold a NUL byte") == 2
+
+
 def test_seed_flag_is_gone():
     assert run_cli(["scan-time", "--steps", "3", "--seed", "7"]) == EXIT_USAGE
+
+
+# ---------------------------------------------------------------------------
+# main: one parser per process, typed errors only
+
+
+def test_one_parser_serves_every_request(tmp_path, monkeypatch, capsys):
+    # main parses with one cached parser; a mixed sequence of requests must
+    # give what a fresh parser per request gives.
+    ground = np.zeros((4, 4))
+    ground[3, 3] = 1.0
+    good = tmp_path / "gg.json"
+    write_state(good, ground, (2, 2))
+    broken = tmp_path / "broken.json"
+    broken.write_text("{oops")
+    sequence = [
+        ["scan-time", "--steps", "1"],
+        ["scan-time", "--photons", "2", "--steps", "7", "--verify"],
+        ["--help"],
+        ["check-state", str(broken)],
+        ["family", "--x1", "0.2", "--x2", "0.5", "--x3", "0.3", "--format", "json"],
+        ["scan-time", "--help"],
+        ["check-state", str(good), "--verify"],
+        ["family", "--x1", "0.2"],
+        ["scan-time", "--photons", "3", "--steps", "5", "--format", "json"],
+        ["family", "--x1", "0.5", "--x2", "0.6", "--x3", "0.3"],
+    ]
+
+    def outcomes():
+        seen = []
+        for argv in sequence:
+            code = run_cli(argv)
+            captured = capsys.readouterr()
+            seen.append((code, captured.out, captured.err))
+        return seen
+
+    shared = outcomes()
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert outcomes() == shared
+    assert [code for code, _, _ in shared] == [
+        EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_PARSE, EXIT_OK,
+        EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_NUMERIC,
+    ]
+    assert shared[2][1].startswith("usage: cavsqueeze")
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_untyped_error_is_a_bug_not_exit_2(monkeypatch):
+    # Only the package's typed errors and OSError map to exit 2; a bare
+    # ValueError from a kernel surfaces as the bug it is.
+    def broken(photons, gt):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(cli, "closed_form_populations", broken)
+    with pytest.raises(ValueError, match="could not be broadcast") as raised:
+        main(["scan-time", "--steps", "3"])
+    assert not isinstance(raised.value, CavsqueezeError)
+
+
+def test_no_convergence_exits_2(monkeypatch, capsys):
+    # NoConvergenceError is a RuntimeError, and typed: a numeric failure
+    def stalled(mats, dims):
+        raise NoConvergenceError("eigensolver did not converge: stalled")
+
+    monkeypatch.setattr(cli, "pt_spectrum", stalled)
+    assert run_cli(["family", "--x1", "0.2", "--x2", "0.5", "--x3", "0.3"]) == EXIT_NUMERIC
+    assert capsys.readouterr().err == "cavsqueeze: eigensolver did not converge: stalled\n"

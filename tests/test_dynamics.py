@@ -11,6 +11,7 @@ from cavsqueeze import (
     NegativeTimeError,
     NonFiniteError,
     NotNormalizedError,
+    SectorCouplingError,
     annihilation,
     build_hamiltonian,
     closed_form_coeffs,
@@ -18,10 +19,11 @@ from cavsqueeze import (
     evolve_exact,
     evolve_exact_stack,
     family_coeffs_from_density,
+    family_coeffs_stack,
     rabi_frequency,
 )
 from cavsqueeze import dynamics
-from cavsqueeze.cli import VERIFY_CHUNK
+from cavsqueeze.cli import EXIT_NUMERIC, VERIFY_CHUNK, main
 from cavsqueeze.dynamics import _eigensystem
 from helpers import evolution_operator, propagator_evolution
 
@@ -218,11 +220,12 @@ class TestEvolveExact:
             assert np.abs(got.mat - want).max() < 1e-12, (n, cutoff, gt)
 
     def test_cached_eigensystem_is_read_only(self):
-        values, vectors = _eigensystem(3, 4)
-        for array in (values, vectors):
+        cached = _eigensystem(3, 4)
+        assert len(cached) == 3  # the sector's indices, values and vectors
+        for array in cached:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
-                array[0] = 0.0
+                array[0] = 0
 
     def test_reduced_state_stays_in_family(self):
         rho = evolve_exact(ModelConfig(5, 2.7))
@@ -279,10 +282,83 @@ class TestEvolveExactStack:
             evolve_exact_stack(4, [0.5], field_cutoff=3)
 
     def test_rejects_unnormalized(self, monkeypatch):
-        values, vectors = _eigensystem(2, 3)
-        monkeypatch.setattr(dynamics, "_eigensystem", lambda n, d: (values, 1.5 * vectors))
+        indices, values, vectors = _eigensystem(2, 3)
+        monkeypatch.setattr(
+            dynamics, "_eigensystem", lambda n, d: (indices, values, 1.5 * vectors)
+        )
         with pytest.raises(NotNormalizedError, match="^entry 0: .*norm = 2.25$"):
             evolve_exact_stack(2, [0.5, 1.0])
+
+
+class TestExcitationSector:
+    @pytest.mark.parametrize(
+        "n, cutoff, states",
+        [
+            (0, 1, [("gg", 0)]),
+            (0, 5, [("gg", 0)]),
+            (1, 2, [("eg", 0), ("ge", 0), ("gg", 1)]),
+            (2, 3, [("ee", 0), ("eg", 1), ("ge", 1), ("gg", 2)]),
+            (5, 9, [("ee", 3), ("eg", 4), ("ge", 4), ("gg", 5)]),
+        ],
+    )
+    def test_holds_the_states_with_n_excitations(self, n, cutoff, states):
+        blocks = ("ee", "eg", "ge", "gg")
+        indices, values, vectors = _eigensystem(n, cutoff)
+        want = [blocks.index(atoms) * cutoff + k for atoms, k in states]
+        assert indices.tolist() == want
+        assert values.shape == (len(want),) and vectors.shape == (len(want), len(want))
+
+    def test_worst_deviation_from_the_closed_form(self):
+        gt = np.linspace(0.0, 10.0, 201)
+        worst = 0.0
+        for n in [*range(1, 61), 100, 200]:
+            evolved = family_coeffs_stack(evolve_exact_stack(n, gt))
+            closed = closed_form_populations(n, gt)
+            worst = max(worst, float(np.abs(np.subtract(evolved[:3], closed)).max()))
+            assert np.abs(evolved[3]).max() <= 1e-13, n
+        assert worst <= 1e-13
+
+    @pytest.mark.parametrize("n", (1, 2, 7, 33, 60))
+    def test_matches_the_full_space_propagator(self, n):
+        cutoff = n + 1 + n % 4
+        gt = np.linspace(0.0, 6.1, 13)
+        stack = evolve_exact_stack(n, gt, field_cutoff=cutoff)
+        for row, value in zip(stack, gt):
+            want = propagator_evolution(ModelConfig(n, value, field_cutoff=cutoff))
+            assert np.abs(row - want).max() <= 1e-12, (n, value)
+
+
+class TestSectorCoupling:
+    """A Hamiltonian that couples |g,g,n> to |g,g,n-1> leaks out of the sector."""
+
+    @pytest.fixture
+    def leaky(self, monkeypatch):
+        def leaky_hamiltonian(cfg):
+            h = build_hamiltonian(cfg)
+            d, n = cfg.field_cutoff, cfg.n_photons
+            h[3 * d + n, 3 * d + n - 1] = h[3 * d + n - 1, 3 * d + n] = 0.25
+            return h
+
+        monkeypatch.setattr(dynamics, "build_hamiltonian", leaky_hamiltonian)
+        _eigensystem.cache_clear()
+        yield
+        _eigensystem.cache_clear()
+
+    def test_evolution_raises(self, leaky):
+        with pytest.raises(SectorCouplingError, match="couples excitation numbers 2 and 3"):
+            evolve_exact_stack(3, [0.0, 0.5])
+        assert _eigensystem.cache_info().currsize == 0
+
+    def test_scan_verify_exits_2(self, leaky, capsys):
+        argv = ["scan-time", "--photons", "2", "--steps", "5", "--verify"]
+        assert main(argv) == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.out.startswith("gt,x1,")
+        assert re.fullmatch(
+            r"cavsqueeze: Hamiltonian entry \(10, 11\) = 0\.25 couples excitation "
+            r"numbers 1 and 2\n",
+            captured.err,
+        )
 
 
 class TestClosedFormCoeffs:
