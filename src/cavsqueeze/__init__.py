@@ -31,12 +31,12 @@ from .criteria import (
 )
 from .dynamics import (
     ModelConfig,
-    annihilation,
     build_hamiltonian,
     closed_form_coeffs,
     closed_form_populations,
     evolve_exact,
     evolve_exact_stack,
+    hamiltonian_couplings,
     rabi_frequency,
 )
 from .errors import (

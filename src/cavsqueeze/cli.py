@@ -16,10 +16,11 @@ populations, one validated stack of family states, the spin moments, both
 squeezing quotients and one partial-transpose spectrum per chunk.  The
 chunk bounds memory; a row's values do not depend on the chunk it lands in.
 ``scan-time --verify`` evolves the printed gt values exactly in chunks of
-``VERIFY_CHUNK`` rows with ``evolve_exact_stack``, which builds and checks
-the full Hamiltonian once per photon number and diagonalizes only the
-excitation sector of |g, g, n>, at most 4 x 4.  It reads the populations
-back (``family_coeffs_stack``) and compares them with the printed columns.
+``VERIFY_CHUNK`` rows with ``evolve_exact_stack``, which checks the
+Hamiltonian's O(n) coupling list and diagonalizes only the excitation
+sector of |g, g, n>, at most 4 x 4, once per photon number.  It reads the
+populations back (``family_coeffs_stack``) and compares them with the
+printed columns.
 ``family`` and ``check-state`` call the same kernel on a stack of one state
 and read the negativity and the PPT verdict from one partial-transpose
 spectrum.
@@ -101,9 +102,13 @@ SCAN_CHUNK = 512
 # Grid rows per exact evolution in scan-time --verify.  A chunk's
 # temporaries are (rows, 4) sector amplitudes and (rows, 4, 4) reduced
 # states at any n: with tracemalloc at n = 60 and 201 rows, 64-row chunks
-# peak at 0.11 MB and one 201-row chunk at 0.28 MB.  The full Hamiltonian
-# built on a cache miss (1.5 MB at n = 60) does not depend on the chunk.
+# peak at 0.11 MB and one 201-row chunk at 0.28 MB.  The coupling list
+# checked on a cache miss (0.02 MB at n = 60) does not depend on the chunk.
 VERIFY_CHUNK = 64
+
+# The fixed (x, y, z) triad of the scan's xi2_fixed_frame column and of
+# family --verify; a SpinFrame is immutable, so one serves every request.
+_CANONICAL_FRAME = SpinFrame.canonical()
 
 # The cell rule (see the module docstring): what "%.12g" and then repr
 # print for -0 and +-inf, and what the report prints instead.  NaN, which no
@@ -316,7 +321,6 @@ def build_scan_rows(photons: int, gt_max: float, steps: int):
     spin vanishes both quotients are ``inf``.
     """
     grid = np.linspace(0.0, gt_max, steps)
-    fixed_frame = SpinFrame.canonical()
     rows = []
     for start in range(0, steps, SCAN_CHUNK):
         gt = grid[start : start + SCAN_CHUNK]
@@ -324,7 +328,7 @@ def build_scan_rows(photons: int, gt_max: float, steps: int):
         mean, second, xi_opt, negativity, entangled = _diagnose(
             family_density_stack(x1, x2, x3)
         )
-        xi_fixed = xi_frame_stack(mean, second, fixed_frame).value
+        xi_fixed = xi_frame_stack(mean, second, _CANONICAL_FRAME).value
         populations = (column.tolist() for column in (gt, x1, x2, x3))
         flags = [value < 1.0 for value in xi_opt]
         rows.extend(
@@ -377,7 +381,7 @@ def _cmd_family(args) -> int:
     if args.verify:
         worst = 0.0
         if not math.isinf(xi_fam):
-            generic = xi_squared_in_frame(rho, SpinFrame.canonical())
+            generic = xi_squared_in_frame(rho, _CANONICAL_FRAME)
             worst = abs(generic - xi_fam)
         agree = True
         if complex(coeffs.y) == 0:

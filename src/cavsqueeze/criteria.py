@@ -80,6 +80,11 @@ _MOMENT_OPS_T = np.stack(
 )
 _MOMENT_OPS_T.setflags(write=False)
 
+_EYE3 = np.eye(3)
+_EYE3.setflags(write=False)
+# The direction that rows with a vanishing mean spin use in place of theirs.
+_STAND_IN_AXIS = _EYE3[2]
+
 
 @dataclass(frozen=True, eq=False)
 class SpinFrame:
@@ -100,12 +105,12 @@ class SpinFrame:
             object.__setattr__(self, name, axis)
             axes.append(axis)
         gram = np.array([[a @ b for b in axes] for a in axes])
-        if float(np.abs(gram - np.eye(3)).max()) > 1e-10:
+        if float(np.abs(gram - _EYE3).max()) > 1e-10:
             raise NotOrthonormalError("frame axes are not orthonormal within 1e-10")
 
     @classmethod
     def canonical(cls) -> "SpinFrame":
-        return cls(np.eye(3)[0], np.eye(3)[1], np.eye(3)[2])
+        return cls(*_EYE3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,9 +170,14 @@ def spin_moments_stack(mats: np.ndarray):
     return real[:, :3], real[:, 3:].reshape(-1, 3, 3)
 
 
+def _row_times(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Row-wise a @ m over stacks, summed in a fixed order."""
+    return (a[..., :, None] * m).sum(axis=-2)
+
+
 def _quadratic(a: np.ndarray, m: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise a @ m @ b over stacks, summed in a fixed order."""
-    return ((a[..., :, None] * m).sum(axis=-2) * b).sum(axis=-1)
+    return (_row_times(a, m) * b).sum(axis=-1)
 
 
 def xi_perp_stack(mean: np.ndarray, second: np.ndarray) -> PerpStack:
@@ -181,22 +191,28 @@ def xi_perp_stack(mean: np.ndarray, second: np.ndarray) -> PerpStack:
     mean_sq = (mean * mean).sum(axis=-1)
     defined = mean_sq > MEAN_SPIN_FLOOR**2
     # Vanishing rows get a stand-in direction so the arithmetic stays finite.
-    direction = np.where(defined[:, None], mean, (0.0, 0.0, 1.0))
+    direction = np.where(defined[:, None], mean, _STAND_IN_AXIS)
     norm_sq = np.where(defined, mean_sq, 1.0)
     mhat = direction / np.sqrt(norm_sq)[:, None]
     cov = second - mean[:, :, None] * mean[:, None, :]
 
     # In-plane basis: the coordinate axis least aligned with the mean,
     # projected onto the plane, and its cross product with the mean.
-    seed = np.eye(3)[np.argmin(np.abs(mhat), axis=-1)]
+    seed = _EYE3[np.argmin(np.abs(mhat), axis=-1)]
     u = seed - (seed * mhat).sum(axis=-1)[:, None] * mhat
     u /= np.sqrt((u * u).sum(axis=-1))[:, None]
-    v = np.cross(mhat, u)
-    uv = _quadratic(u, cov, v)
-    vu = _quadratic(v, cov, u)
+    (m0, m1, m2), (u0, u1, u2) = mhat.T, u.T
+    v = np.empty_like(u)
+    v[:, 0] = m1 * u2 - m2 * u1
+    v[:, 1] = m2 * u0 - m0 * u2
+    v[:, 2] = m0 * u1 - m1 * u0
+    u_cov = _row_times(u, cov)
+    v_cov = _row_times(v, cov)
+    uv = (u_cov * v).sum(axis=-1)
+    vu = (v_cov * u).sum(axis=-1)
     restricted = np.empty((len(mhat), 2, 2))
-    restricted[:, 0, 0] = _quadratic(u, cov, u)
-    restricted[:, 1, 1] = _quadratic(v, cov, v)
+    restricted[:, 0, 0] = (u_cov * u).sum(axis=-1)
+    restricted[:, 1, 1] = (v_cov * v).sum(axis=-1)
     restricted[:, 0, 1] = restricted[:, 1, 0] = 0.5 * (uv + vu)
     w, vecs = np.linalg.eigh(restricted)
     n1 = vecs[:, 0, 0, None] * u + vecs[:, 1, 0, None] * v

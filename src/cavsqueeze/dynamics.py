@@ -8,14 +8,18 @@ trigonometric forms in the phase theta = lambda * gt,
 lambda = sqrt(2*(2n - 1)).  ``closed_form_populations`` evaluates them over a
 whole array of gt values; ``closed_form_coeffs`` is the same call for one.
 
-``evolve_exact_stack`` is the independent route that checks those forms.
-Once per (n, cutoff) it builds the full-space Hamiltonian, checks that no
-entry couples two excitation numbers, and diagonalizes the block of the
+The Hamiltonian is defined once, as the list of its nonzero entries
+(``hamiltonian_couplings``): 8 (cutoff - 1) of them, so O(n) to build.
+``build_hamiltonian`` scatters that list into the dense matrix.
+
+``evolve_exact_stack`` is the independent route that checks the closed
+forms.  Once per (n, cutoff) it checks on the coupling list that no entry
+couples two excitation numbers, and diagonalizes the block of the
 excitation sector that holds |g, g, n>: |g,g,n>, |e,g,n-1>, |g,e,n-1> and
-|e,e,n-2>, at most 4 x 4 at any n or cutoff.  It evolves a whole array of gt
-values at that pair by phases in the sector's eigenbasis and traces the
-field out of the state vectors.  ``evolve_exact`` is the same call for one
-gt.
+|e,e,n-2>, at most 4 x 4 at any n or cutoff.  The dense Hamiltonian is
+never formed on this path.  It evolves a whole array of gt values at that
+pair by phases in the sector's eigenbasis and traces the field out of the
+state vectors.  ``evolve_exact`` is the same call for one gt.
 """
 
 import functools
@@ -35,13 +39,13 @@ from .errors import (
 from .linalg import hermitian_eig
 from .states import DensityMatrix, FamilyCoeffs, _reject, validate_density_stack
 
-# Real operators: the Hamiltonian built from them is real symmetric, which
-# ``hermitian_eig`` keeps real.
-_SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]])
-_I2 = np.eye(2)
 # Atomic excitations of the four atom-pair blocks |ee>, |eg>, |ge>, |gg> of
 # the flat index (i*2 + j)*d + k, where basis state 0 is e and 1 is g.
 _ATOM_EXCITATIONS = np.array([2, 1, 1, 0])
+# The atom-pair blocks that one sigma^+ maps between: gg -> eg and gg -> ge
+# (atom 1 or atom 2 raised from |gg>), eg -> ee and ge -> ee.
+_RAISED_BLOCKS = np.array([1, 2, 0, 0])
+_LOWERED_BLOCKS = np.array([3, 3, 1, 2])
 
 
 def _photon_number(value, what: str = "photon number") -> int:
@@ -110,47 +114,77 @@ def rabi_frequency(n_photons: int) -> float:
     return math.sqrt(2.0 * (2.0 * n - 1.0))
 
 
-def annihilation(cutoff: int) -> np.ndarray:
-    """Truncated mode lowering operator, a|k> = sqrt(k)|k-1>."""
-    return np.diag(np.sqrt(np.arange(1, cutoff)), k=1)
+def hamiltonian_couplings(field_cutoff: int):
+    """Nonzero entries (rows, cols, values) of the Hamiltonian at a cutoff.
+
+    H = sum_i (sigma_i^+ a + sigma_i^- a^dagger) on atom1 x atom2 x field,
+    in units of g, with the flat index (i*2 + j)*d + k.  For each photon
+    number k = 1 .. d-1 the four atom-pair raisings gg -> eg, gg -> ge,
+    eg -> ee and ge -> ee take |k> to |k-1> with value sqrt(k); their
+    transposes follow.  So 8 (d - 1) entries, all real.  A cutoff that is
+    not a whole number >= 1 raises BadPhotonNumberError.
+    """
+    field_cutoff = _photon_number(field_cutoff, "field_cutoff")
+    if field_cutoff < 1:
+        raise BadPhotonNumberError(f"field_cutoff must be >= 1, got {field_cutoff}")
+    k = np.arange(1, field_cutoff)
+    raised = (_RAISED_BLOCKS[:, None] * field_cutoff + (k - 1)).ravel()
+    lowered = (_LOWERED_BLOCKS[:, None] * field_cutoff + k).ravel()
+    values = np.tile(np.sqrt(k), 4)
+    return (
+        np.concatenate((raised, lowered)),
+        np.concatenate((lowered, raised)),
+        np.concatenate((values, values)),
+    )
 
 
 def build_hamiltonian(cfg: ModelConfig) -> np.ndarray:
     """Interaction Hamiltonian on atom1 x atom2 x field, in units of g.
 
-    Real symmetric (so exactly Hermitian) by construction and commuting
-    with the excitation number, so the sector reachable from |g, g, n>
-    never leaves the truncation.
+    The dense matrix of ``hamiltonian_couplings``: real symmetric (so
+    exactly Hermitian) by construction and commuting with the excitation
+    number, so the sector reachable from |g, g, n> never leaves the
+    truncation.
     """
-    a = annihilation(cfg.field_cutoff)
-    raising = np.kron(np.kron(_SIGMA_PLUS, _I2), a) + np.kron(np.kron(_I2, _SIGMA_PLUS), a)
-    return raising + raising.T
+    dim = 4 * cfg.field_cutoff
+    rows, cols, values = hamiltonian_couplings(cfg.field_cutoff)
+    h = np.zeros((dim, dim))
+    h[rows, cols] = values
+    return h
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=256)
 def _eigensystem(n_photons: int, field_cutoff: int):
     """Read-only (indices, values, vectors) of the sector of |g, g, n>.
 
-    Builds the full Hamiltonian at (n, cutoff) and raises SectorCouplingError
-    if any nonzero entry couples two excitation numbers.  The sector with
-    the n excitations of |g, g, n> is then closed, and only its block is
-    diagonalized: ``indices`` are the ascending flat indices of its states
-    (|e,e,n-2>, |e,g,n-1>, |g,e,n-1> and |g,g,n>, those that exist), and
-    ``values`` and ``vectors`` are the block's eigensystem.  Every caller
-    sweeps gt at a single (n, cutoff), so one entry serves a whole sweep.
+    Takes the coupling list at the cutoff (``hamiltonian_couplings``, O(n))
+    and raises SectorCouplingError if any nonzero entry couples two
+    excitation numbers, naming the first such entry in row-major order.
+    The sector with the n excitations of |g, g, n> is then closed, and only
+    its entries are scattered into its block and diagonalized: ``indices``
+    are the ascending flat indices of its states (|e,e,n-2>, |e,g,n-1>,
+    |g,e,n-1> and |g,g,n>, those that exist), and ``values`` and
+    ``vectors`` are the block's eigensystem.  The dense Hamiltonian is
+    never formed.  The cache holds 256 pairs of under 1 KB each, so scans
+    that interleave photon numbers solve each pair once.
     """
-    h = build_hamiltonian(ModelConfig(n_photons, 0.0, field_cutoff))
+    rows, cols, couplings = hamiltonian_couplings(field_cutoff)
     excitations = (_ATOM_EXCITATIONS[:, None] + np.arange(field_cutoff)).ravel()
-    rows, cols = np.nonzero(h)
-    leaks = np.flatnonzero(excitations[rows] != excitations[cols])
+    leaks = np.flatnonzero((excitations[rows] != excitations[cols]) & (couplings != 0))
     if leaks.size:
-        i, j = rows[leaks[0]], cols[leaks[0]]
+        first = leaks[np.argmin(rows[leaks] * excitations.size + cols[leaks])]
+        i, j = rows[first], cols[first]
         raise SectorCouplingError(
-            f"Hamiltonian entry ({i}, {j}) = {h[i, j]:.6g} couples excitation "
+            f"Hamiltonian entry ({i}, {j}) = {couplings[first]:.6g} couples excitation "
             f"numbers {excitations[i]} and {excitations[j]}"
         )
     indices = np.flatnonzero(excitations == n_photons)
-    values, vectors = hermitian_eig(h[np.ix_(indices, indices)])
+    inside = excitations[rows] == n_photons
+    block = np.zeros((indices.size, indices.size))
+    block[np.searchsorted(indices, rows[inside]), np.searchsorted(indices, cols[inside])] = (
+        couplings[inside]
+    )
+    values, vectors = hermitian_eig(block)
     for array in (indices, values, vectors):
         array.flags.writeable = False
     return indices, values, vectors
@@ -160,10 +194,10 @@ def evolve_exact_stack(n_photons: int, gt, field_cutoff: int = 0) -> np.ndarray:
     """Evolve |g, g, n> for every phase in ``gt`` and trace out the field.
 
     ``gt`` is an array of phases (any shape) checked by ModelConfig's rules;
-    the first bad entry names the typed error.  The full Hamiltonian at
-    (n, cutoff) is built and checked, and the block of its excitation
-    sector that holds |g, g, n> (at most 4 x 4) is diagonalized once per
-    pair (see ``_eigensystem``); a Hamiltonian that couples two excitation
+    the first bad entry names the typed error.  The Hamiltonian's coupling
+    list at (n, cutoff) is checked, and the block of its excitation sector
+    that holds |g, g, n> (at most 4 x 4) is diagonalized once per pair and
+    cached (see ``_eigensystem``); a coupling between two excitation
     numbers raises SectorCouplingError.  Each phase applies exp(-i*E*gt) to
     the initial state's components in the sector's eigenbasis.  The
     eigenvectors are real, so the evolved vectors come from two real

@@ -102,6 +102,32 @@ def random_frame(rng):
     return cs.SpinFrame(q[:, 0], q[:, 1], q[:, 2])
 
 
+def kron_hamiltonian(cfg):
+    """Dense H = sum_i (sigma_i^+ a + sigma_i^- a^dagger) from Kronecker products.
+
+    The oracle for the library's coupling list: it builds the operators
+    themselves on atom1 x atom2 x field and never lists an entry.
+    """
+    sigma_plus = np.array([[0.0, 1.0], [0.0, 0.0]])
+    eye = np.eye(2)
+    a = np.diag(np.sqrt(np.arange(1, cfg.field_cutoff)), k=1)
+    raising = np.kron(np.kron(sigma_plus, eye), a) + np.kron(np.kron(eye, sigma_plus), a)
+    return raising + raising.T
+
+
+def kron_eigensystem(n, cutoff):
+    """(indices, values, vectors) of the sector of |g, g, n>, from the kron Hamiltonian.
+
+    The indices are the flat indices whose atoms and photons hold n
+    excitations; the block at them is cut out of the dense matrix and solved.
+    """
+    h = kron_hamiltonian(cs.ModelConfig(n, 0.0, cutoff))
+    excitations = (np.array([2, 1, 1, 0])[:, None] + np.arange(cutoff)).ravel()
+    indices = np.flatnonzero(excitations == n)
+    values, vectors = cs.hermitian_eig(h[np.ix_(indices, indices)])
+    return indices, values, vectors
+
+
 def evolution_operator(h, t):
     """Unitary exp(-i*h*t) of a Hermitian generator, via eigendecomposition."""
     values, vectors = cs.hermitian_eig(h)
@@ -112,14 +138,15 @@ def evolution_operator(h, t):
 def propagator_evolution(cfg):
     """Reduced two-atom matrix of exp(-i*H*gt)|g, g, n>, one full propagator per call.
 
-    Builds the unitary with ``evolution_operator`` and traces out the field
-    by reshaping the state vector, so it does not share the cached
-    eigensystem of ``evolve_exact``.
+    Builds the unitary of ``kron_hamiltonian`` with ``evolution_operator``
+    and traces out the field by reshaping the state vector, so it shares
+    neither the coupling list nor the cached eigensystem of
+    ``evolve_exact``.
     """
     d = cfg.field_cutoff
     psi0 = np.zeros(4 * d, dtype=complex)
     psi0[3 * d + cfg.n_photons] = 1.0
-    psi = evolution_operator(cs.build_hamiltonian(cfg), cfg.gt) @ psi0
+    psi = evolution_operator(kron_hamiltonian(cfg), cfg.gt) @ psi0
     amplitudes = psi.reshape(4, d)  # atom pair x photon number
     return amplitudes @ amplitudes.conj().T
 
@@ -153,6 +180,39 @@ def reference_global_minimum(rho):
         reduced = reduced - np.outer(coupling, coupling) / parallel
     smallest = float(np.linalg.eigvalsh(0.5 * (reduced + reduced.T))[0])
     return max(2.0 * smallest / mm, 0.0)
+
+
+def reference_xi_perp_stack(mean, second):
+    """The perp-optimal quotient with ``np.cross`` and four separate quadratic forms.
+
+    The oracle for ``criteria.xi_perp_stack``, which shares its row products
+    and writes the cross product out, and must return the same bits.
+    """
+
+    def quadratic(a, m, b):
+        return ((a[..., :, None] * m).sum(axis=-2) * b).sum(axis=-1)
+
+    mean_sq = (mean * mean).sum(axis=-1)
+    defined = mean_sq > cs.criteria.MEAN_SPIN_FLOOR**2
+    direction = np.where(defined[:, None], mean, (0.0, 0.0, 1.0))
+    norm_sq = np.where(defined, mean_sq, 1.0)
+    mhat = direction / np.sqrt(norm_sq)[:, None]
+    cov = second - mean[:, :, None] * mean[:, None, :]
+    seed = np.eye(3)[np.argmin(np.abs(mhat), axis=-1)]
+    u = seed - (seed * mhat).sum(axis=-1)[:, None] * mhat
+    u /= np.sqrt((u * u).sum(axis=-1))[:, None]
+    v = np.cross(mhat, u)
+    uv = quadratic(u, cov, v)
+    vu = quadratic(v, cov, u)
+    restricted = np.empty((len(mhat), 2, 2))
+    restricted[:, 0, 0] = quadratic(u, cov, u)
+    restricted[:, 1, 1] = quadratic(v, cov, v)
+    restricted[:, 0, 1] = restricted[:, 1, 0] = 0.5 * (uv + vu)
+    w, vecs = np.linalg.eigh(restricted)
+    n1 = vecs[:, 0, 0, None] * u + vecs[:, 1, 0, None] * v
+    n1 /= np.sqrt((n1 * n1).sum(axis=-1))[:, None]
+    value = np.maximum(0.0, cs.criteria.ATOM_COUNT * w[:, 0] / norm_sq)
+    return np.where(defined, value, np.inf), n1, mean_sq
 
 
 def _reference_float_text(value):

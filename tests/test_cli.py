@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cavsqueeze import cli
@@ -26,8 +27,9 @@ from cavsqueeze.cli import (
     main,
 )
 from cavsqueeze.criteria import XiResult, xi_squared
-from cavsqueeze.dynamics import closed_form_populations
+from cavsqueeze.dynamics import _eigensystem, closed_form_populations
 from cavsqueeze.errors import CavsqueezeError, NoConvergenceError
+from cavsqueeze.states import FAMILY_ATOL
 from helpers import reference_render
 
 
@@ -176,6 +178,23 @@ def test_scan_verify_fails_on_shifted_populations(monkeypatch, capsys):
     assert int(found.group(2)) == steps
 
 
+def test_scan_verify_keeps_every_photon_number_solved(capsys):
+    # Interleaved photon numbers, as a long-lived process serving several
+    # scans sees them: after the first pass no request solves a sector
+    # again, and every pass prints the same bytes.
+    _eigensystem.cache_clear()
+    passes = []
+    for _ in range(3):
+        texts = []
+        for photons in ("5", "40", "5", "40"):
+            argv = ["scan-time", "--photons", photons, "--steps", "150", "--gt-max", "7", "--verify"]
+            assert run_cli(argv) == EXIT_OK
+            texts.append(capsys.readouterr())
+        passes.append((texts, _eigensystem.cache_info().misses))
+    assert passes[0][1] == 2
+    assert passes[1] == passes[0] and passes[2] == passes[0]
+
+
 # n = 1 puts theta = sqrt(2) gt, so the middle of three points is theta = pi/2:
 # the state |s><s|, entangled with negativity 1/2 and no mean spin.
 HALF_PI_SCAN = ["scan-time", "--photons", "1", "--gt-max", "2.221441469079183", "--steps", "3"]
@@ -268,6 +287,39 @@ def test_family_negative_number_after_space(y, capsys):
     assert run_cli(args) == EXIT_OK
     row = parse_csv(capsys.readouterr().out)[0]
     assert float(row["y"]) == float(y)
+
+
+_EDGE_DELTA = st.just(0.0) | st.floats(-15.0, -0.3).map(lambda e: 10.0**e)
+# Kept off 0 and 1, where sqrt(x1*x3) = 0 and every delta gives y = 0;
+# the examples below pin those ends.
+_INTERIOR = st.floats(1e-9, 1.0 - 1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@example(x1=0.0, share=0.5, delta=0.0, outward=True, negative=False)
+@example(x1=1.0, share=0.5, delta=0.1, outward=True, negative=True)
+@example(x1=0.5, share=1.0, delta=1e-3, outward=True, negative=False)
+@given(
+    x1=_INTERIOR,
+    share=_INTERIOR,
+    delta=_EDGE_DELTA,
+    outward=st.booleans(),
+    negative=st.booleans(),
+)
+def test_family_at_the_psd_edge(x1, share, delta, outward, negative):
+    # |y| = sqrt(x1*x3) is where the family state stops being positive; on
+    # either side the coefficient rule, with its FAMILY_ATOL slack, decides.
+    x3 = share * (1.0 - x1)
+    x2 = (1.0 - x1) - x3
+    bound = math.sqrt(x1 * x3)
+    y = bound * (1.0 + delta if outward else 1.0 - delta)
+    y = -y if negative else y
+    assume(abs(abs(y) - bound - FAMILY_ATOL) > 0.1 * FAMILY_ATOL)
+    argv = ["family", "--x1", repr(x1), "--x2", repr(x2), "--x3", repr(x3), "--y", repr(y)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = run_cli(argv)
+    assert code in (EXIT_OK, EXIT_NUMERIC)
+    assert (code == EXIT_OK) == (abs(y) <= bound + FAMILY_ATOL)
 
 
 def test_family_missing_flag_is_usage_error():

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from cavsqueeze import (
     NonFiniteError,
     NotNormalizedError,
     SectorCouplingError,
-    annihilation,
     build_hamiltonian,
     closed_form_coeffs,
     closed_form_populations,
@@ -20,12 +20,13 @@ from cavsqueeze import (
     evolve_exact_stack,
     family_coeffs_from_density,
     family_coeffs_stack,
+    hamiltonian_couplings,
     rabi_frequency,
 )
 from cavsqueeze import dynamics
 from cavsqueeze.cli import EXIT_NUMERIC, VERIFY_CHUNK, main
 from cavsqueeze.dynamics import _eigensystem
-from helpers import evolution_operator, propagator_evolution
+from helpers import evolution_operator, kron_eigensystem, kron_hamiltonian, propagator_evolution
 
 
 class TestModelConfig:
@@ -98,21 +99,6 @@ def test_hamiltonian_is_real_and_evolution_complex():
     assert evolve_exact(ModelConfig(3, 0.7)).mat.dtype == np.complex128
 
 
-class TestAnnihilation:
-    def test_matrix_elements(self):
-        a = annihilation(4)
-        want = np.zeros((4, 4))
-        want[0, 1] = 1.0
-        want[1, 2] = math.sqrt(2.0)
-        want[2, 3] = math.sqrt(3.0)
-        assert np.abs(a - want).max() < 1e-15
-
-    def test_number_operator(self):
-        a = annihilation(5)
-        number = a.conj().T @ a
-        assert np.abs(number - np.diag([0.0, 1.0, 2.0, 3.0, 4.0])).max() < 1e-12
-
-
 class TestHamiltonian:
     def test_is_hermitian_and_real(self):
         h = build_hamiltonian(ModelConfig(3, 0.0))
@@ -134,6 +120,33 @@ class TestHamiltonian:
         h = build_hamiltonian(ModelConfig(0, 0.0))
         assert h.shape == (4, 4)
         assert np.abs(h).max() == 0.0
+
+    @pytest.mark.parametrize(
+        "n, cutoff", [(0, 1), (0, 3), (1, 2), (2, 3), (2, 9), (7, 8), (7, 11), (60, 61), (60, 64)]
+    )
+    def test_matches_the_kron_oracle(self, n, cutoff):
+        cfg = ModelConfig(n, 0.0, field_cutoff=cutoff)
+        h = build_hamiltonian(cfg)
+        want = kron_hamiltonian(cfg)
+        assert h.dtype == want.dtype and np.array_equal(h, want)
+
+    @pytest.mark.parametrize("cutoff", (1, 2, 5, 40))
+    def test_coupling_list(self, cutoff):
+        rows, cols, values = hamiltonian_couplings(cutoff)
+        assert len(rows) == len(cols) == len(values) == 8 * (cutoff - 1)
+        assert values.dtype == np.float64 and (values > 0).all()
+        # each entry once, and its transpose with the same value
+        entries = dict(zip(zip(rows.tolist(), cols.tolist()), values.tolist()))
+        assert len(entries) == len(rows)
+        assert all(entries[j, i] == value for (i, j), value in entries.items())
+        # raising |k> -> |k-1> of the field carries sqrt(k)
+        photons = np.maximum(rows % cutoff, cols % cutoff)
+        assert np.array_equal(values, np.sqrt(photons))
+
+    @pytest.mark.parametrize("cutoff", (0, -3, 2.5, math.nan))
+    def test_coupling_list_rejects_a_bad_cutoff(self, cutoff):
+        with pytest.raises(BadPhotonNumberError, match="field_cutoff"):
+            hamiltonian_couplings(cutoff)
 
     def test_conserves_excitation_number(self):
         cfg = ModelConfig(2, 0.0, field_cutoff=5)
@@ -199,10 +212,10 @@ class TestEvolveExact:
             cfg = ModelConfig(n, gt, field_cutoff=cutoff)
             want = propagator_evolution(cfg)
             assert np.abs(evolve_exact(cfg).mat - want).max() < 1e-12, (n, cutoff, gt)
+        # every (n, cutoff) pair is solved once, whatever came between
         info = _eigensystem.cache_info()
-        keys = [(n, cutoff) for n, cutoff, _ in sequence]
-        changes = 1 + sum(a != b for a, b in zip(keys, keys[1:]))
-        assert (info.misses, info.hits) == (changes, len(sequence) - changes)
+        distinct = len({(n, cutoff) for n, cutoff, _ in sequence})
+        assert (info.misses, info.hits) == (distinct, len(sequence) - distinct)
 
     def test_matches_partial_trace_of_the_joint_state(self):
         # evolve_exact traces the field out of the state vector; tracing the
@@ -308,6 +321,26 @@ class TestExcitationSector:
         assert indices.tolist() == want
         assert values.shape == (len(want),) and vectors.shape == (len(want), len(want))
 
+    @pytest.mark.parametrize("n", (1, 2, 7, 60, 200))
+    @pytest.mark.parametrize("pad", (0, 3))
+    def test_bit_identical_to_the_kron_route(self, n, pad):
+        got = _eigensystem(n, n + 1 + pad)
+        want = kron_eigensystem(n, n + 1 + pad)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    def test_setup_memory_is_linear_in_n(self):
+        # the dense Hamiltonian at n = 400 alone is 20 MB
+        _eigensystem.cache_clear()
+        tracemalloc.start()
+        try:
+            _eigensystem(400, 401)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
     def test_worst_deviation_from_the_closed_form(self):
         gt = np.linspace(0.0, 10.0, 201)
         worst = 0.0
@@ -317,6 +350,15 @@ class TestExcitationSector:
             worst = max(worst, float(np.abs(np.subtract(evolved[:3], closed)).max()))
             assert np.abs(evolved[3]).max() <= 1e-13, n
         assert worst <= 1e-13
+
+    def test_large_photon_number(self):
+        # The dense Hamiltonian at n = 2000 would take 0.5 GB; the coupling
+        # list takes 0.4 MB.  The deviation grows as gt times the last-bit
+        # error of the eigenvalue sqrt(2(2n - 1)) = 89.4: 1.5e-13 at gt = 10.
+        gt = np.linspace(0.0, 10.0, 201)
+        evolved = family_coeffs_stack(evolve_exact_stack(2000, gt))
+        closed = closed_form_populations(2000, gt)
+        assert np.abs(np.subtract(evolved[:3], closed)).max() <= 2e-13
 
     @pytest.mark.parametrize("n", (1, 2, 7, 33, 60))
     def test_matches_the_full_space_propagator(self, n):
@@ -329,17 +371,24 @@ class TestExcitationSector:
 
 
 class TestSectorCoupling:
-    """A Hamiltonian that couples |g,g,n> to |g,g,n-1> leaks out of the sector."""
+    """A coupling list that joins |g,g,n> to |g,g,n-1> leaks out of the sector.
+
+    Both calls below use the default cutoff d = n + 1, so the leak sits on
+    the last two flat indices 3d + n - 1 and 3d + n.
+    """
 
     @pytest.fixture
     def leaky(self, monkeypatch):
-        def leaky_hamiltonian(cfg):
-            h = build_hamiltonian(cfg)
-            d, n = cfg.field_cutoff, cfg.n_photons
-            h[3 * d + n, 3 * d + n - 1] = h[3 * d + n - 1, 3 * d + n] = 0.25
-            return h
+        def leaky_couplings(d):
+            rows, cols, values = hamiltonian_couplings(d)
+            n = d - 1
+            return (
+                np.append(rows, [3 * d + n, 3 * d + n - 1]),
+                np.append(cols, [3 * d + n - 1, 3 * d + n]),
+                np.append(values, [0.25, 0.25]),
+            )
 
-        monkeypatch.setattr(dynamics, "build_hamiltonian", leaky_hamiltonian)
+        monkeypatch.setattr(dynamics, "hamiltonian_couplings", leaky_couplings)
         _eigensystem.cache_clear()
         yield
         _eigensystem.cache_clear()

@@ -13,7 +13,7 @@ import pytest
 
 import cavsqueeze as cs
 from cavsqueeze.cli import SCAN_CHUNK, build_scan_rows
-from helpers import SPIN_OPERATORS, random_density
+from helpers import SPIN_OPERATORS, random_density, reference_xi_perp_stack
 
 STEPS = 2500
 GT_MAX = 6.0
@@ -98,6 +98,23 @@ def test_generic_states_get_the_same_bits_alone_and_stacked():
         assert np.array_equal(moments.second, second[i])
         assert cs.xi_squared(rho).value == perp.value[i]
         assert np.array_equal(cs.pt_spectrum(rho), spectra[i])
+
+
+@pytest.mark.parametrize("size", (1, 70, 512))
+def test_perp_quotient_bits_match_the_first_formula(size):
+    # The written-out cross product and the shared row products reorder no
+    # floating-point operation, so every output keeps its bits.
+    rng = np.random.default_rng(size)
+    random_stack = np.stack([random_density(rng).mat for _ in range(size)])
+    gt = np.linspace(0.0, GT_MAX, size)
+    family_stack = cs.family_density_stack(*cs.closed_form_populations(2, gt))
+    for stack in (random_stack, family_stack):
+        mean, second = cs.spin_moments_stack(stack)
+        mean[::5] = 0.0  # rows with the stand-in direction
+        got = cs.xi_perp_stack(mean, second)
+        want = reference_xi_perp_stack(mean, second)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def _loop_moments(mat):
