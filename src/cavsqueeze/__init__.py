@@ -41,7 +41,6 @@ from .dynamics import (
 )
 from .errors import (
     BadPhotonNumberError,
-    BadSubsystemError,
     CavsqueezeError,
     DimensionMismatchError,
     NegativeTimeError,

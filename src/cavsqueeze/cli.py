@@ -64,12 +64,7 @@ from .criteria import (
     xi_squared_in_frame,
 )
 from .dynamics import closed_form_populations, evolve_exact_stack
-from .errors import (
-    CavsqueezeError,
-    DimensionMismatchError,
-    StateFormatError,
-    ZeroMeanSpinError,
-)
+from .errors import CavsqueezeError, StateFormatError, ZeroMeanSpinError
 from .states import (
     FamilyCoeffs,
     family_coeffs_stack,
@@ -309,7 +304,7 @@ def _diagnose(mats):
     """
     mean, second = spin_moments_stack(mats)
     xi_opt = xi_perp_stack(mean, second).value
-    spectrum = pt_spectrum(mats, dims=(2, 2))
+    spectrum = pt_spectrum(mats)
     columns = (xi_opt, spectrum_negativity(spectrum), spectrum_entangled(spectrum))
     return (mean, second, *(column.tolist() for column in columns))
 
@@ -402,10 +397,6 @@ def _cmd_check_state(args) -> int:
     except OSError as exc:
         print(f"cavsqueeze: cannot read {args.file}: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    if tuple(rho.dims) != (2, 2):
-        raise DimensionMismatchError(
-            f"check-state needs dims [2, 2], file carries {list(rho.dims)}"
-        )
     (mean,), (second,), (xi_opt,), (negativity,), (entangled,) = _diagnose(rho.mat[None])
     # the moment cells: the mean, then the upper triangle of second, row-major
     row = CheckRow(negativity, entangled, xi_opt, *mean, *second[np.triu_indices(3)])

@@ -1,5 +1,9 @@
 """Entanglement diagnostics for two-atom states.
 
+Every state is a pair of qubits: a 4 x 4 ``DensityMatrix`` or a
+``(..., 4, 4)`` stack, whose shape ``states`` checks in one place.  The
+partial transpose always acts on atom 2.
+
 Two independent criteria are implemented side by side:
 
 * the partial-transpose test (necessary and sufficient for two qubits),
@@ -29,7 +33,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    DimensionMismatchError,
     NonDiagonalError,
     NonFiniteError,
     NonRealError,
@@ -38,12 +41,22 @@ from .errors import (
     ZeroMeanSpinError,
 )
 from .linalg import hermitian_eig
-from .states import DensityMatrix, FamilyCoeffs, check_hermitian, partial_transpose
+from .states import (
+    DensityMatrix,
+    FamilyCoeffs,
+    _two_qubit_stack,
+    check_hermitian,
+    partial_transpose,
+)
 
 ATOM_COUNT = 2
 
 # |<S>| at or below this is treated as a vanishing mean spin.
 MEAN_SPIN_FLOOR = 1e-8
+
+# Largest entry of |G - 1|, G the Gram matrix of a SpinFrame's axes, that
+# still counts as orthonormal.
+FRAME_ORTHONORMAL_ATOL = 1e-10
 
 # A partial-transpose eigenvalue below this certifies entanglement; values
 # above it count as numerical noise around zero.
@@ -105,8 +118,10 @@ class SpinFrame:
             object.__setattr__(self, name, axis)
             axes.append(axis)
         gram = np.array([[a @ b for b in axes] for a in axes])
-        if float(np.abs(gram - _EYE3).max()) > 1e-10:
-            raise NotOrthonormalError("frame axes are not orthonormal within 1e-10")
+        if float(np.abs(gram - _EYE3).max()) > FRAME_ORTHONORMAL_ATOL:
+            raise NotOrthonormalError(
+                f"frame axes are not orthonormal within {FRAME_ORTHONORMAL_ATOL:g}"
+            )
 
     @classmethod
     def canonical(cls) -> "SpinFrame":
@@ -150,24 +165,21 @@ class FrameStack(NamedTuple):
 
 
 def spin_moments_stack(mats: np.ndarray):
-    """Mean spins (N, 3) and symmetrized second moments (N, 3, 3) of N states.
+    """Mean spins (..., 3) and symmetrized second moments (..., 3, 3) of states.
 
-    ``mats`` is a stack of two-qubit density matrices, shape (N, 4, 4).  The
-    contraction is an elementwise product with the stacked transposed
-    operators summed over the last two axes, which gives a state the same
-    bits whatever the size of the stack (a matrix-product contraction such
-    as ``einsum`` does not).  Its temporary holds 12 N complex 4x4 blocks.
+    ``mats`` is a stack of two-qubit density matrices, usually of shape
+    (N, 4, 4).  The contraction is an elementwise product with the stacked
+    transposed operators summed over the last two axes, which gives a state
+    the same bits whatever the size of the stack (a matrix-product
+    contraction such as ``einsum`` does not).  Its temporary holds 12 N
+    complex 4x4 blocks.
     A state that is not Hermitian by the density-matrix rule raises
     NotHermitianError; the moments are the real parts of the traces.
     """
-    mats = np.asarray(mats, dtype=complex)
-    if mats.ndim != 3 or mats.shape[1:] != (4, 4):
-        raise DimensionMismatchError(
-            f"expected a stack of 4x4 two-qubit states, got shape {mats.shape}"
-        )
+    mats = _two_qubit_stack(mats)
     check_hermitian(mats)
-    real = (mats[:, None] * _MOMENT_OPS_T).sum(axis=(-2, -1)).real
-    return real[:, :3], real[:, 3:].reshape(-1, 3, 3)
+    real = (mats[..., None, :, :] * _MOMENT_OPS_T).sum(axis=(-2, -1)).real
+    return real[..., :3], real[..., 3:].reshape(real.shape[:-1] + (3, 3))
 
 
 def _row_times(a: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -233,21 +245,15 @@ def xi_frame_stack(mean: np.ndarray, second: np.ndarray, frame: SpinFrame) -> Fr
     return FrameStack(np.where(defined, value, np.inf), plane_sq)
 
 
-def _two_qubit_moments(rho: DensityMatrix):
-    if tuple(rho.dims) != (2, 2):
-        raise DimensionMismatchError(f"expected a two-qubit state, got dims {rho.dims}")
-    return spin_moments_stack(rho.mat[None])
-
-
 def spin_moments(rho: DensityMatrix) -> SpinMoments:
     """Mean vector tr(rho S_k) and symmetrized second-moment matrix."""
-    mean, second = _two_qubit_moments(rho)
+    mean, second = spin_moments_stack(rho.mat[None])
     return SpinMoments(mean[0], second[0])
 
 
 def xi_squared_in_frame(rho: DensityMatrix, frame: SpinFrame) -> float:
     """Squeezing quotient N var(S_n1) / (<S_n2>^2 + <S_n3>^2) in a fixed triad."""
-    result = xi_frame_stack(*_two_qubit_moments(rho), frame)
+    result = xi_frame_stack(*spin_moments_stack(rho.mat[None]), frame)
     if math.isinf(result.value[0]):
         raise ZeroMeanSpinError(
             f"mean spin projection on the (n2, n3) plane is {math.sqrt(result.plane_sq[0]):.3e}"
@@ -362,7 +368,7 @@ def xi_squared(rho: DensityMatrix, policy: str = PERP_OPTIMAL) -> XiResult:
     """
     if policy not in (PERP_OPTIMAL, GLOBAL):
         raise UnknownPolicyError(f"unknown policy {policy!r}")
-    mean, second = _two_qubit_moments(rho)
+    mean, second = spin_moments_stack(rho.mat[None])
     perp = xi_perp_stack(mean, second)
     mm = float(perp.mean_sq[0])
     if math.isinf(perp.value[0]):
@@ -390,14 +396,13 @@ def xi2_closed_n1(theta: float) -> float:
     return (1.0 + s * s) / (c * c * c * c)
 
 
-def pt_spectrum(rho, dims=None) -> np.ndarray:
-    """Ascending eigenvalues of the partial transpose over the second factor.
+def pt_spectrum(rho) -> np.ndarray:
+    """Ascending eigenvalues of the partial transpose over atom 2.
 
-    ``rho`` is a DensityMatrix over two factors, or a bare ``(..., d, d)``
-    stack with its ``dims``; the result has shape ``(..., d)``.  Both PPT
-    diagnostics read this one spectrum.
+    ``rho`` is a DensityMatrix or a bare ``(..., 4, 4)`` stack; the result
+    has shape ``(..., 4)``.  Both PPT diagnostics read this one spectrum.
     """
-    return hermitian_eig(partial_transpose(rho, sub=1, dims=dims)).values
+    return hermitian_eig(partial_transpose(rho)).values
 
 
 def spectrum_negativity(values: np.ndarray) -> np.ndarray:
@@ -421,10 +426,6 @@ def ppt_entangled(rho: DensityMatrix) -> bool:
     True when the minimum partial-transpose eigenvalue falls below the
     certification floor, i.e. the state is certainly entangled.
     """
-    if tuple(rho.dims) != (2, 2):
-        raise DimensionMismatchError(
-            f"the two-sided verdict needs a 2x2 bipartition, got dims {rho.dims}"
-        )
     return bool(spectrum_entangled(pt_spectrum(rho)))
 
 

@@ -37,7 +37,7 @@ from .errors import (
     SectorCouplingError,
 )
 from .linalg import hermitian_eig
-from .states import DensityMatrix, FamilyCoeffs, _reject, validate_density_stack
+from .states import NORM_ATOL, DensityMatrix, FamilyCoeffs, _reject, validate_density_stack
 
 # Atomic excitations of the four atom-pair blocks |ee>, |eg>, |ge>, |gg> of
 # the flat index (i*2 + j)*d + k, where basis state 0 is e and 1 is g.
@@ -202,8 +202,8 @@ def evolve_exact_stack(n_photons: int, gt, field_cutoff: int = 0) -> np.ndarray:
     the initial state's components in the sector's eigenbasis.  The
     eigenvectors are real, so the evolved vectors come from two real
     products, one for each part of the phases.  Each vector must have unit
-    norm within 1e-10 (NotNormalizedError), and the stack of reduced states
-    is validated once with ``validate_density_stack``.
+    norm within NORM_ATOL, 1e-10 (NotNormalizedError), and the stack of
+    reduced states is validated once with ``validate_density_stack``.
 
     Returns
     -------
@@ -222,7 +222,7 @@ def evolve_exact_stack(n_photons: int, gt, field_cutoff: int = 0) -> np.ndarray:
     psi.imag = (np.sin(angles) * -initial) @ vectors.T
     norm = np.linalg.norm(psi, axis=-1)
     _reject(
-        np.abs(norm - 1.0) > 1e-10,
+        np.abs(norm - 1.0) > NORM_ATOL,
         NotNormalizedError,
         lambda i: f"state vector is not normalized: norm = {norm[i]:.12g}",
     )
@@ -235,7 +235,7 @@ def evolve_exact_stack(n_photons: int, gt, field_cutoff: int = 0) -> np.ndarray:
     photons -= photons.min()
     amps = np.zeros(gt.shape + (4, photons.max() + 1), dtype=complex)
     amps[..., atoms, photons] = psi
-    return validate_density_stack(amps @ np.swapaxes(amps, -1, -2).conj(), (2, 2))
+    return validate_density_stack(amps @ np.swapaxes(amps, -1, -2).conj())
 
 
 def evolve_exact(cfg: ModelConfig) -> DensityMatrix:
@@ -249,9 +249,7 @@ def evolve_exact(cfg: ModelConfig) -> DensityMatrix:
         Reduced two-atom state, diagonal in the symmetric basis up to
         numerical noise.
     """
-    return DensityMatrix(
-        evolve_exact_stack(cfg.n_photons, cfg.gt, cfg.field_cutoff), (2, 2)
-    )
+    return DensityMatrix(evolve_exact_stack(cfg.n_photons, cfg.gt, cfg.field_cutoff))
 
 
 def closed_form_populations(n_photons: int, gt):

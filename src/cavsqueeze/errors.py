@@ -27,10 +27,6 @@ class NotPositiveError(CavsqueezeError, ValueError):
     """An operator that must be positive semidefinite has a negative eigenvalue."""
 
 
-class BadSubsystemError(CavsqueezeError, ValueError):
-    """A subsystem selection does not match the tensor factorization."""
-
-
 class BadPhotonNumberError(CavsqueezeError, ValueError):
     """Photon number outside the validity range of a formula."""
 

@@ -1,4 +1,4 @@
-"""Density matrices over labeled tensor factors, plus the two-atom symmetric family.
+"""Two-atom density matrices, plus the two-atom symmetric family.
 
 The two-atom computational basis is ordered ee, eg, ge, gg with the excited
 level first and atom 1 on the left (slow) tensor factor.  The symmetric basis
@@ -8,6 +8,13 @@ used throughout is
     |3> = |gg>.
 
 Family states are X1|1><1| + X2|2><2| + X3|3><3| + Y|1><3| + conj(Y)|3><1|.
+
+Every state here is a pair of qubits: a 4 x 4 matrix, or a ``(..., 4, 4)``
+stack of them.  One shape check, ``_two_qubit_stack``, serves the validator,
+the partial transpose, the spin-moment kernel of ``criteria`` and the
+family read-back.  A state file names its tensor factors, and
+``load_density_matrix`` is the one place that requires them to be two
+qubits.
 
 The checks run on arrays: ``validate_density_stack`` validates a stack of
 matrices and ``check_family_coeffs`` applies the coefficient rules to arrays
@@ -26,7 +33,6 @@ from typing import IO, Union
 import numpy as np
 
 from .errors import (
-    BadSubsystemError,
     DimensionMismatchError,
     NonFiniteError,
     NotHermitianError,
@@ -39,6 +45,8 @@ from .linalg import HERMITIAN_ATOL
 
 TRACE_ATOL = 1e-10
 PSD_ATOL = 1e-10
+# Slack on the unit norm of each state vector the exact evolution produces.
+NORM_ATOL = 1e-10
 # Slack on the family coefficient rules: range, sum and coherence bound.
 FAMILY_ATOL = 1e-12
 # Largest entry outside the family pattern that family_coeffs_from_density
@@ -87,23 +95,29 @@ def check_hermitian(mats: np.ndarray):
     )
 
 
-def validate_density_stack(mats, dims) -> np.ndarray:
-    """Check a density matrix, or a stack of them, and return it as complex.
+def _two_qubit_stack(mats) -> np.ndarray:
+    """``mats`` as a complex array, after checking its shape is ``(..., 4, 4)``.
 
-    ``mats`` has shape ``(..., d, d)`` with d the product of ``dims``.  Every
-    matrix must be finite, Hermitian within HERMITIAN_ATOL, of unit trace
-    within TRACE_ATOL and positive semidefinite within PSD_ATOL (one batched
-    ``eigvalsh``).  The first failing matrix names the typed error.
+    A shape that is not one 4 x 4 two-qubit matrix or a stack of them raises
+    DimensionMismatchError.
     """
     mats = np.asarray(mats, dtype=complex)
-    dims = tuple(int(d) for d in dims)
-    if not dims or any(d < 1 for d in dims):
-        raise DimensionMismatchError(f"invalid factor dimensions {dims}")
-    total = math.prod(dims)
-    if mats.ndim < 2 or mats.shape[-2:] != (total, total):
+    if mats.shape[-2:] != (4, 4):
         raise DimensionMismatchError(
-            f"matrix shape {mats.shape} does not match dims {dims}"
+            f"expected 4x4 two-qubit matrices, got shape {mats.shape}"
         )
+    return mats
+
+
+def validate_density_stack(mats) -> np.ndarray:
+    """Check a two-qubit density matrix, or a stack of them, and return it as complex.
+
+    ``mats`` has shape ``(..., 4, 4)`` (``_two_qubit_stack``).  Every matrix
+    must be finite, Hermitian within HERMITIAN_ATOL, of unit trace within
+    TRACE_ATOL and positive semidefinite within PSD_ATOL (one batched
+    ``eigvalsh``).  The first failing matrix names the typed error.
+    """
+    mats = _two_qubit_stack(mats)
     _reject(
         ~np.isfinite(mats).all(axis=(-2, -1)),
         NonFiniteError,
@@ -127,28 +141,23 @@ def validate_density_stack(mats, dims) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Validated density matrix with its tensor factorization.
+    """Validated two-qubit density matrix, atom 1 on the left tensor factor.
 
-    Construction runs ``validate_density_stack`` on the one matrix: it
-    rejects non-finite entries, inputs that are not Hermitian within 1e-10,
-    whose trace differs from 1 by more than 1e-10, or whose minimum
-    eigenvalue is below -1e-10.
+    Construction runs ``validate_density_stack`` on the one 4 x 4 matrix: it
+    rejects any other shape, non-finite entries, inputs that are not
+    Hermitian within 1e-10, whose trace differs from 1 by more than 1e-10,
+    or whose minimum eigenvalue is below -1e-10.
     """
 
     mat: np.ndarray
-    dims: tuple
 
     def __post_init__(self):
         mat = np.array(self.mat, dtype=complex)
-        dims = tuple(int(d) for d in self.dims)
         if mat.ndim != 2:
-            raise DimensionMismatchError(
-                f"matrix shape {mat.shape} does not match dims {dims}"
-            )
-        validate_density_stack(mat, dims)
+            raise DimensionMismatchError(f"expected one 4x4 matrix, got shape {mat.shape}")
+        validate_density_stack(mat)
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
-        object.__setattr__(self, "dims", dims)
 
 
 def check_family_coeffs(x1, x2, x3, y=0.0):
@@ -214,35 +223,18 @@ class FamilyCoeffs:
         check_family_coeffs(self.x1, self.x2, self.x3, self.y)
 
 
-def partial_transpose(rho, sub: int = 1, dims=None) -> np.ndarray:
-    """Transpose one factor of a bipartite operator.
+def partial_transpose(rho) -> np.ndarray:
+    """Transpose atom 2 of a two-qubit operator.
 
-    Accepts a DensityMatrix over exactly two factors, or a bare array of
-    shape ``(..., d, d)`` (one matrix or a stack) together with explicit
-    ``dims``.  Returns a plain array because the result is generally not
+    Accepts a DensityMatrix, or a bare ``(..., 4, 4)`` array (one matrix or
+    a stack).  Returns a plain array because the result is generally not
     positive.
     """
-    if isinstance(rho, DensityMatrix):
-        mat, dims = rho.mat, rho.dims
-    else:
-        mat = np.asarray(rho, dtype=complex)
-        if dims is None:
-            raise BadSubsystemError("dims are required for a bare matrix")
-    dims = tuple(int(d) for d in dims)
-    if len(dims) != 2:
-        raise BadSubsystemError(f"partial transpose needs exactly 2 factors, got {dims}")
-    if sub not in (0, 1):
-        raise BadSubsystemError(f"subsystem must be 0 or 1, got {sub}")
-    d0, d1 = dims
-    if mat.shape[-2:] != (d0 * d1, d0 * d1):
-        raise DimensionMismatchError(
-            f"matrix shape {mat.shape} does not match dims {dims}"
-        )
-    lead = mat.shape[:-2]
-    k = len(lead)
-    blocks = mat.reshape(lead + (d0, d1, d0, d1))
-    axes = (k + 2, k + 1, k, k + 3) if sub == 0 else (k, k + 3, k + 2, k + 1)
-    return blocks.transpose(tuple(range(k)) + axes).reshape(mat.shape).copy()
+    mats = _two_qubit_stack(rho.mat if isinstance(rho, DensityMatrix) else rho)
+    # (atom 1, atom 2) row and column indices; swap the two of atom 2.  The
+    # swapped axes are not contiguous, so the reshape returns a new array.
+    blocks = mats.reshape(mats.shape[:-2] + (2, 2, 2, 2))
+    return blocks.swapaxes(-3, -1).reshape(mats.shape)
 
 
 def _family_matrices(x1, x2, x3, y) -> np.ndarray:
@@ -264,14 +256,12 @@ def family_density_stack(x1, x2, x3, y=0.0) -> np.ndarray:
     whole stack at once; the first invalid tuple raises the same typed error
     that building it alone would.
     """
-    return validate_density_stack(
-        _family_matrices(*check_family_coeffs(x1, x2, x3, y)), (2, 2)
-    )
+    return validate_density_stack(_family_matrices(*check_family_coeffs(x1, x2, x3, y)))
 
 
 def family_density(c: FamilyCoeffs) -> DensityMatrix:
     """Two-atom density matrix of the symmetric family in the computational basis."""
-    return DensityMatrix(_family_matrices(c.x1, c.x2, c.x3, c.y), (2, 2))
+    return DensityMatrix(_family_matrices(c.x1, c.x2, c.x3, c.y))
 
 
 def family_coeffs_stack(mats):
@@ -284,10 +274,7 @@ def family_coeffs_stack(mats):
     that has one.  Returns the arrays (x1, x2, x3, y) after the FamilyCoeffs
     rules of ``check_family_coeffs``.
     """
-    mats = np.asarray(mats, dtype=complex)
-    if mats.ndim < 2 or mats.shape[-2:] != (4, 4):
-        raise DimensionMismatchError(f"expected 4x4 states, got shape {mats.shape}")
-    sym = SYMMETRIC_BASIS.conj().T @ mats @ SYMMETRIC_BASIS
+    sym = SYMMETRIC_BASIS.conj().T @ _two_qubit_stack(mats) @ SYMMETRIC_BASIS
     residual = sym.copy()
     for i, j in ((0, 0), (1, 1), (3, 3), (0, 3), (3, 0)):
         residual[..., i, j] = 0.0
@@ -325,8 +312,9 @@ def load_density_matrix(source: Union[str, IO[str]]) -> DensityMatrix:
     The document must carry ``dims`` (list of integers) and ``rows`` (list of
     rows, each entry a two-element [re, im] pair), row-major with exactly
     dim*dim entries.  Text that is not UTF-8 and layout problems raise
-    StateFormatError; a well-formed file describing an invalid state raises
-    the usual validation errors.
+    StateFormatError.  Once the layout has parsed, ``dims`` other than
+    ``[2, 2]`` raise DimensionMismatchError, and a two-qubit file describing
+    an invalid state raises the usual validation errors.
     """
     try:
         if hasattr(source, "read"):
@@ -366,4 +354,6 @@ def load_density_matrix(source: Union[str, IO[str]]) -> DensityMatrix:
             ):
                 raise StateFormatError(f"entry ({i}, {j}) must be a [re, im] pair")
             mat[i, j] = complex(_entry_part(entry[0]), _entry_part(entry[1]))
-    return DensityMatrix(mat, tuple(dims))
+    if dims != [2, 2]:
+        raise DimensionMismatchError(f"a state file needs dims [2, 2], this one carries {dims}")
+    return DensityMatrix(mat)

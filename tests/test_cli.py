@@ -428,6 +428,29 @@ def test_check_state_wrong_dims_exit_2(tmp_path, capsys):
     assert "dims" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "mat, dims, rows, code",
+    [
+        (np.eye(6) / 6.0, (2, 3), 6, EXIT_NUMERIC),
+        (np.eye(4) / 4.0, (4,), 4, EXIT_NUMERIC),
+        # the layout is checked before the dims: 5 rows for dims [2, 3]
+        (np.eye(6) / 6.0, (2, 3), 5, EXIT_PARSE),
+    ],
+)
+def test_check_state_exit_codes_for_files_that_are_not_two_qubit(
+    tmp_path, capsys, mat, dims, rows, code
+):
+    path = tmp_path / "state.json"
+    write_state(path, mat, dims)
+    doc = json.loads(path.read_text())
+    doc["rows"] = doc["rows"][:rows]
+    path.write_text(json.dumps(doc))
+    assert run_cli(["check-state", str(path)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("dims" if code == EXIT_NUMERIC else "rows") in captured.err
+
+
 def test_check_state_malformed_json_exit_65(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{oops")
@@ -591,7 +614,7 @@ def test_untyped_error_is_a_bug_not_exit_2(monkeypatch):
 
 def test_no_convergence_exits_2(monkeypatch, capsys):
     # NoConvergenceError is a RuntimeError, and typed: a numeric failure
-    def stalled(mats, dims):
+    def stalled(mats):
         raise NoConvergenceError("eigensolver did not converge: stalled")
 
     monkeypatch.setattr(cli, "pt_spectrum", stalled)

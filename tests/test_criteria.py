@@ -21,6 +21,7 @@ from cavsqueeze import (
     negativity,
     ppt_entangled,
     spin_moments,
+    spin_moments_stack,
     xi2_closed_n1,
     xi2_family,
     xi_squared,
@@ -104,9 +105,9 @@ class TestSpinMoments:
         assert np.abs(covariance - np.diag([0.5, 0.5, 0.0])).max() < 1e-12
 
     def test_rejects_wrong_dims(self):
-        rng = np.random.default_rng(22)
+        # a bare stack of 6 x 6 matrices never reaches the moment contraction
         with pytest.raises(DimensionMismatchError):
-            spin_moments(random_density(rng, (4,)))
+            spin_moments_stack(np.tile(np.eye(6) / 6.0, (3, 1, 1)))
 
 
 class TestSpinFrame:
@@ -157,7 +158,7 @@ class TestXiSquared:
     def test_result_frame_reproduces_value(self):
         rng = np.random.default_rng(24)
         for _ in range(100):
-            rho = random_density(rng, (2, 2))
+            rho = random_density(rng)
             try:
                 result = xi_squared(rho)
             except ZeroMeanSpinError:
@@ -170,7 +171,7 @@ class TestXiSquared:
     def test_perp_frame_orthogonal_to_mean(self):
         rng = np.random.default_rng(25)
         for _ in range(100):
-            rho = random_density(rng, (2, 2))
+            rho = random_density(rng)
             try:
                 result = xi_squared(rho, policy=PERP_OPTIMAL)
             except ZeroMeanSpinError:
@@ -189,7 +190,7 @@ class TestXiSquared:
     def test_global_not_above_perp(self):
         rng = np.random.default_rng(26)
         for _ in range(100):
-            rho = random_density(rng, (2, 2))
+            rho = random_density(rng)
             try:
                 perp = xi_squared(rho, policy=PERP_OPTIMAL).value
             except ZeroMeanSpinError:
@@ -200,7 +201,7 @@ class TestXiSquared:
     def test_global_matches_reduced_form_oracle(self):
         rng = np.random.default_rng(27)
         for _ in range(200):
-            rho = random_density(rng, (2, 2))
+            rho = random_density(rng)
             try:
                 want = reference_global_minimum(rho)
             except ZeroMeanSpinError:
@@ -219,7 +220,7 @@ class TestXiSquared:
     def test_global_frame_reproduces_value(self):
         rng = np.random.default_rng(28)
         for _ in range(50):
-            rho = random_density(rng, (2, 2))
+            rho = random_density(rng)
             try:
                 result = xi_squared(rho, policy=GLOBAL)
             except ZeroMeanSpinError:
@@ -256,7 +257,7 @@ class TestNegativity:
             assert negativity(random_separable(rng)) < 1e-12
 
     def test_maximally_mixed(self):
-        assert negativity(DensityMatrix(np.eye(4) / 4.0, (2, 2))) < 1e-15
+        assert negativity(DensityMatrix(np.eye(4) / 4.0)) < 1e-15
 
 
 class TestPptEntangled:
@@ -264,7 +265,7 @@ class TestPptEntangled:
         assert ppt_entangled(family_density(BELL_COEFFS))
 
     def test_maximally_mixed(self):
-        assert not ppt_entangled(DensityMatrix(np.eye(4) / 4.0, (2, 2)))
+        assert not ppt_entangled(DensityMatrix(np.eye(4) / 4.0))
 
     def test_boundary_family_not_flagged(self):
         # x2 = 2*sqrt(x1*x3) exactly: the transpose eigenvalue sits at zero
@@ -276,9 +277,9 @@ class TestPptEntangled:
         assert ppt_entangled(family_density(c))
 
     def test_rejects_wrong_dims(self):
-        rng = np.random.default_rng(30)
+        # a bare 2 x 3 state reaches the one shape check of the transpose
         with pytest.raises(DimensionMismatchError):
-            ppt_entangled(random_density(rng, (2, 3)))
+            ppt_entangled(np.eye(6) / 6.0)
 
 
 class TestDiagonalFamilyEntangled:

@@ -229,7 +229,7 @@ class TestEvolveExact:
             joint = np.outer(psi, psi.conj()).reshape(4, d, 4, d)
             want = np.einsum("ikjk->ij", joint)
             got = evolve_exact(cfg)
-            assert got.dims == (2, 2)
+            assert got.mat.shape == (4, 4)
             assert np.abs(got.mat - want).max() < 1e-12, (n, cutoff, gt)
 
     def test_cached_eigensystem_is_read_only(self):

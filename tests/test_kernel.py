@@ -91,7 +91,7 @@ def test_generic_states_get_the_same_bits_alone_and_stacked():
     stack = np.stack([rho.mat for rho in states])
     mean, second = cs.spin_moments_stack(stack)
     perp = cs.xi_perp_stack(mean, second)
-    spectra = cs.pt_spectrum(stack, dims=(2, 2))
+    spectra = cs.pt_spectrum(stack)
     for i, rho in enumerate(states):
         moments = cs.spin_moments(rho)
         assert np.array_equal(moments.mean, mean[i])
@@ -212,18 +212,18 @@ def test_one_invalid_matrix_fails_the_stack_like_the_scalar(entry, value, error)
     stack = np.tile(np.eye(4, dtype=complex) / 4.0, (40, 1, 1))
     stack[23][entry] = value
     with pytest.raises(error, match="^entry 23: "):
-        cs.validate_density_stack(stack, (2, 2))
+        cs.validate_density_stack(stack)
     with pytest.raises(error):
-        cs.DensityMatrix(stack[23], (2, 2))
+        cs.DensityMatrix(stack[23])
 
 
 def test_non_positive_matrix_fails_the_stack_like_the_scalar():
     stack = np.tile(np.eye(4, dtype=complex) / 4.0, (40, 1, 1))
     stack[7] = np.diag([1.5, -0.5, 0.0, 0.0])
     with pytest.raises(cs.NotPositiveError, match="^entry 7: "):
-        cs.validate_density_stack(stack, (2, 2))
+        cs.validate_density_stack(stack)
     with pytest.raises(cs.NotPositiveError):
-        cs.DensityMatrix(stack[7], (2, 2))
+        cs.DensityMatrix(stack[7])
 
 
 def test_moment_kernel_uses_the_validator_hermiticity_rule():
@@ -231,7 +231,7 @@ def test_moment_kernel_uses_the_validator_hermiticity_rule():
     # reads the real moments; beyond it both raise NotHermitianError.
     near = np.eye(4, dtype=complex) / 4.0
     near[np.triu_indices(4, 1)] += 0.9e-10j
-    rho = cs.DensityMatrix(near, (2, 2))
+    rho = cs.DensityMatrix(near)
     mean, second = cs.spin_moments_stack(rho.mat[None])
     assert np.abs(mean).max() < 1e-9
     assert np.allclose(second[0], np.eye(3) / 2.0, atol=1e-9)
@@ -242,7 +242,14 @@ def test_moment_kernel_uses_the_validator_hermiticity_rule():
 
 
 def test_kernel_rejects_states_that_are_not_two_qubit():
-    with pytest.raises(cs.DimensionMismatchError):
-        cs.spin_moments_stack(np.zeros((3, 3, 3)))
-    with pytest.raises(cs.DimensionMismatchError):
-        cs.validate_density_stack(np.tile(np.eye(4) / 4.0, (2, 1, 1)), (2, 3))
+    # one shape check serves every stack entry point
+    entry_points = (
+        cs.spin_moments_stack,
+        cs.validate_density_stack,
+        cs.partial_transpose,
+        cs.family_coeffs_stack,
+    )
+    for bad in (np.zeros((3, 3, 3)), np.tile(np.eye(6) / 6.0, (2, 1, 1)), np.zeros(16)):
+        for entry_point in entry_points:
+            with pytest.raises(cs.DimensionMismatchError, match="4x4 two-qubit"):
+                entry_point(bad)

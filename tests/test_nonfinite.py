@@ -31,12 +31,12 @@ def test_density_matrix_rejects_non_finite_entry(bad):
     mat = np.eye(4, dtype=complex) / 4.0
     mat[1, 2] = bad
     with pytest.raises(NonFiniteError):
-        cs.DensityMatrix(mat, (2, 2))
+        cs.DensityMatrix(mat)
 
 
 def test_density_matrix_rejects_all_nan():
     with pytest.raises(NonFiniteError):
-        cs.DensityMatrix(np.full((4, 4), math.nan), (2, 2))
+        cs.DensityMatrix(np.full((4, 4), math.nan))
 
 
 @pytest.mark.parametrize("bad", BAD_VALUES)
@@ -84,12 +84,12 @@ def test_nan_frame_never_reaches_a_quotient():
 def test_partial_transpose_rejects_shape_off_dims(shape):
     mat = np.zeros(shape)
     with pytest.raises(DimensionMismatchError):
-        cs.partial_transpose(mat, dims=(2, 2))
+        cs.partial_transpose(mat)
 
 
 def test_pt_spectrum_rejects_shape_off_dims():
     with pytest.raises(DimensionMismatchError):
-        cs.pt_spectrum(np.eye(6) / 6, dims=(2, 2))
+        cs.pt_spectrum(np.eye(6) / 6)
 
 
 def test_hermitian_eig_rejects_nan():
@@ -164,4 +164,4 @@ def test_any_non_finite_entry_raises(bad, row, col):
     mat = np.eye(4, dtype=complex) / 4.0
     mat[row, col] = bad
     with pytest.raises(NonFiniteError):
-        cs.DensityMatrix(mat, (2, 2))
+        cs.DensityMatrix(mat)

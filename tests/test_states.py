@@ -8,7 +8,6 @@ import pytest
 
 from cavsqueeze import (
     SYMMETRIC_BASIS,
-    BadSubsystemError,
     DensityMatrix,
     DimensionMismatchError,
     FamilyCoeffs,
@@ -53,49 +52,51 @@ def test_symmetric_basis_columns():
 
 class TestDensityMatrix:
     def test_valid_state_roundtrips(self):
-        rho = DensityMatrix(np.eye(4) / 4.0, (2, 2))
-        assert rho.dims == (2, 2)
+        rho = DensityMatrix(np.eye(4) / 4.0)
         assert rho.mat.shape == (4, 4)
         assert rho.mat.dtype == complex
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            DensityMatrix(np.eye(4) / 4.0, (2, 3))
+            DensityMatrix(np.eye(6) / 6.0)
+        with pytest.raises(DimensionMismatchError, match="one 4x4 matrix"):
+            DensityMatrix(np.tile(np.eye(4) / 4.0, (2, 1, 1)))
 
     def test_rejects_bad_dims(self):
+        # valid states of one and of two levels, but not of two qubits
         with pytest.raises(DimensionMismatchError):
-            DensityMatrix(np.eye(1), ())
+            DensityMatrix(np.eye(1))
         with pytest.raises(DimensionMismatchError):
-            DensityMatrix(np.eye(2) / 2.0, (2, 0))
+            DensityMatrix(np.eye(2) / 2.0)
 
     def test_rejects_non_hermitian(self):
         mat = np.eye(4, dtype=complex) / 4.0
         mat[0, 1] = 0.2
         with pytest.raises(NotHermitianError):
-            DensityMatrix(mat, (2, 2))
+            DensityMatrix(mat)
 
     def test_rejects_wrong_trace_with_value_in_message(self):
         mat = np.diag([0.45, 0.45, 0.0, 0.0]).astype(complex)
         with pytest.raises(NotNormalizedError, match="trace = 0.9"):
-            DensityMatrix(mat, (2, 2))
+            DensityMatrix(mat)
 
     def test_rejects_negative_eigenvalue(self):
         mat = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
         with pytest.raises(NotPositiveError):
-            DensityMatrix(mat, (2, 2))
+            DensityMatrix(mat)
 
     def test_accepts_psd_noise_at_tolerance(self):
         mat = np.diag([1.0 + 5e-11, -5e-11, 0.0, 0.0]).astype(complex)
-        DensityMatrix(mat, (2, 2))
+        DensityMatrix(mat)
 
     def test_matrix_is_read_only(self):
-        rho = DensityMatrix(np.eye(4) / 4.0, (2, 2))
+        rho = DensityMatrix(np.eye(4) / 4.0)
         with pytest.raises(ValueError):
             rho.mat[0, 0] = 5.0
 
     def test_does_not_alias_the_input(self):
         mat = np.eye(4, dtype=complex) / 4.0
-        rho = DensityMatrix(mat, (2, 2))
+        rho = DensityMatrix(mat)
         mat[0, 0] = 99.0
         assert rho.mat[0, 0] == 0.25
 
@@ -130,30 +131,14 @@ class TestFamilyCoeffs:
 
 class TestPartialTranspose:
     def test_bell_state_spectrum(self):
-        rho = DensityMatrix(BELL_PHI_PLUS, (2, 2))
+        rho = DensityMatrix(BELL_PHI_PLUS)
         values = np.linalg.eigvalsh(partial_transpose(rho))
         assert np.abs(values - np.array([-0.5, 0.5, 0.5, 0.5])).max() < 1e-12
 
-    def test_bare_matrix_needs_dims(self):
-        with pytest.raises(BadSubsystemError, match="dims"):
-            partial_transpose(BELL_PHI_PLUS)
-
     def test_bare_matrix_with_dims(self):
-        rho = DensityMatrix(BELL_PHI_PLUS, (2, 2))
-        assert np.array_equal(
-            partial_transpose(BELL_PHI_PLUS, dims=(2, 2)), partial_transpose(rho)
-        )
-
-    def test_rejects_bad_subsystem(self):
-        rho = DensityMatrix(BELL_PHI_PLUS, (2, 2))
-        with pytest.raises(BadSubsystemError):
-            partial_transpose(rho, sub=2)
-
-    def test_rejects_tripartite(self):
-        rng = np.random.default_rng(12)
-        rho = random_density(rng, (2, 2, 2))
-        with pytest.raises(BadSubsystemError):
-            partial_transpose(rho)
+        # a bare 4 x 4 array is read as two qubits, like a DensityMatrix
+        rho = DensityMatrix(BELL_PHI_PLUS)
+        assert np.array_equal(partial_transpose(BELL_PHI_PLUS), partial_transpose(rho))
 
     def test_property_suite(self):
         check_pt_involution(np.random.default_rng(103), 200)
@@ -195,7 +180,7 @@ class TestFamilyStates:
         states += [family_density(random_family_coeffs(rng, real_y=False)).mat for _ in range(100)]
         x1, x2, x3, y = family_coeffs_stack(np.array(states))
         for i, mat in enumerate(states):
-            one = family_coeffs_from_density(DensityMatrix(mat, (2, 2)))
+            one = family_coeffs_from_density(DensityMatrix(mat))
             assert (x1[i], x2[i], x3[i], y[i]) == (one.x1, one.x2, one.x3, one.y)
             explicit = (
                 mat[0, 0].real,
@@ -208,15 +193,15 @@ class TestFamilyStates:
     def test_stack_names_the_first_state_outside_the_family(self):
         rng = np.random.default_rng(18)
         states = np.array([family_density(random_family_coeffs(rng)).mat for _ in range(9)])
-        states[6] = random_density(rng, (2, 2)).mat
-        states[8] = random_density(rng, (2, 2)).mat
+        states[6] = random_density(rng).mat
+        states[8] = random_density(rng).mat
         with pytest.raises(OutsideFamilyError, match="^entry 6: state lies outside"):
             family_coeffs_stack(states)
 
     def test_rejects_generic_state(self):
         rng = np.random.default_rng(14)
         with pytest.raises(OutsideFamilyError, match="outside the symmetric family"):
-            family_coeffs_from_density(random_density(rng, (2, 2)))
+            family_coeffs_from_density(random_density(rng))
 
     def test_rejects_antisymmetric_population(self):
         singlet = 0.5 * np.array(
@@ -229,12 +214,11 @@ class TestFamilyStates:
             dtype=complex,
         )
         with pytest.raises(OutsideFamilyError, match="outside the symmetric family"):
-            family_coeffs_from_density(DensityMatrix(singlet, (2, 2)))
+            family_coeffs_from_density(DensityMatrix(singlet))
 
     def test_rejects_wrong_size(self):
-        rng = np.random.default_rng(15)
         with pytest.raises(DimensionMismatchError):
-            family_coeffs_from_density(random_density(rng, (2, 3)))
+            family_coeffs_stack(np.eye(6) / 6.0)
 
 
 class TestLoadDensityMatrix:
@@ -247,13 +231,27 @@ class TestLoadDensityMatrix:
         path = tmp_path / "bell.json"
         path.write_text(json.dumps(self._doc(BELL_PHI_PLUS, (2, 2))))
         rho = load_density_matrix(str(path))
-        assert rho.dims == (2, 2)
+        assert rho.mat.shape == (4, 4)
         assert np.abs(rho.mat - BELL_PHI_PLUS).max() < 1e-15
 
     def test_loads_from_file_object(self):
-        text = json.dumps(self._doc(np.eye(2) / 2.0, (2,)))
+        text = json.dumps(self._doc(BELL_PHI_PLUS, (2, 2)))
         rho = load_density_matrix(io.StringIO(text))
-        assert rho.dims == (2,)
+        assert np.array_equal(rho.mat, BELL_PHI_PLUS)
+
+    @pytest.mark.parametrize(
+        "mat, dims",
+        [
+            (np.eye(6) / 6.0, (2, 3)),
+            (np.eye(4) / 4.0, (4,)),
+            (np.eye(2) / 2.0, (2,)),
+            (np.eye(8) / 8.0, (2, 2, 2)),
+        ],
+    )
+    def test_rejects_valid_state_that_is_not_two_qubit(self, mat, dims):
+        doc = self._doc(mat, dims)
+        with pytest.raises(DimensionMismatchError, match=r"dims \[2, 2\]"):
+            load_density_matrix(io.StringIO(json.dumps(doc)))
 
     def test_rejects_bad_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -283,6 +281,7 @@ class TestLoadDensityMatrix:
             load_density_matrix(io.StringIO(json.dumps(doc)))
 
     def test_rejects_row_count_mismatch(self):
+        # dims [2] are not two qubits either, but the layout is checked first
         doc = self._doc(np.eye(2) / 2.0, (2,))
         doc["rows"] = doc["rows"][:1]
         with pytest.raises(StateFormatError, match="rows"):
@@ -295,6 +294,6 @@ class TestLoadDensityMatrix:
             load_density_matrix(io.StringIO(json.dumps(doc)))
 
     def test_validation_errors_propagate(self):
-        doc = self._doc(np.diag([0.45, 0.45]), (2,))
+        doc = self._doc(np.diag([0.45, 0.45, 0.0, 0.0]), (2, 2))
         with pytest.raises(NotNormalizedError, match="trace = 0.9"):
             load_density_matrix(io.StringIO(json.dumps(doc)))
