@@ -31,12 +31,10 @@ from .criteria import (
 )
 from .dynamics import (
     ModelConfig,
-    build_hamiltonian,
     closed_form_coeffs,
     closed_form_populations,
     evolve_exact,
     evolve_exact_stack,
-    hamiltonian_couplings,
     rabi_frequency,
 )
 from .errors import (
@@ -53,7 +51,6 @@ from .errors import (
     NotOrthonormalError,
     NotPositiveError,
     OutsideFamilyError,
-    SectorCouplingError,
     StateFormatError,
     UnknownPolicyError,
     ZeroMeanSpinError,

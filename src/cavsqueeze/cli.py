@@ -15,12 +15,13 @@ place only.
 populations, one validated stack of family states, the spin moments, both
 squeezing quotients and one partial-transpose spectrum per chunk.  The
 chunk bounds memory; a row's values do not depend on the chunk it lands in.
+The xi^2 flag column applies ``criteria.xi_entangled``, the verdict rule of
+``xi_squared``.
 ``scan-time --verify`` evolves the printed gt values exactly in chunks of
-``VERIFY_CHUNK`` rows with ``evolve_exact_stack``, which checks the
-Hamiltonian's O(n) coupling list and diagonalizes only the excitation
-sector of |g, g, n>, at most 4 x 4, once per photon number.  It reads the
-populations back (``family_coeffs_stack``) and compares them with the
-printed columns.
+``VERIFY_CHUNK`` rows with ``evolve_exact_stack``, which diagonalizes the
+Hamiltonian's block on the excitation sector of |g, g, n>, at most 4 x 4,
+once per photon number.  It reads the populations back
+(``family_coeffs_stack``) and compares them with the printed columns.
 ``family`` and ``check-state`` call the same kernel on a stack of one state
 and read the negativity and the PPT verdict from one partial-transpose
 spectrum.
@@ -58,6 +59,7 @@ from .criteria import (
     spectrum_negativity,
     spin_moments_stack,
     xi2_family,
+    xi_entangled,
     xi_frame_stack,
     xi_perp_stack,
     xi_squared,
@@ -97,8 +99,8 @@ SCAN_CHUNK = 512
 # Grid rows per exact evolution in scan-time --verify.  A chunk's
 # temporaries are (rows, 4) sector amplitudes and (rows, 4, 4) reduced
 # states at any n: with tracemalloc at n = 60 and 201 rows, 64-row chunks
-# peak at 0.11 MB and one 201-row chunk at 0.28 MB.  The coupling list
-# checked on a cache miss (0.02 MB at n = 60) does not depend on the chunk.
+# peak at 0.11 MB and one 201-row chunk at 0.29 MB.  A cache miss solves
+# one block of at most 4 x 4, whatever the chunk or n.
 VERIFY_CHUNK = 64
 
 # The fixed (x, y, z) triad of the scan's xi2_fixed_frame column and of
@@ -325,7 +327,7 @@ def build_scan_rows(photons: int, gt_max: float, steps: int):
         )
         xi_fixed = xi_frame_stack(mean, second, _CANONICAL_FRAME).value
         populations = (column.tolist() for column in (gt, x1, x2, x3))
-        flags = [value < 1.0 for value in xi_opt]
+        flags = xi_entangled(xi_opt).tolist()
         rows.extend(
             map(ScanRow, *populations, xi_opt, xi_fixed.tolist(), negativity, entangled, flags)
         )

@@ -10,7 +10,8 @@ Two independent criteria are implemented side by side:
   with the negativity as the quantitative companion, and
 * the collective-spin squeezing parameter
   xi^2 = N var(S_n1) / (<S_n2>^2 + <S_n3>^2) over orthonormal triads
-  (n1, n2, n3), which witnesses entanglement only when it drops below 1.
+  (n1, n2, n3), which witnesses entanglement only when it drops below 1;
+  ``xi_entangled`` is that verdict, for ``xi_squared`` and the scan alike.
 
 Closed forms for the symmetric family sit next to the generic machinery so
 either route can check the other.
@@ -359,7 +360,8 @@ def xi_squared(rho: DensityMatrix, policy: str = PERP_OPTIMAL) -> XiResult:
     -------
     XiResult
         The minimized quotient, the triad realizing it (n2 along the mean
-        spin projection), and the strict value < 1 entanglement flag.
+        spin projection), and the entanglement flag ``xi_entangled`` (value
+        strictly below 1).
 
     Raises
     ------
@@ -380,7 +382,7 @@ def xi_squared(rho: DensityMatrix, policy: str = PERP_OPTIMAL) -> XiResult:
         cov = second[0] - np.outer(mean[0], mean[0])
         n1, value = _sphere_minimum(cov, mean[0], mm, baseline=(n1, value))
         value = max(0.0, float(value))
-    return XiResult(value, _frame_about(n1, mean[0]), bool(value < 1.0))
+    return XiResult(value, _frame_about(n1, mean[0]), bool(xi_entangled(value)))
 
 
 def xi2_closed_n1(theta: float) -> float:
@@ -413,6 +415,14 @@ def spectrum_negativity(values: np.ndarray) -> np.ndarray:
 def spectrum_entangled(values: np.ndarray) -> np.ndarray:
     """True where the smallest eigenvalue is below PPT_EIGENVALUE_FLOOR."""
     return values[..., 0] < PPT_EIGENVALUE_FLOOR
+
+
+def xi_entangled(values) -> np.ndarray:
+    """The xi^2 verdict: True where a squeezing quotient is strictly below 1.
+
+    An undefined quotient (inf, vanishing mean spin) is False.
+    """
+    return np.asarray(values) < 1.0
 
 
 def negativity(rho: DensityMatrix) -> float:

@@ -69,7 +69,3 @@ class NotOrthonormalError(CavsqueezeError, ValueError):
 
 class UnknownPolicyError(CavsqueezeError, ValueError):
     """A frame-optimization policy name is not one the library implements."""
-
-
-class SectorCouplingError(CavsqueezeError, ValueError):
-    """A Hamiltonian entry couples two different excitation numbers."""

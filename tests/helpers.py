@@ -96,30 +96,33 @@ def random_frame(rng):
     return cs.SpinFrame(q[:, 0], q[:, 1], q[:, 2])
 
 
-def kron_hamiltonian(cfg):
+def kron_hamiltonian(cutoff):
     """Dense H = sum_i (sigma_i^+ a + sigma_i^- a^dagger) from Kronecker products.
 
-    The oracle for the library's coupling list: it builds the operators
-    themselves on atom1 x atom2 x field and never lists an entry.
+    The field keeps the Fock levels 0 .. cutoff - 1, and the flat index of
+    atoms (i, j) and photon number k is (i*2 + j)*cutoff + k.  The oracle for
+    the library's sector block: it builds the operators themselves on
+    atom1 x atom2 x field and never lists an entry.
     """
     sigma_plus = np.array([[0.0, 1.0], [0.0, 0.0]])
     eye = np.eye(2)
-    a = np.diag(np.sqrt(np.arange(1, cfg.field_cutoff)), k=1)
+    a = np.diag(np.sqrt(np.arange(1, cutoff)), k=1)
     raising = np.kron(np.kron(sigma_plus, eye), a) + np.kron(np.kron(eye, sigma_plus), a)
     return raising + raising.T
 
 
 def kron_eigensystem(n, cutoff):
-    """(indices, values, vectors) of the sector of |g, g, n>, from the kron Hamiltonian.
+    """(indices, block, values, vectors) of the sector of |g, g, n>, from the kron Hamiltonian.
 
     The indices are the flat indices whose atoms and photons hold n
     excitations; the block at them is cut out of the dense matrix and solved.
     """
-    h = kron_hamiltonian(cs.ModelConfig(n, 0.0, cutoff))
+    h = kron_hamiltonian(cutoff)
     excitations = (np.array([2, 1, 1, 0])[:, None] + np.arange(cutoff)).ravel()
     indices = np.flatnonzero(excitations == n)
-    values, vectors = cs.hermitian_eig(h[np.ix_(indices, indices)])
-    return indices, values, vectors
+    block = h[np.ix_(indices, indices)]
+    values, vectors = cs.hermitian_eig(block)
+    return indices, block, values, vectors
 
 
 def evolution_operator(h, t):
@@ -129,19 +132,18 @@ def evolution_operator(h, t):
     return (vectors * phases) @ vectors.conj().T
 
 
-def propagator_evolution(cfg):
+def propagator_evolution(n, gt, cutoff):
     """Reduced two-atom matrix of exp(-i*H*gt)|g, g, n>, one full propagator per call.
 
-    Builds the unitary of ``kron_hamiltonian`` with ``evolution_operator``
-    and traces out the field by reshaping the state vector, so it shares
-    neither the coupling list nor the cached eigensystem of
-    ``evolve_exact``.
+    Builds the unitary of ``kron_hamiltonian`` at the field truncation
+    ``cutoff`` (at least n + 1) with ``evolution_operator`` and traces out
+    the field by reshaping the state vector, so it shares neither the
+    sector block nor the cached eigensystem of ``evolve_exact``.
     """
-    d = cfg.field_cutoff
-    psi0 = np.zeros(4 * d, dtype=complex)
-    psi0[3 * d + cfg.n_photons] = 1.0
-    psi = evolution_operator(kron_hamiltonian(cfg), cfg.gt) @ psi0
-    amplitudes = psi.reshape(4, d)  # atom pair x photon number
+    psi0 = np.zeros(4 * cutoff, dtype=complex)
+    psi0[3 * cutoff + n] = 1.0
+    psi = evolution_operator(kron_hamiltonian(cutoff), gt) @ psi0
+    amplitudes = psi.reshape(4, cutoff)  # atom pair x photon number
     return amplitudes @ amplitudes.conj().T
 
 

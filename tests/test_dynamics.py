@@ -12,33 +12,21 @@ from cavsqueeze import (
     NegativeTimeError,
     NonFiniteError,
     NotNormalizedError,
-    SectorCouplingError,
-    build_hamiltonian,
     closed_form_coeffs,
     closed_form_populations,
     evolve_exact,
     evolve_exact_stack,
     family_coeffs_from_density,
     family_coeffs_stack,
-    hamiltonian_couplings,
     rabi_frequency,
 )
 from cavsqueeze import dynamics
-from cavsqueeze.cli import EXIT_NUMERIC, VERIFY_CHUNK, main
-from cavsqueeze.dynamics import _eigensystem
+from cavsqueeze.cli import VERIFY_CHUNK
+from cavsqueeze.dynamics import _eigensystem, _sector_block
 from helpers import evolution_operator, kron_eigensystem, kron_hamiltonian, propagator_evolution
 
 
 class TestModelConfig:
-    def test_default_cutoff_holds_initial_state(self):
-        cfg = ModelConfig(3, 1.0)
-        assert cfg.field_cutoff == 4
-
-    def test_explicit_cutoff(self):
-        for cutoff in (7, 7.0, np.int64(7)):
-            cfg = ModelConfig(2, 0.5, field_cutoff=cutoff)
-            assert cfg.field_cutoff == 7 and type(cfg.field_cutoff) is int
-
     def test_rejects_negative_photons(self):
         with pytest.raises(BadPhotonNumberError):
             ModelConfig(-1, 0.0)
@@ -46,10 +34,6 @@ class TestModelConfig:
     def test_rejects_negative_time(self):
         with pytest.raises(NegativeTimeError, match="gt must be >= 0"):
             ModelConfig(1, -0.1)
-
-    def test_rejects_cutoff_below_initial_state(self):
-        with pytest.raises(BadPhotonNumberError, match="cannot hold"):
-            ModelConfig(4, 0.0, field_cutoff=3)
 
     def test_accepts_integral_photon_numbers(self):
         for n in (2, 2.0, np.int64(2), np.float64(2.0)):
@@ -77,12 +61,6 @@ def test_rejects_non_integral_photon_number(n, call):
         call(n)
 
 
-@pytest.mark.parametrize("cutoff", (7.9, math.nan, math.inf, -math.inf))
-def test_rejects_non_integral_field_cutoff(cutoff):
-    with pytest.raises(BadPhotonNumberError, match="field_cutoff"):
-        ModelConfig(2, 0.5, field_cutoff=cutoff)
-
-
 class TestRabiFrequency:
     def test_values(self):
         assert abs(rabi_frequency(1) - math.sqrt(2.0)) < 1e-15
@@ -95,63 +73,74 @@ class TestRabiFrequency:
 
 
 def test_hamiltonian_is_real_and_evolution_complex():
-    assert build_hamiltonian(ModelConfig(3, 0.0)).dtype == np.float64
+    assert _sector_block(3)[2].dtype == np.float64
     assert evolve_exact(ModelConfig(3, 0.7)).mat.dtype == np.complex128
 
 
 class TestHamiltonian:
+    """The sector block of |g, g, n> against the Kronecker-product Hamiltonian."""
+
     def test_is_hermitian_and_real(self):
-        h = build_hamiltonian(ModelConfig(3, 0.0))
-        assert np.array_equal(h, h.conj().T)
-        assert np.abs(h.imag).max() == 0.0
+        for n in (0, 1, 2, 3, 200):
+            block = _sector_block(n)[2]
+            assert block.dtype == np.float64
+            assert np.array_equal(block, block.T)
 
     def test_frozen_matrix_elements(self):
-        # flat index (i*2 + j)*d + k for atoms (i, j) and photon k
-        d = 2
-        h = build_hamiltonian(ModelConfig(1, 0.0))
-        assert h.shape == (4 * d, 4 * d)
-        assert h[1 * d + 0, 3 * d + 1] == 1.0  # <eg,0| H |gg,1>
-        assert h[2 * d + 0, 3 * d + 1] == 1.0  # <ge,0| H |gg,1>
-        assert h[0 * d + 0, 1 * d + 1] == 1.0  # <ee,0| H |eg,1>
-        assert h[0 * d + 0, 2 * d + 1] == 1.0  # <ee,0| H |ge,1>
-        assert h[0 * d + 0, 3 * d + 1] == 0.0  # no two-step coupling
+        # sector order |ee,n-2>, |eg,n-1>, |ge,n-1>, |gg,n>
+        atoms, photons, block = _sector_block(1)
+        assert atoms.tolist() == [1, 2, 3] and photons.tolist() == [0, 0, 1]
+        assert block.tolist() == [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
+        atoms, photons, block = _sector_block(2)
+        r = math.sqrt(2.0)
+        assert atoms.tolist() == [0, 1, 2, 3] and photons.tolist() == [0, 1, 1, 2]
+        assert block.tolist() == [
+            [0.0, 1.0, 1.0, 0.0],  # <ee,0| H |eg,1> = <ee,0| H |ge,1> = sqrt(1)
+            [1.0, 0.0, 0.0, r],  # <eg,1| H |gg,2> = sqrt(2)
+            [1.0, 0.0, 0.0, r],
+            [0.0, r, r, 0.0],  # no two-step coupling to |ee,0>
+        ]
 
     def test_single_level_field_cannot_exchange(self):
-        h = build_hamiltonian(ModelConfig(0, 0.0))
-        assert h.shape == (4, 4)
-        assert np.abs(h).max() == 0.0
+        atoms, photons, block = _sector_block(0)
+        assert atoms.tolist() == [3] and photons.tolist() == [0]
+        assert block.shape == (1, 1) and block[0, 0] == 0.0
 
     @pytest.mark.parametrize(
-        "n, cutoff", [(0, 1), (0, 3), (1, 2), (2, 3), (2, 9), (7, 8), (7, 11), (60, 61), (60, 64)]
+        "n, cutoff",
+        [
+            (0, 1),
+            (0, 3),
+            (0, 4),
+            (1, 2),
+            (1, 5),
+            (2, 3),
+            (2, 6),
+            (2, 9),
+            (7, 8),
+            (7, 11),
+            (60, 61),
+            (60, 64),
+            (200, 201),
+            (200, 204),
+        ],
     )
     def test_matches_the_kron_oracle(self, n, cutoff):
-        cfg = ModelConfig(n, 0.0, field_cutoff=cutoff)
-        h = build_hamiltonian(cfg)
-        want = kron_hamiltonian(cfg)
-        assert h.dtype == want.dtype and np.array_equal(h, want)
-
-    @pytest.mark.parametrize("cutoff", (1, 2, 5, 40))
-    def test_coupling_list(self, cutoff):
-        rows, cols, values = hamiltonian_couplings(cutoff)
-        assert len(rows) == len(cols) == len(values) == 8 * (cutoff - 1)
-        assert values.dtype == np.float64 and (values > 0).all()
-        # each entry once, and its transpose with the same value
-        entries = dict(zip(zip(rows.tolist(), cols.tolist()), values.tolist()))
-        assert len(entries) == len(rows)
-        assert all(entries[j, i] == value for (i, j), value in entries.items())
-        # raising |k> -> |k-1> of the field carries sqrt(k)
-        photons = np.maximum(rows % cutoff, cols % cutoff)
-        assert np.array_equal(values, np.sqrt(photons))
-
-    @pytest.mark.parametrize("cutoff", (0, -3, 2.5, math.nan))
-    def test_coupling_list_rejects_a_bad_cutoff(self, cutoff):
-        with pytest.raises(BadPhotonNumberError, match="field_cutoff"):
-            hamiltonian_couplings(cutoff)
+        # the library's block is the kron Hamiltonian's sector, bit for bit,
+        # at the smallest truncation that holds |g, g, n> and at larger ones
+        atoms, photons, block = _sector_block(n)
+        indices, want, _, _ = kron_eigensystem(n, cutoff)
+        kron_atoms, kron_photons = np.divmod(indices, cutoff)
+        assert atoms.tolist() == kron_atoms.tolist()
+        assert photons.tolist() == (kron_photons - kron_photons.min()).tolist()
+        assert block.dtype == want.dtype and block.shape == want.shape
+        assert block.tobytes() == want.tobytes()
 
     def test_conserves_excitation_number(self):
-        cfg = ModelConfig(2, 0.0, field_cutoff=5)
-        d = cfg.field_cutoff
-        h = build_hamiltonian(cfg)
+        # the kron Hamiltonian commutes with the excitation number, which is
+        # what makes the sector of |g, g, n> closed
+        d = 5
+        h = kron_hamiltonian(d)
         excitation = np.zeros((4 * d, 4 * d))
         for block, atoms_excited in enumerate((2, 1, 1, 0)):
             for k in range(d):
@@ -183,58 +172,54 @@ class TestEvolveExact:
                 assert abs(evolved.y) < 1e-12
 
     def test_larger_cutoff_changes_nothing(self):
-        # the excitation sector is closed, so extra Fock levels stay empty
-        base = evolve_exact(ModelConfig(2, 1.3))
-        padded = evolve_exact(ModelConfig(2, 1.3, field_cutoff=9))
-        assert np.abs(base.mat - padded.mat).max() < 1e-12
+        # the excitation sector is closed, so a field truncation with extra
+        # Fock levels leaves them empty: the full-space propagator at any
+        # cutoff that holds |g, g, n> gives the sector's reduced state
+        for n, gt in ((0, 0.8), (1, 0.9), (2, 1.3), (7, 2.2)):
+            base = evolve_exact(ModelConfig(n, gt)).mat
+            for cutoff in (n + 1, n + 2, n + 4, n + 9):
+                padded = propagator_evolution(n, gt, cutoff)
+                assert np.abs(base - padded).max() < 1e-12, (n, gt, cutoff)
 
     def test_matches_propagator_across_cache_hits_and_misses(self):
-        # (n, field_cutoff, gt); 0 is the default cutoff n + 1.  A larger
-        # cutoff follows the default one at the same n, so an eigensystem
-        # reused across cutoffs would fail on shape or values.
+        # (n, gt); the oracle's cutoff varies, the library has none
         sequence = [
-            (2, 0, 0.0),
-            (2, 0, 1.3),
-            (2, 9, 1.3),
-            (2, 9, 0.4),
-            (2, 0, 0.4),
-            (5, 0, 2.7),
-            (5, 0, 0.1),
-            (1, 0, 0.9),
-            (5, 0, 2.7),
-            (5, 7, 2.7),
-            (60, 0, 1.1),
-            (60, 0, 3.0),
-            (2, 0, 1.3),
+            (2, 0.0),
+            (2, 1.3),
+            (2, 0.4),
+            (5, 2.7),
+            (5, 0.1),
+            (1, 0.9),
+            (5, 2.7),
+            (60, 1.1),
+            (60, 3.0),
+            (2, 1.3),
         ]
         _eigensystem.cache_clear()
-        for n, cutoff, gt in sequence:
-            cfg = ModelConfig(n, gt, field_cutoff=cutoff)
-            want = propagator_evolution(cfg)
-            assert np.abs(evolve_exact(cfg).mat - want).max() < 1e-12, (n, cutoff, gt)
-        # every (n, cutoff) pair is solved once, whatever came between
+        for i, (n, gt) in enumerate(sequence):
+            want = propagator_evolution(n, gt, n + 1 + i % 3)
+            assert np.abs(evolve_exact(ModelConfig(n, gt)).mat - want).max() < 1e-12, (n, gt)
+        # every photon number is solved once, whatever came between
         info = _eigensystem.cache_info()
-        distinct = len({(n, cutoff) for n, cutoff, _ in sequence})
+        distinct = len({n for n, _ in sequence})
         assert (info.misses, info.hits) == (distinct, len(sequence) - distinct)
 
     def test_matches_partial_trace_of_the_joint_state(self):
         # evolve_exact traces the field out of the state vector; tracing the
         # field out of the joint |psi><psi| must give the same reduced state.
-        for n, cutoff, gt in ((1, 0, 0.7), (3, 6, 2.2), (20, 0, 1.9)):
-            cfg = ModelConfig(n, gt, field_cutoff=cutoff)
-            d = cfg.field_cutoff
+        for n, d, gt in ((1, 2, 0.7), (3, 6, 2.2), (20, 21, 1.9)):
             psi0 = np.zeros(4 * d, dtype=complex)
             psi0[3 * d + n] = 1.0
-            psi = evolution_operator(build_hamiltonian(cfg), gt) @ psi0
+            psi = evolution_operator(kron_hamiltonian(d), gt) @ psi0
             joint = np.outer(psi, psi.conj()).reshape(4, d, 4, d)
             want = np.einsum("ikjk->ij", joint)
-            got = evolve_exact(cfg)
+            got = evolve_exact(ModelConfig(n, gt))
             assert got.mat.shape == (4, 4)
-            assert np.abs(got.mat - want).max() < 1e-12, (n, cutoff, gt)
+            assert np.abs(got.mat - want).max() < 1e-12, (n, d, gt)
 
     def test_cached_eigensystem_is_read_only(self):
-        cached = _eigensystem(3, 4)
-        assert len(cached) == 3  # the sector's indices, values and vectors
+        cached = _eigensystem(3)
+        assert len(cached) == 4  # the sector's atoms, photons, values and vectors
         for array in cached:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
@@ -249,18 +234,16 @@ class TestEvolveExact:
 
 class TestEvolveExactStack:
     def test_rows_match_the_scalar_route(self):
-        # Every n from 0 to 60, default and larger cutoffs; a few arrays are
-        # longer than a verify chunk.
+        # Every n from 0 to 60; a few arrays are longer than a verify chunk.
         rng = np.random.default_rng(19)
         for n in range(61):
             size = VERIFY_CHUNK + 3 if n in (0, 1, 7, 33, 60) else 5
-            cutoff = 0 if n % 3 else n + 1 + int(rng.integers(1, 4))
             gt = rng.uniform(0.0, 10.0, size)
-            stack = evolve_exact_stack(n, gt, field_cutoff=cutoff)
+            stack = evolve_exact_stack(n, gt)
             assert stack.shape == (size, 4, 4) and stack.dtype == np.complex128
             for row, value in zip(stack, gt):
-                want = evolve_exact(ModelConfig(n, value, field_cutoff=cutoff)).mat
-                assert np.abs(row - want).max() <= 1e-14, (n, cutoff, value)
+                want = evolve_exact(ModelConfig(n, value)).mat
+                assert np.abs(row - want).max() <= 1e-14, (n, value)
 
     def test_rows_do_not_depend_on_the_stack(self):
         gt = np.linspace(0.0, 7.3, 2 * VERIFY_CHUNK + 5)
@@ -291,13 +274,13 @@ class TestEvolveExactStack:
     def test_applies_the_model_rules(self):
         with pytest.raises(BadPhotonNumberError):
             evolve_exact_stack(-1, [0.5])
-        with pytest.raises(BadPhotonNumberError, match="cannot hold"):
-            evolve_exact_stack(4, [0.5], field_cutoff=3)
+        with pytest.raises(BadPhotonNumberError, match="photon number must be a finite whole"):
+            evolve_exact_stack(2.5, [0.5])
 
     def test_rejects_unnormalized(self, monkeypatch):
-        indices, values, vectors = _eigensystem(2, 3)
+        atoms, photons, values, vectors = _eigensystem(2)
         monkeypatch.setattr(
-            dynamics, "_eigensystem", lambda n, d: (indices, values, 1.5 * vectors)
+            dynamics, "_eigensystem", lambda n: (atoms, photons, values, 1.5 * vectors)
         )
         with pytest.raises(NotNormalizedError, match="^entry 0: .*norm = 2.25$"):
             evolve_exact_stack(2, [0.5, 1.0])
@@ -315,31 +298,45 @@ class TestExcitationSector:
         ],
     )
     def test_holds_the_states_with_n_excitations(self, n, cutoff, states):
+        # the library's sector states, and the oracle's flat indices of the
+        # same states at a field truncation
         blocks = ("ee", "eg", "ge", "gg")
-        indices, values, vectors = _eigensystem(n, cutoff)
-        want = [blocks.index(atoms) * cutoff + k for atoms, k in states]
-        assert indices.tolist() == want
-        assert values.shape == (len(want),) and vectors.shape == (len(want), len(want))
+        atoms, photons, values, vectors = _eigensystem(n)
+        smallest = states[0][1]
+        assert atoms.tolist() == [blocks.index(pair) for pair, _ in states]
+        assert photons.tolist() == [k - smallest for _, k in states]
+        assert values.shape == (len(states),) and vectors.shape == (len(states), len(states))
+        want = [blocks.index(pair) * cutoff + k for pair, k in states]
+        assert kron_eigensystem(n, cutoff)[0].tolist() == want
 
-    @pytest.mark.parametrize("n", (1, 2, 7, 60, 200))
+    @pytest.mark.parametrize("n", (0, 1, 2, 7, 60, 200))
     @pytest.mark.parametrize("pad", (0, 3))
     def test_bit_identical_to_the_kron_route(self, n, pad):
-        got = _eigensystem(n, n + 1 + pad)
-        want = kron_eigensystem(n, n + 1 + pad)
-        for a, b in zip(got, want):
+        _, _, values, vectors = _eigensystem(n)
+        _, _, want_values, want_vectors = kron_eigensystem(n, n + 1 + pad)
+        for a, b in ((values, want_values), (vectors, want_vectors)):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
 
-    def test_setup_memory_is_linear_in_n(self):
-        # the dense Hamiltonian at n = 400 alone is 20 MB
+    def test_setup_memory_does_not_grow_with_n(self):
+        # a sector is at most 4 x 4 at any n; the earlier O(n) coupling list
+        # peaked at 343 MiB at n = 10**6
         _eigensystem.cache_clear()
         tracemalloc.start()
         try:
-            _eigensystem(400, 401)
+            _eigensystem(10**6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1_000_000
+        assert peak < 100_000
+
+    def test_photon_number_beyond_int64(self):
+        # the sector's photon offsets do not depend on n, so a photon number
+        # that no int64 holds still gets its sector
+        atoms, photons, _, _ = _eigensystem(2**64)
+        assert atoms.tolist() == [0, 1, 2, 3] and photons.tolist() == [0, 1, 1, 2]
+        rho = evolve_exact_stack(2**64, 0.0)
+        assert np.abs(rho - np.diag([0.0, 0.0, 0.0, 1.0])).max() <= 1e-12
 
     def test_worst_deviation_from_the_closed_form(self):
         gt = np.linspace(0.0, 10.0, 201)
@@ -352,8 +349,8 @@ class TestExcitationSector:
         assert worst <= 1e-13
 
     def test_large_photon_number(self):
-        # The dense Hamiltonian at n = 2000 would take 0.5 GB; the coupling
-        # list takes 0.4 MB.  The deviation grows as gt times the last-bit
+        # The dense Hamiltonian at n = 2000 would take 0.5 GB; the sector
+        # block is 4 x 4.  The deviation grows as gt times the last-bit
         # error of the eigenvalue sqrt(2(2n - 1)) = 89.4: 1.5e-13 at gt = 10.
         gt = np.linspace(0.0, 10.0, 201)
         evolved = family_coeffs_stack(evolve_exact_stack(2000, gt))
@@ -364,50 +361,10 @@ class TestExcitationSector:
     def test_matches_the_full_space_propagator(self, n):
         cutoff = n + 1 + n % 4
         gt = np.linspace(0.0, 6.1, 13)
-        stack = evolve_exact_stack(n, gt, field_cutoff=cutoff)
+        stack = evolve_exact_stack(n, gt)
         for row, value in zip(stack, gt):
-            want = propagator_evolution(ModelConfig(n, value, field_cutoff=cutoff))
+            want = propagator_evolution(n, value, cutoff)
             assert np.abs(row - want).max() <= 1e-12, (n, value)
-
-
-class TestSectorCoupling:
-    """A coupling list that joins |g,g,n> to |g,g,n-1> leaks out of the sector.
-
-    Both calls below use the default cutoff d = n + 1, so the leak sits on
-    the last two flat indices 3d + n - 1 and 3d + n.
-    """
-
-    @pytest.fixture
-    def leaky(self, monkeypatch):
-        def leaky_couplings(d):
-            rows, cols, values = hamiltonian_couplings(d)
-            n = d - 1
-            return (
-                np.append(rows, [3 * d + n, 3 * d + n - 1]),
-                np.append(cols, [3 * d + n - 1, 3 * d + n]),
-                np.append(values, [0.25, 0.25]),
-            )
-
-        monkeypatch.setattr(dynamics, "hamiltonian_couplings", leaky_couplings)
-        _eigensystem.cache_clear()
-        yield
-        _eigensystem.cache_clear()
-
-    def test_evolution_raises(self, leaky):
-        with pytest.raises(SectorCouplingError, match="couples excitation numbers 2 and 3"):
-            evolve_exact_stack(3, [0.0, 0.5])
-        assert _eigensystem.cache_info().currsize == 0
-
-    def test_scan_verify_exits_2(self, leaky, capsys):
-        argv = ["scan-time", "--photons", "2", "--steps", "5", "--verify"]
-        assert main(argv) == EXIT_NUMERIC
-        captured = capsys.readouterr()
-        assert captured.out.startswith("gt,x1,")
-        assert re.fullmatch(
-            r"cavsqueeze: Hamiltonian entry \(10, 11\) = 0\.25 couples excitation "
-            r"numbers 1 and 2\n",
-            captured.err,
-        )
 
 
 class TestClosedFormCoeffs:

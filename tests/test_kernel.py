@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import cavsqueeze as cs
+from cavsqueeze import cli, criteria
 from cavsqueeze.cli import SCAN_CHUNK, build_scan_rows
 from helpers import SPIN_OPERATORS, random_density, reference_xi_perp_stack
 
@@ -59,6 +60,28 @@ def test_negativity_matches_corner_block(scan):
 def test_optimized_flag_follows_value(scan):
     _, rows = scan
     assert all(row.xi2_flags_entangled == (row.xi2_optimized < 1.0) for row in rows)
+
+
+def test_xi_verdict_is_strictly_below_one():
+    values = [0.0, 0.5, 1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52, math.inf]
+    assert criteria.xi_entangled(values).tolist() == [True, True, True, False, False, False]
+
+
+def test_scan_and_xi_squared_read_one_verdict_rule(monkeypatch):
+    # A different threshold in the one rule moves the scan's flag column and
+    # xi_squared's flag alike.
+    def below_two(values):
+        return np.asarray(values) < 2.0
+
+    monkeypatch.setattr(criteria, "xi_entangled", below_two)
+    monkeypatch.setattr(cli, "xi_entangled", below_two)
+    rows = build_scan_rows(1, GT_MAX, 301)
+    assert all(type(row.xi2_flags_entangled) is bool for row in rows)
+    assert all(row.xi2_flags_entangled == (row.xi2_optimized < 2.0) for row in rows)
+    moved = [row for row in rows if 1.0 <= row.xi2_optimized < 2.0]
+    assert moved
+    rho = cs.family_density(cs.closed_form_coeffs(1, moved[0].gt))
+    assert cs.xi_squared(rho).entangled_flag is True
 
 
 def test_scalar_functions_reproduce_rows_bit_for_bit(scan):
