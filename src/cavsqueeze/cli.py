@@ -17,11 +17,12 @@ squeezing quotients and one partial-transpose spectrum per chunk.  The
 chunk bounds memory; a row's values do not depend on the chunk it lands in.
 The xi^2 flag column applies ``criteria.xi_entangled``, the verdict rule of
 ``xi_squared``.
-``scan-time --verify`` evolves the printed gt values exactly in chunks of
-``VERIFY_CHUNK`` rows with ``evolve_exact_stack``, which diagonalizes the
-Hamiltonian's block on the excitation sector of |g, g, n>, at most 4 x 4,
-once per photon number.  It reads the populations back
-(``family_coeffs_stack``) and compares them with the printed columns.
+The scan stays in columns, one ``ScanRow`` of arrays (``scan_columns``).
+``scan-time --verify`` evolves its gt column exactly in the same chunks
+with ``evolve_exact_stack``, which diagonalizes the Hamiltonian's block on
+the excitation sector of |g, g, n>, at most 4 x 4, once per photon number.
+It reads the populations back (``family_coeffs_stack``) and compares them
+with the printed columns.
 ``family`` and ``check-state`` call the same kernel on a stack of one state
 and read the negativity and the PPT verdict from one partial-transpose
 spectrum.
@@ -31,8 +32,8 @@ except that -0 prints as ``0`` and an infinite value, which is always an
 undefined squeezing quotient (vanishing mean spin), as ``zero-mean-spin``;
 its JSON text is ``repr(float(csv_text))``, with the token quoted.  So the
 two formats parse to the same numbers, and no column prints ``inf``.
-Booleans print as ``true`` and ``false`` in both.  ``_render`` applies the
-rule a whole column at a time and fills one template per row.
+Booleans print as ``true`` and ``false`` in both.  ``_render_columns``
+applies the rule a whole column at a time and fills one template per row.
 
 ``main`` parses with one parser, built on the first call.  Exit codes: 0
 success, 2 numeric or validation failure (a ``CavsqueezeError`` or an
@@ -66,7 +67,7 @@ from .criteria import (
     xi_squared_in_frame,
 )
 from .dynamics import closed_form_populations, evolve_exact_stack
-from .errors import CavsqueezeError, StateFormatError, ZeroMeanSpinError
+from .errors import CavsqueezeError, OutsideFamilyError, StateFormatError, ZeroMeanSpinError
 from .states import (
     FamilyCoeffs,
     family_coeffs_stack,
@@ -90,31 +91,25 @@ VERIFY_TOLERANCE = 1e-9
 # as this token in both formats.
 ZERO_MEAN_TOKEN = "zero-mean-spin"
 
-# Grid rows per kernel call in scan-time: large enough that numpy's per-call
-# overhead vanishes, small enough that the largest temporary (12 complex 4x4
-# blocks per row in the spin-moment contraction, 1.5 MB) stays in cache and
-# leaves the peak memory of a long scan where the per-row loop had it.
+# Grid rows per kernel call and per exact evolution in scan-time: large
+# enough that numpy's per-call overhead vanishes, small enough that the
+# largest temporary (12 complex 4x4 blocks per row in the spin-moment
+# contraction, 1.5 MB) stays in cache and leaves the peak memory of a long
+# scan where the per-row loop had it.
 SCAN_CHUNK = 512
-
-# Grid rows per exact evolution in scan-time --verify.  A chunk's
-# temporaries are (rows, 4) sector amplitudes and (rows, 4, 4) reduced
-# states at any n: with tracemalloc at n = 60 and 201 rows, 64-row chunks
-# peak at 0.11 MB and one 201-row chunk at 0.29 MB.  A cache miss solves
-# one block of at most 4 x 4, whatever the chunk or n.
-VERIFY_CHUNK = 64
 
 # The fixed (x, y, z) triad of the scan's xi2_fixed_frame column and of
 # family --verify; a SpinFrame is immutable, so one serves every request.
 _CANONICAL_FRAME = SpinFrame.canonical()
 
-# The cell rule (see the module docstring): what "%.12g" and then repr
-# print for -0 and +-inf, and what the report prints instead.  NaN, which no
+# The cell rule (see the module docstring).  Adding 0.0 turns -0 into 0
+# before a float column is formatted; these are what "%.12g" and then repr
+# print for +-inf, and what the report prints instead.  NaN, which no
 # validated input yields, prints as nan in CSV and as NaN, which Python's
 # json module reads, in JSON.
 _FLOAT_FORMAT = "%.12g"
-_CSV_SPECIAL = {"-0": "0", "inf": ZERO_MEAN_TOKEN, "-inf": ZERO_MEAN_TOKEN}
+_CSV_SPECIAL = {"inf": ZERO_MEAN_TOKEN, "-inf": ZERO_MEAN_TOKEN}
 _JSON_SPECIAL = {
-    "-0.0": "0.0",
     "inf": f'"{ZERO_MEAN_TOKEN}"',
     "-inf": f'"{ZERO_MEAN_TOKEN}"',
     "nan": "NaN",
@@ -128,7 +123,7 @@ _NEGATIVE_NUMBER = re.compile(
 )
 
 class ScanRow(NamedTuple):
-    """One gt grid point of a time scan."""
+    """One gt grid point of a time scan, or a whole scan with an array per field."""
 
     gt: float
     x1: float
@@ -258,33 +253,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _column_text(column, kind, fmt: str):
-    """Cell texts of one report column, formatted in one pass of ``map`` calls."""
-    if kind is bool:
-        return map(_BOOL_TEXT.__getitem__, column)
-    text = list(map(_FLOAT_FORMAT.__mod__, column))
-    if fmt == "json":
-        text = list(map(repr, map(float, text)))
-        special = _JSON_SPECIAL
-    else:
-        special = _CSV_SPECIAL
-    return map(special.get, text, text)
+def _render_columns(columns, fmt: str) -> str:
+    """Report text of a row type whose fields are equal-length columns.
+
+    An all-finite float column fills a ``%.12g`` slot of the CSV row
+    template directly; any other column is turned into cell texts first.
+    """
+    slots, cells = [], []
+    for column, kind in zip(columns, type(columns).__annotations__.values()):
+        slots.append("%s")
+        if kind is bool:
+            cells.append(map(_BOOL_TEXT.__getitem__, np.asarray(column).tolist()))
+            continue
+        column = np.asarray(column, dtype=float) + 0.0
+        finite = np.isfinite(column).all()
+        text = column.tolist()
+        if finite and fmt == "csv":
+            slots[-1] = _FLOAT_FORMAT
+        else:
+            text = list(map(_FLOAT_FORMAT.__mod__, text))
+            if fmt == "json":
+                text = list(map(repr, map(float, text)))
+            special = _JSON_SPECIAL if fmt == "json" else _CSV_SPECIAL
+        cells.append(text if finite else map(special.get, text, text))
+    names = type(columns)._fields
+    if fmt == "csv":
+        template = ",".join(slots) + "\n"
+        return ",".join(names) + "\n" + "".join(map(template.__mod__, zip(*cells)))
+    members = ",\n".join(f'    "{name}": {slot}' for name, slot in zip(names, slots))
+    template = "  {\n" + members + "\n  }"
+    return "[\n" + ",\n".join(map(template.__mod__, zip(*cells))) + "\n]\n"
 
 
 def _render(rows, fmt: str) -> str:
     """Report text of a non-empty list of rows of one row type."""
-    row_type = type(rows[0])
-    kinds = row_type.__annotations__
-    columns = [
-        _column_text(column, kinds[name], fmt)
-        for name, column in zip(row_type._fields, zip(*rows))
-    ]
-    if fmt == "csv":
-        lines = [",".join(row_type._fields), *map(",".join, zip(*columns)), ""]
-        return "\n".join(lines)
-    members = ",\n".join(f'    "{name}": %s' for name in row_type._fields)
-    template = "  {\n" + members + "\n  }"
-    return "[\n" + ",\n".join(map(template.__mod__, zip(*columns))) + "\n]\n"
+    return _render_columns(type(rows[0])(*list(zip(*rows))), fmt)
 
 
 def _write(text: str, output):
@@ -298,27 +301,25 @@ def _write(text: str, output):
 def _diagnose(mats):
     """Spin moments and the report columns of a stack of states.
 
-    ``mats`` is a validated (N, 4, 4) stack.  Returns the mean spins (N, 3)
-    and second moments (N, 3, 3) as arrays, then the columns
-    ``xi2_optimized``, ``negativity`` and ``ppt_entangled`` as lists of
-    Python floats and bools; a quotient is inf where the mean spin
-    vanishes.
+    ``mats`` is a validated (N, 4, 4) stack.  Returns the arrays of the mean
+    spins (N, 3), the second moments (N, 3, 3) and the columns
+    ``xi2_optimized``, ``negativity`` and ``ppt_entangled``; a quotient is
+    inf where the mean spin vanishes.
     """
     mean, second = spin_moments_stack(mats)
     xi_opt = xi_perp_stack(mean, second).value
     spectrum = pt_spectrum(mats)
-    columns = (xi_opt, spectrum_negativity(spectrum), spectrum_entangled(spectrum))
-    return (mean, second, *(column.tolist() for column in columns))
+    return mean, second, xi_opt, spectrum_negativity(spectrum), spectrum_entangled(spectrum)
 
 
-def build_scan_rows(photons: int, gt_max: float, steps: int):
-    """Closed-form scan rows on the uniform gt grid, both diagnostics per row.
+def scan_columns(photons: int, gt_max: float, steps: int) -> ScanRow:
+    """The closed-form scan on the uniform gt grid, one ``ScanRow`` of columns.
 
     Runs the array kernel on ``SCAN_CHUNK`` rows at a time.  Where the mean
     spin vanishes both quotients are ``inf``.
     """
     grid = np.linspace(0.0, gt_max, steps)
-    rows = []
+    chunks = []
     for start in range(0, steps, SCAN_CHUNK):
         gt = grid[start : start + SCAN_CHUNK]
         x1, x2, x3 = closed_form_populations(photons, gt)
@@ -326,35 +327,49 @@ def build_scan_rows(photons: int, gt_max: float, steps: int):
             family_density_stack(x1, x2, x3)
         )
         xi_fixed = xi_frame_stack(mean, second, _CANONICAL_FRAME).value
-        populations = (column.tolist() for column in (gt, x1, x2, x3))
-        flags = xi_entangled(xi_opt).tolist()
-        rows.extend(
-            map(ScanRow, *populations, xi_opt, xi_fixed.tolist(), negativity, entangled, flags)
-        )
-    return rows
+        chunks.append((gt, x1, x2, x3, xi_opt, xi_fixed, negativity, entangled, xi_entangled(xi_opt)))
+    # Star-unpacking a list, not an iterator: CPython builds an iterator's
+    # argument tuple by resizing and parks one tuple per call in its free list.
+    return ScanRow(*[np.concatenate(column) for column in zip(*chunks)])
 
 
-def _verify_scan(photons: int, rows) -> float:
-    """Largest |closed form - evolved| population deviation over the scan rows.
+def build_scan_rows(photons: int, gt_max: float, steps: int):
+    """The rows of ``scan_columns``, each field a Python float or bool."""
+    return list(map(ScanRow, *[c.tolist() for c in scan_columns(photons, gt_max, steps)]))
 
-    Evolves the printed rows' gt values ``VERIFY_CHUNK`` at a time and
-    compares the read-back populations with the rows' columns.
+
+def _verify_scan(photons: int, scan: ScanRow) -> float:
+    """Largest |closed form - evolved| population deviation over a scan.
+
+    Evolves the gt column ``SCAN_CHUNK`` rows at a time and compares the
+    read-back populations with the x1, x2 and x3 columns.  An evolved state
+    outside the symmetric family is the exact route's round-off, which
+    grows with gt * sqrt(n); the error says so.
     """
     worst = 0.0
-    for start in range(0, len(rows), VERIFY_CHUNK):
-        gt, *closed = np.array([row[:4] for row in rows[start : start + VERIFY_CHUNK]]).T
-        evolved = family_coeffs_stack(evolve_exact_stack(photons, gt))[:3]
+    for start in range(0, len(scan.gt), SCAN_CHUNK):
+        part = slice(start, start + SCAN_CHUNK)
+        states = evolve_exact_stack(photons, scan.gt[part])
+        try:
+            evolved = family_coeffs_stack(states)[:3]
+        except OutsideFamilyError as exc:
+            raise OutsideFamilyError(
+                f"scan-time --verify ran out of precision at n = {photons}: the exact "
+                f"evolution to gt = {scan.gt[part][exc.index]:.12g} leaves the symmetric "
+                f"family by round-off ({str(exc).rpartition(': ')[2]})"
+            ) from exc
+        closed = (scan.x1[part], scan.x2[part], scan.x3[part])
         worst = max(worst, float(np.abs(np.subtract(evolved, closed)).max()))
     return worst
 
 
 def _cmd_scan_time(args) -> int:
-    rows = build_scan_rows(args.photons, args.gt_max, args.steps)
-    _write(_render(rows, args.format), args.output)
+    scan = scan_columns(args.photons, args.gt_max, args.steps)
+    _write(_render_columns(scan, args.format), args.output)
     if args.verify:
-        worst = _verify_scan(args.photons, rows)
+        worst = _verify_scan(args.photons, scan)
         print(
-            f"verify: max |closed form - evolved| = {worst:.3e} over {len(rows)} rows",
+            f"verify: max |closed form - evolved| = {worst:.3e} over {args.steps} rows",
             file=sys.stderr,
         )
         if worst > VERIFY_TOLERANCE:

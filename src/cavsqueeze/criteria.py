@@ -403,6 +403,11 @@ def pt_spectrum(rho) -> np.ndarray:
 
     ``rho`` is a DensityMatrix or a bare ``(..., 4, 4)`` stack; the result
     has shape ``(..., 4)``.  Both PPT diagnostics read this one spectrum.
+
+    A full ``eigh``, though only eigenvalues are read: ``eigvalsh`` changed
+    the printed negativity in 95 of 127 scans (n = 1-60, 10^2, 10^3, 10^6;
+    356 014 rows), e.g. 0.0805005265758 to ...759, and a real-dtype solve
+    changed 9 cells and saved only about 20% of the eigensolve.
     """
     return hermitian_eig(partial_transpose(rho)).values
 

@@ -8,7 +8,12 @@ derives from the built-in type it refines (``ValueError`` or
 
 
 class CavsqueezeError(Exception):
-    """Base of every error the library raises on purpose."""
+    """Base of every error the library raises on purpose; ``index`` is the
+    offending entry's position when a check over a stack raised it."""
+
+    def __init__(self, *args, index=()):
+        super().__init__(*args)
+        self.index = index
 
 
 class NotHermitianError(CavsqueezeError, ValueError):

@@ -73,11 +73,12 @@ def _reject(bad: np.ndarray, error, message):
 
     ``message(index)`` describes the offending entry; inside a stack the
     text starts with the entry's index, so a scalar check reads as before.
+    The error carries the index tuple as its ``index``.
     """
     if bad.any():
         index = np.unravel_index(int(np.argmax(bad)), bad.shape)
         where = f"entry {index[0] if len(index) == 1 else index}: " if index else ""
-        raise error(where + message(index))
+        raise error(where + message(index), index=index)
 
 
 def check_hermitian(mats: np.ndarray):

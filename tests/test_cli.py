@@ -20,16 +20,17 @@ from cavsqueeze.cli import (
     ZERO_MEAN_TOKEN,
     CheckRow,
     FamilyRow,
+    SCAN_CHUNK,
     ScanRow,
-    VERIFY_CHUNK,
     _render,
+    _render_columns,
     build_scan_rows,
     main,
 )
 from cavsqueeze.criteria import XiResult, xi_squared
 from cavsqueeze.dynamics import _eigensystem, closed_form_populations
 from cavsqueeze.errors import CavsqueezeError, NoConvergenceError
-from cavsqueeze.states import FAMILY_ATOL
+from cavsqueeze.states import FAMILY_ATOL, FAMILY_RESIDUAL_ATOL
 from helpers import reference_render
 
 
@@ -163,19 +164,54 @@ def test_scan_verify_passes(capsys):
 def test_scan_verify_fails_on_shifted_populations(monkeypatch, capsys):
     # Moving 1e-8 from x3 to x1 keeps a valid family state, so only the
     # comparison with the exact evolution can catch it; the grid is one row
-    # longer than a verify chunk.
+    # longer than a chunk.
     def shifted(photons, gt):
         x1, x2, x3 = closed_form_populations(photons, gt)
         return x1 + 1e-8, x2, x3 - 1e-8
 
     monkeypatch.setattr(cli, "closed_form_populations", shifted)
-    steps = VERIFY_CHUNK + 1
+    steps = SCAN_CHUNK + 1
     argv = ["scan-time", "--photons", "2", "--steps", str(steps), "--verify"]
     assert run_cli(argv) == EXIT_NUMERIC
     err = capsys.readouterr().err
     found = re.search(r"verify: max \|closed form - evolved\| = (\S+) over (\d+) rows", err)
     assert abs(float(found.group(1)) - 1e-8) < 1e-10
     assert int(found.group(2)) == steps
+
+
+def test_scan_verify_covers_a_one_row_last_chunk(capsys):
+    # 2 * SCAN_CHUNK + 1 rows: the last chunk holds a single row, and
+    # --verify leaves the report as it is
+    steps = str(2 * SCAN_CHUNK + 1)
+    args = ["scan-time", "--photons", "3", "--gt-max", "6", "--steps", steps]
+    assert run_cli(args) == EXIT_OK
+    plain = capsys.readouterr()
+    assert run_cli(args + ["--verify"]) == EXIT_OK
+    checked = capsys.readouterr()
+    assert checked.out == plain.out
+    assert f"over {steps} rows" in checked.err
+
+
+def test_scan_verify_out_of_precision_names_n_and_gt(capsys):
+    # At n = 10^11 the exact route's phase round-off, which grows with
+    # gt * sqrt(n), pushes an evolved state out of the family: the failure
+    # says so and names the photon number, the phase and the residual,
+    # after the report has been written.
+    args = ["scan-time", "--photons", "100000000000", "--gt-max", "10", "--steps", "201"]
+    assert run_cli(args) == EXIT_OK
+    report = capsys.readouterr().out
+    assert run_cli(args + ["--verify"]) == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert captured.out == report
+    found = re.fullmatch(
+        r"cavsqueeze: scan-time --verify ran out of precision at n = 100000000000: "
+        r"the exact evolution to gt = (\S+) leaves the symmetric family by round-off "
+        r"\(residual = (\S+)\)\n",
+        captured.err,
+    )
+    assert found, captured.err
+    assert found.group(1) in [row["gt"] for row in parse_csv(report)]
+    assert float(found.group(2)) > FAMILY_RESIDUAL_ATOL
 
 
 def test_scan_verify_keeps_every_photon_number_solved(capsys):
@@ -529,16 +565,35 @@ def _rows_of(row_type):
         st.booleans() if kind is bool else _FLOAT_CELLS
         for kind in row_type.__annotations__.values()
     ]
-    return st.lists(st.tuples(*cells).map(lambda t: row_type(*t)), min_size=1, max_size=8)
+    return st.lists(st.tuples(*cells).map(lambda t: row_type(*t)), min_size=1, max_size=40)
 
 
+def _columns_of(rows):
+    """The rows as the scan hands them to the renderer: one array per field."""
+    return type(rows[0])(*map(np.asarray, zip(*rows)))
+
+
+# Up to 40 rows: a float column is all finite (the direct "%.12g" slot of
+# the CSV template) in some examples and holds an inf or NaN in others.
 @settings(max_examples=150, deadline=None)
 @given(
     rows=st.sampled_from([ScanRow, FamilyRow, CheckRow]).flatmap(_rows_of),
     fmt=st.sampled_from(["csv", "json"]),
 )
 def test_render_matches_reference_render(rows, fmt):
+    assert _render_columns(_columns_of(rows), fmt) == reference_render(rows, fmt)
     assert _render(rows, fmt) == reference_render(rows, fmt)
+
+
+def test_render_folds_negative_zero_in_a_finite_column():
+    column = np.array([-0.0, 1.0, 1e12])
+    flags = np.array([True, False, True])
+    columns = ScanRow(*[column] * 7, flags, flags)
+    csv_rows = parse_csv(_render_columns(columns, "csv"))
+    assert [row["gt"] for row in csv_rows] == ["0", "1", "1e+12"]
+    json_text = _render_columns(columns, "json")
+    assert re.findall(r'"gt": (\S+),', json_text) == ["0.0", "1.0", "1000000000000.0"]
+    assert [row["gt"] for row in json.loads(json_text)] == [0.0, 1.0, 1e12]
 
 
 def test_nul_byte_in_a_path_is_a_usage_error(capsys):

@@ -21,7 +21,7 @@ from cavsqueeze import (
     rabi_frequency,
 )
 from cavsqueeze import dynamics
-from cavsqueeze.cli import VERIFY_CHUNK
+from cavsqueeze.cli import SCAN_CHUNK
 from cavsqueeze.dynamics import _eigensystem, _sector_block
 from helpers import evolution_operator, kron_eigensystem, kron_hamiltonian, propagator_evolution
 
@@ -234,10 +234,10 @@ class TestEvolveExact:
 
 class TestEvolveExactStack:
     def test_rows_match_the_scalar_route(self):
-        # Every n from 0 to 60; a few arrays are longer than a verify chunk.
+        # Every n from 0 to 60; a few arrays are longer than a chunk.
         rng = np.random.default_rng(19)
         for n in range(61):
-            size = VERIFY_CHUNK + 3 if n in (0, 1, 7, 33, 60) else 5
+            size = SCAN_CHUNK + 3 if n in (0, 1, 7, 33, 60) else 5
             gt = rng.uniform(0.0, 10.0, size)
             stack = evolve_exact_stack(n, gt)
             assert stack.shape == (size, 4, 4) and stack.dtype == np.complex128
@@ -246,12 +246,12 @@ class TestEvolveExactStack:
                 assert np.abs(row - want).max() <= 1e-14, (n, value)
 
     def test_rows_do_not_depend_on_the_stack(self):
-        gt = np.linspace(0.0, 7.3, 2 * VERIFY_CHUNK + 5)
+        gt = np.linspace(0.0, 7.3, 2 * SCAN_CHUNK + 5)
         for n in (1, 12, 60):
             whole = evolve_exact_stack(n, gt)
-            for start in range(0, len(gt), VERIFY_CHUNK):
-                part = evolve_exact_stack(n, gt[start : start + VERIFY_CHUNK])
-                assert np.abs(whole[start : start + VERIFY_CHUNK] - part).max() <= 1e-14
+            for start in range(0, len(gt), SCAN_CHUNK):
+                part = evolve_exact_stack(n, gt[start : start + SCAN_CHUNK])
+                assert np.abs(whole[start : start + SCAN_CHUNK] - part).max() <= 1e-14
 
     def test_keeps_the_shape_of_gt(self):
         assert evolve_exact_stack(2, np.zeros((2, 3))).shape == (2, 3, 4, 4)

@@ -234,10 +234,12 @@ def test_one_invalid_family_row_fails_the_chunk_like_the_scalar(bad, error):
 def test_one_invalid_matrix_fails_the_stack_like_the_scalar(entry, value, error):
     stack = np.tile(np.eye(4, dtype=complex) / 4.0, (40, 1, 1))
     stack[23][entry] = value
-    with pytest.raises(error, match="^entry 23: "):
+    with pytest.raises(error, match="^entry 23: ") as raised:
         cs.validate_density_stack(stack)
-    with pytest.raises(error):
+    assert raised.value.index == (23,)
+    with pytest.raises(error) as raised:
         cs.DensityMatrix(stack[23])
+    assert raised.value.index == ()
 
 
 def test_non_positive_matrix_fails_the_stack_like_the_scalar():

@@ -195,8 +195,9 @@ class TestFamilyStates:
         states = np.array([family_density(random_family_coeffs(rng)).mat for _ in range(9)])
         states[6] = random_density(rng).mat
         states[8] = random_density(rng).mat
-        with pytest.raises(OutsideFamilyError, match="^entry 6: state lies outside"):
+        with pytest.raises(OutsideFamilyError, match="^entry 6: state lies outside") as raised:
             family_coeffs_stack(states)
+        assert raised.value.index == (6,)
 
     def test_rejects_generic_state(self):
         rng = np.random.default_rng(14)
