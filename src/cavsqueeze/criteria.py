@@ -17,8 +17,9 @@ Closed forms for the symmetric family sit next to the generic machinery so
 either route can check the other.
 
 The generic machinery is one array kernel over stacks of 4x4 states:
-``spin_moments_stack`` (one elementwise contraction against the 12 stacked
-spin operators), ``xi_perp_stack`` (batched 2x2 eigenproblem),
+``spin_moments_stack`` (the traces against the 12 spin-moment operators, in
+real arithmetic over their 72 nonzero entries), ``xi_perp_stack`` (batched
+2x2 eigenproblem),
 ``xi_frame_stack`` (fixed triad) and ``pt_spectrum`` (the partial-transpose
 eigenvalues, from which ``spectrum_negativity`` and ``spectrum_entangled``
 read both PPT diagnostics).  The scalar functions ``spin_moments``,
@@ -93,6 +94,34 @@ _MOMENT_OPS_T = np.stack(
     ]
 )
 _MOMENT_OPS_T.setflags(write=False)
+
+
+def _moment_plan(ops_t: np.ndarray):
+    """The real arithmetic of tr(rho O) for every stacked operator O^T.
+
+    Every nonzero entry of these operators is purely real or purely
+    imaginary, and no column holds more than two.  So the real part of
+    rho[r, c] * O^T[r, c] is one double of the ``float64`` view of rho, whose
+    flattened 4 x 4 block holds Re rho[r, c] at 8 r + 2 c and Im rho[r, c]
+    next to it, times a real coefficient.  Returns the gather indices into
+    that view and the coefficients, 8 slots per operator: for each column c
+    its nonzero rows in ascending order, padded with a zero coefficient.
+    """
+    index = np.zeros((len(ops_t), 4, 2), dtype=np.intp)
+    coef = np.zeros((len(ops_t), 4, 2))
+    for m, c in np.ndindex(len(ops_t), 4):
+        for k, r in enumerate(np.flatnonzero(ops_t[m, :, c])):
+            entry = ops_t[m, r, c]
+            imaginary = entry.real == 0.0
+            index[m, c, k] = 8 * r + 2 * c + imaginary
+            coef[m, c, k] = -entry.imag if imaginary else entry.real
+    index, coef = index.ravel(), coef.ravel()
+    index.setflags(write=False)
+    coef.setflags(write=False)
+    return index, coef
+
+
+_MOMENT_INDEX, _MOMENT_COEF = _moment_plan(_MOMENT_OPS_T)
 
 _EYE3 = np.eye(3)
 _EYE3.setflags(write=False)
@@ -169,17 +198,28 @@ def spin_moments_stack(mats: np.ndarray):
     """Mean spins (..., 3) and symmetrized second moments (..., 3, 3) of states.
 
     ``mats`` is a stack of two-qubit density matrices, usually of shape
-    (N, 4, 4).  The contraction is an elementwise product with the stacked
-    transposed operators summed over the last two axes, which gives a state
-    the same bits whatever the size of the stack (a matrix-product
-    contraction such as ``einsum`` does not).  Its temporary holds 12 N
-    complex 4x4 blocks.
+    (N, 4, 4).  Each moment is the real part of tr(rho O): the entries of
+    rho that meet a nonzero entry of O^T, gathered from the ``float64`` view
+    of the stack and scaled by the operator's coefficients
+    (``_moment_plan``), 8 terms per moment and 96 doubles per state.  numpy
+    sums a contiguous run of 8 doubles as
+    ((t0 + t1) + (t2 + t3)) + ((t4 + t5) + (t6 + t7)) after a +0.0, so each
+    column of O^T is summed first and the four column sums as
+    (c0 + c1) + (c2 + c3): the order in which numpy's complex sum adds the
+    16 entries of rho * O^T.  A state gets the same bits as from that
+    contraction, and the same bits whatever the size of the stack (a
+    matrix-product contraction such as ``einsum`` does neither).
     A state that is not Hermitian by the density-matrix rule raises
-    NotHermitianError; the moments are the real parts of the traces.
+    NotHermitianError.
     """
     mats = _two_qubit_stack(mats)
     check_hermitian(mats)
-    real = (mats[..., None, :, :] * _MOMENT_OPS_T).sum(axis=(-2, -1)).real
+    flat = np.ascontiguousarray(mats).reshape(-1, 16).view(float)
+    # take returns a C-ordered array, so each moment's 8 terms are contiguous
+    terms = flat.take(_MOMENT_INDEX, axis=1)
+    terms *= _MOMENT_COEF
+    real = terms.reshape(-1, len(_MOMENT_OPS_T), 8).sum(axis=-1)
+    real = real.reshape(mats.shape[:-2] + real.shape[-1:])
     return real[..., :3], real[..., 3:].reshape(real.shape[:-1] + (3, 3))
 
 

@@ -23,6 +23,7 @@ out of the state vectors.  ``evolve_exact`` is the same call for one gt.
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,15 +32,26 @@ from .errors import BadPhotonNumberError, NegativeTimeError, NonFiniteError, Not
 from .linalg import hermitian_eig
 from .states import NORM_ATOL, DensityMatrix, FamilyCoeffs, _reject, validate_density_stack
 
+# The closed form squares 2n - 1 and multiplies n (n - 1) in doubles, which
+# overflow from about n = 6.7e153 on; it rejects a photon number above this.
+_CLOSED_FORM_MAX_PHOTONS = 2**510
+
 
 def _photon_number(value) -> int:
     """A photon number as an int: integers, numpy integers and integral floats.
 
     A fractional or non-finite value raises BadPhotonNumberError instead of
-    being truncated.
+    being truncated, and so does a whole number beyond the float range,
+    which the formulas cannot convert.
     """
     if isinstance(value, numbers.Integral):
-        return int(value)
+        n = int(value)
+        if abs(n) > sys.float_info.max:
+            # no repr: a whole number this large can exceed int's text limit
+            raise BadPhotonNumberError(
+                f"photon number must be within the float range, got a {n.bit_length()}-bit number"
+            )
+        return n
     number = float(value)
     if not (math.isfinite(number) and number.is_integer()):
         raise BadPhotonNumberError(f"photon number must be a finite whole number, got {value!r}")
@@ -84,7 +96,10 @@ def rabi_frequency(n_photons: int) -> float:
     n = _photon_number(n_photons)
     if n < 1:
         raise BadPhotonNumberError(f"rabi_frequency needs n_photons >= 1, got {n}")
-    return math.sqrt(2.0 * (2.0 * n - 1.0))
+    frequency = math.sqrt(2.0 * (2.0 * n - 1.0))
+    if math.isinf(frequency):  # 4n overflows a double from about n = 4.5e307 on
+        raise BadPhotonNumberError(f"rabi_frequency overflows at n_photons = {n:.4g}")
+    return frequency
 
 
 def _sector_block(n: int):
@@ -204,11 +219,13 @@ def closed_form_populations(n_photons: int, gt):
     NonFiniteError
         If any gt is NaN or infinite.
     BadPhotonNumberError
-        If n is negative, fractional or not finite.
+        If n is negative, fractional, not finite or above 2**510.
     """
     n = _photon_number(n_photons)
     if n < 0:
         raise BadPhotonNumberError(f"n_photons must be >= 0, got {n}")
+    if n > _CLOSED_FORM_MAX_PHOTONS:
+        raise BadPhotonNumberError(f"the closed form needs n <= 2**510, got {n:.4g}")
     gt = np.asarray(gt, dtype=float)
     if not np.isfinite(gt).all():
         raise NonFiniteError("gt must be finite")

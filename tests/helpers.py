@@ -28,6 +28,30 @@ SPIN_OPERATORS = tuple(
 )
 
 
+# The 12 moment operators, transposed and stacked: S_x, S_y, S_z, then the
+# symmetrized second moments (S_j S_k + S_k S_j)/2 in row-major (j, k) order.
+_MOMENT_OPERATORS_T = np.stack(
+    [op.T for op in SPIN_OPERATORS]
+    + [
+        (0.5 * (sj @ sk + sk @ sj)).T
+        for sj in SPIN_OPERATORS
+        for sk in SPIN_OPERATORS
+    ]
+)
+
+
+def reference_spin_moments_stack(mats):
+    """Mean spins and second moments as 12 complex contractions per state.
+
+    Multiplies each (N, 4, 4) state by all 12 stacked complex operators,
+    sums the 16 products of each and keeps the real part: the contraction
+    ``criteria.spin_moments_stack`` replaced, and the bit oracle for its
+    real-arithmetic kernel, which must sum in the same order.
+    """
+    real = (mats[..., None, :, :] * _MOMENT_OPERATORS_T).sum(axis=(-2, -1)).real
+    return real[..., :3], real[..., 3:].reshape(real.shape[:-1] + (3, 3))
+
+
 def random_hermitian(rng, dim, scale=1.0):
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return scale * 0.5 * (z + z.conj().T)

@@ -129,6 +129,17 @@ def test_scan_json_bytes_match_reference_csv(capsys):
     assert capsys.readouterr().out == expected + "\n"
 
 
+def test_scan_json_matches_its_committed_twin(capsys):
+    # The JSON twin of the reference scan, written by the renderer that
+    # formatted every JSON cell as repr(float("%.12g" % v)): the shortcut
+    # that prints most cells straight from their "%.12g" text must not move
+    # one byte of it.
+    reference = Path(__file__).parent / "data" / "scan_n1_gt3_301.json"
+    args = ["scan-time", "--photons", "1", "--gt-max", "3", "--steps", "301", "--format", "json"]
+    assert run_cli(args) == EXIT_OK
+    assert capsys.readouterr().out == reference.read_text(encoding="utf-8")
+
+
 # (photons, gt-max, steps).  The last grid lands within the mean-spin floor
 # of both gt < 5 where the n = 1 mean spin vanishes, so two rows print the
 # token.
@@ -251,6 +262,30 @@ def test_scan_prints_undefined_quotient_as_token(capsys):
     assert row["negativity"] == 0.5
     assert row["ppt_entangled"] is True
     assert row["xi2_flags_entangled"] is False
+
+
+@pytest.mark.parametrize(
+    "photons, message",
+    [
+        (10**400, "photon number must be within the float range, got a 1329-bit number"),
+        (10**200, "the closed form needs n <= 2**510, got 1e+200"),
+        (2**510 + 1, "the closed form needs n <= 2**510, got 3.352e+153"),
+    ],
+)
+def test_scan_photon_number_too_large_exits_2(photons, message, capsys):
+    # int() parses these; converting them to float, or squaring 2n - 1 in
+    # doubles, would overflow, so they fail with the typed error, not with
+    # an OverflowError traceback
+    assert run_cli(["scan-time", "--photons", str(photons), "--steps", "3"]) == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cavsqueeze: {message}\n"
+
+
+def test_scan_at_the_largest_closed_form_photon_number(capsys):
+    assert run_cli(["scan-time", "--photons", str(2**510), "--steps", "3"]) == EXIT_OK
+    rows = parse_csv(capsys.readouterr().out)
+    assert [row["gt"] for row in rows] == ["0", "1.5", "3"]
 
 
 def test_scan_usage_errors():
@@ -545,12 +580,19 @@ def _signed(magnitudes):
 
 
 # Floats where the cell rule has a case of its own: zeros of both signs, the
-# infinite quotient, integer values ("1" in CSV, "1.0" in JSON), [1e12, 1e16)
-# where "%.12g" writes an exponent and repr does not, the exponent switch
-# near 1e-5 and subnormals, whose 12 printed digits are more than they hold.
+# infinite quotient, integer values ("1" in CSV, "1.0" in JSON) and values
+# that print as one, [1e12, 1e16) where "%.12g" writes an exponent and repr
+# does not and the values just below that round into it, the exponent switch
+# near 1e-4 and 1e-5, and subnormals, whose 12 printed digits are more than
+# they hold, with the normal values around the smallest normal.
 _FLOAT_CELLS = (
-    st.sampled_from([0.0, -0.0, math.inf, -math.inf, 1.0, 1e12, 1e16, 1e-5, 5e-324])
+    st.sampled_from(
+        [0.0, -0.0, math.inf, -math.inf, 1.0, 1e12, 1e16, 1e-5, 5e-324]
+        + [999999999999.6, 999999999999.4, 0.9999999999996, 2.9999999999996]
+        + [9.99999999999995e-05, 2.2250738585072014e-308, 2.225073858507e-308]
+    )
     | _signed(st.integers(1, 10**15).map(float))
+    | _signed(st.integers(1, 10**12).flatmap(lambda k: st.floats(k * (1 - 1e-11), k * (1 + 1e-11))))
     | _signed(st.floats(1e12, 1e16, exclude_max=True))
     | _signed(st.floats(1e-6, 1e-4))
     | _signed(st.floats(0.0, 2.2250738585072014e-308, exclude_min=True, exclude_max=True))

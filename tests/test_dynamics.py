@@ -61,6 +61,36 @@ def test_rejects_non_integral_photon_number(n, call):
         call(n)
 
 
+# Whole numbers that int() holds but float() does not: each formula would
+# convert them and raise OverflowError.
+@pytest.mark.parametrize("n", (10**400, -(10**400), 2**1024))
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: ModelConfig(n, 0.5),
+        lambda n: closed_form_populations(n, [0.5]),
+        rabi_frequency,
+        lambda n: evolve_exact_stack(n, [0.5]),
+    ],
+    ids=["ModelConfig", "closed_form_populations", "rabi_frequency", "evolve_exact_stack"],
+)
+def test_rejects_photon_number_beyond_the_float_range(n, call):
+    with pytest.raises(BadPhotonNumberError, match="within the float range"):
+        call(n)
+
+
+def test_closed_form_photon_number_bound():
+    # (2n - 1)^2 and n (n - 1) stay finite doubles up to n = 2**510
+    x1, x2, x3 = closed_form_populations(2**510, [0.0, 0.5])
+    assert np.isfinite([x1, x2, x3]).all()
+    assert x1[0] == x2[0] == 0.0 and x3[0] == 1.0
+    for n in (2**510 + 1, 10**200, float(2**511)):
+        with pytest.raises(BadPhotonNumberError, match=r"needs n <= 2\*\*510"):
+            closed_form_populations(n, [0.5])
+    # the exact route has no such bound
+    assert np.isfinite(evolve_exact_stack(10**200, [0.5])).all()
+
+
 class TestRabiFrequency:
     def test_values(self):
         assert abs(rabi_frequency(1) - math.sqrt(2.0)) < 1e-15
@@ -70,6 +100,11 @@ class TestRabiFrequency:
     def test_rejects_zero_photons(self):
         with pytest.raises(BadPhotonNumberError):
             rabi_frequency(0)
+
+    def test_rejects_photon_numbers_whose_frequency_overflows(self):
+        assert math.isfinite(rabi_frequency(10**307))
+        with pytest.raises(BadPhotonNumberError, match="overflows at n_photons = 1e\\+308"):
+            rabi_frequency(10**308)
 
 
 def test_hamiltonian_is_real_and_evolution_complex():

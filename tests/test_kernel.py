@@ -2,8 +2,9 @@
 
 The grid is longer than two ``SCAN_CHUNK`` chunks, so every property also
 holds across chunk boundaries.  The oracles are the family closed forms,
-the 2x2 corner block of the partial transpose, a per-state loop of traces
-and a projected 3x3 eigenproblem, written out here, not the kernel itself.
+the 2x2 corner block of the partial transpose, a per-state loop of traces,
+the complex contraction of the moments (``helpers``) and a projected 3x3
+eigenproblem, written out here, not the kernel itself.
 """
 
 import math
@@ -14,7 +15,13 @@ import pytest
 import cavsqueeze as cs
 from cavsqueeze import cli, criteria
 from cavsqueeze.cli import SCAN_CHUNK, build_scan_rows
-from helpers import SPIN_OPERATORS, random_density, reference_xi_perp_stack
+from helpers import (
+    SPIN_OPERATORS,
+    random_density,
+    random_separable,
+    reference_spin_moments_stack,
+    reference_xi_perp_stack,
+)
 
 STEPS = 2500
 GT_MAX = 6.0
@@ -121,6 +128,42 @@ def test_generic_states_get_the_same_bits_alone_and_stacked():
         assert np.array_equal(moments.second, second[i])
         assert cs.xi_squared(rho).value == perp.value[i]
         assert np.array_equal(cs.pt_spectrum(rho), spectra[i])
+
+
+def _sparse_hermitian_stack(rng, size):
+    """Hermitian matrices with exact zeros and signed zeros in random places.
+
+    Not density matrices (a diagonal may be negative or zero): they reach
+    all-zero sums, whose sign is the one place where summing 8 terms in
+    place of the contraction's 16 could show.
+    """
+    z = rng.normal(size=(size, 4, 4)) + 1j * rng.normal(size=(size, 4, 4))
+    z[rng.random(z.shape) < 0.5] = 0.0
+    z *= rng.choice([1.0, -1.0, -0.0], size=z.shape)
+    return 0.5 * (z + np.conj(np.swapaxes(z, -1, -2)))
+
+
+@pytest.mark.parametrize("size", (1, 7, 512, 513, 5000))
+def test_moment_bits_match_the_complex_contraction(size):
+    # The real kernel gathers the 72 nonzero operator entries and must add
+    # its terms in the order of the complex contraction's pairwise sum, so
+    # every moment keeps its bits.  numpy starts both sums from +0.0, so
+    # neither route returns -0 and the signed zeros agree too.
+    rng = np.random.default_rng(size)
+    gt = np.linspace(0.0, GT_MAX, size)
+    stacks = {
+        "random": np.stack([random_density(rng).mat for _ in range(size)]),
+        "product": np.stack([random_separable(rng, terms=1).mat for _ in range(size)]),
+        "sparse": _sparse_hermitian_stack(rng, size),
+    }
+    for n in PHOTONS:
+        stacks[f"family n={n}"] = cs.family_density_stack(*cs.closed_form_populations(n, gt))
+    for name, stack in stacks.items():
+        got = cs.spin_moments_stack(stack)
+        want = reference_spin_moments_stack(stack)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+            assert not np.signbit(a[a == 0.0]).any(), name
 
 
 @pytest.mark.parametrize("size", (1, 70, 512))
