@@ -12,9 +12,12 @@ place only.
 
 ``scan-time`` runs the array kernel of ``dynamics``, ``states`` and
 ``criteria`` over the gt grid in chunks of ``SCAN_CHUNK`` rows: closed-form
-populations, one validated stack of family states, the spin moments, both
-squeezing quotients and one partial-transpose spectrum per chunk.  The
-chunk bounds memory; a row's values do not depend on the chunk it lands in.
+populations, one stack of family states, the spin moments, both squeezing
+quotients and one partial-transpose spectrum per chunk.  Each state is
+checked once, by the family coefficient rules in ``family_density_stack``,
+which guarantee a density matrix; the moments and the spectrum are then
+read without checking the stack again (``_diagnose``).  The chunk bounds
+memory; a row's values do not depend on the chunk it lands in.
 The xi^2 flag column applies ``criteria.xi_entangled``, the verdict rule of
 ``xi_squared``.
 The scan stays in columns, one ``ScanRow`` of arrays (``scan_columns``).
@@ -23,9 +26,9 @@ with ``evolve_exact_stack``, which diagonalizes the Hamiltonian's block on
 the excitation sector of |g, g, n>, at most 4 x 4, once per photon number.
 It reads the populations back (``family_coeffs_stack``) and compares them
 with the printed columns.
-``family`` and ``check-state`` call the same kernel on a stack of one state
-and read the negativity and the PPT verdict from one partial-transpose
-spectrum.
+``family`` and ``check-state`` call the same kernel on a stack of one state,
+validated once as a ``DensityMatrix``, and read the negativity and the PPT
+verdict from one partial-transpose spectrum.
 
 Both formats follow one cell rule.  A float's CSV text is ``"%.12g" % v``,
 except that -0 prints as ``0`` and an infinite value, which is always an
@@ -55,12 +58,12 @@ import numpy as np
 from .criteria import (
     GLOBAL,
     SpinFrame,
+    _moments,
+    _pt_values,
     diagonal_family_entangled,
     family_squeezing_condition,
-    pt_spectrum,
     spectrum_entangled,
     spectrum_negativity,
-    spin_moments_stack,
     xi2_family,
     xi_entangled,
     xi_frame_stack,
@@ -322,14 +325,17 @@ def _write(text: str, output):
 def _diagnose(mats):
     """Spin moments and the report columns of a stack of states.
 
-    ``mats`` is a validated (N, 4, 4) stack.  Returns the arrays of the mean
-    spins (N, 3), the second moments (N, 3, 3) and the columns
+    ``mats`` is a validated complex (N, 4, 4) stack: a ``family_density_stack``
+    or a ``DensityMatrix``'s matrix.  So the moments and the partial-transpose
+    spectrum are read through the kernels' unchecked cores, and only an
+    eigensolver failure can raise (NoConvergenceError).  Returns the arrays
+    of the mean spins (N, 3), the second moments (N, 3, 3) and the columns
     ``xi2_optimized``, ``negativity`` and ``ppt_entangled``; a quotient is
     inf where the mean spin vanishes.
     """
-    mean, second = spin_moments_stack(mats)
+    mean, second = _moments(mats)
     xi_opt = xi_perp_stack(mean, second).value
-    spectrum = pt_spectrum(mats)
+    spectrum = _pt_values(mats)
     return mean, second, xi_opt, spectrum_negativity(spectrum), spectrum_entangled(spectrum)
 
 

@@ -42,7 +42,7 @@ from .errors import (
     UnknownPolicyError,
     ZeroMeanSpinError,
 )
-from .linalg import hermitian_eig
+from .linalg import _eigh, hermitian_eig
 from .states import (
     DensityMatrix,
     FamilyCoeffs,
@@ -209,11 +209,17 @@ def spin_moments_stack(mats: np.ndarray):
     16 entries of rho * O^T.  A state gets the same bits as from that
     contraction, and the same bits whatever the size of the stack (a
     matrix-product contraction such as ``einsum`` does neither).
-    A state that is not Hermitian by the density-matrix rule raises
-    NotHermitianError.
+    A state with a NaN or infinite entry raises NonFiniteError, and one that
+    is not Hermitian by the density-matrix rule NotHermitianError
+    (``check_hermitian``).
     """
     mats = _two_qubit_stack(mats)
     check_hermitian(mats)
+    return _moments(mats)
+
+
+def _moments(mats: np.ndarray):
+    """``spin_moments_stack`` without its checks, for a validated complex stack."""
     flat = np.ascontiguousarray(mats).reshape(-1, 16).view(float)
     # take returns a C-ordered array, so each moment's 8 terms are contiguous
     terms = flat.take(_MOMENT_INDEX, axis=1)
@@ -450,6 +456,16 @@ def pt_spectrum(rho) -> np.ndarray:
     changed 9 cells and saved only about 20% of the eigensolve.
     """
     return hermitian_eig(partial_transpose(rho)).values
+
+
+def _pt_values(mats: np.ndarray) -> np.ndarray:
+    """``pt_spectrum`` without its checks, for a validated complex stack.
+
+    Transposing atom 2 only permutes entries, so the partial transpose of a
+    finite Hermitian stack is finite and Hermitian too; only a solver
+    failure can raise (NoConvergenceError).
+    """
+    return _eigh(partial_transpose(mats)).values
 
 
 def spectrum_negativity(values: np.ndarray) -> np.ndarray:

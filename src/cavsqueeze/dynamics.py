@@ -217,7 +217,8 @@ def closed_form_populations(n_photons: int, gt):
     Raises
     ------
     NonFiniteError
-        If any gt is NaN or infinite.
+        If any gt is NaN or infinite, or if the phase theta overflows a
+        double; the first such gt is named.
     BadPhotonNumberError
         If n is negative, fractional, not finite or above 2**510.
     """
@@ -231,7 +232,13 @@ def closed_form_populations(n_photons: int, gt):
         raise NonFiniteError("gt must be finite")
     if n == 0:
         return np.zeros_like(gt), np.zeros_like(gt), np.ones_like(gt)
-    theta = rabi_frequency(n) * gt
+    with np.errstate(over="ignore"):
+        theta = rabi_frequency(n) * gt
+    _reject(
+        np.isinf(theta),
+        NonFiniteError,
+        lambda i: f"the phase theta = rabi_frequency(n) * gt overflows at gt = {gt[i]:.12g}",
+    )
     c = np.cos(theta)
     s = np.sin(theta)
     denom = float(2 * n - 1)

@@ -62,6 +62,16 @@ def hermitian_eig(h: np.ndarray) -> EigenDecomposition:
         raise NotHermitianError(
             f"matrix is not Hermitian: max |h - h^dagger| = {deviation:.3e}"
         )
+    return _eigh(h)
+
+
+def _eigh(h: np.ndarray) -> EigenDecomposition:
+    """``hermitian_eig`` without its checks, for a stack its caller has validated.
+
+    ``h`` is a float64 or complex128 ``(..., n, n)`` array that is finite and
+    Hermitian by construction.  A solver failure still raises
+    NoConvergenceError.
+    """
     try:
         values, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:

@@ -19,10 +19,12 @@ qubits.
 The checks run on arrays: ``validate_density_stack`` validates a stack of
 matrices and ``check_family_coeffs`` applies the coefficient rules to arrays
 of coefficients.  ``DensityMatrix`` and ``FamilyCoeffs`` call them on a
-single instance, ``family_density_stack`` builds a validated stack of
-family states for a whole scan at once, and ``family_coeffs_stack`` reads
-the coefficients back from a stack (``family_coeffs_from_density`` is the
-same call on one state).
+single instance.  ``family_density_stack`` builds the family states of a
+whole scan at once and checks them once, by the coefficient rules: a tuple
+that passes them gives a density matrix within the validator's tolerances
+(its docstring has the bound), so the stack is not checked again.
+``family_coeffs_stack`` reads the coefficients back from a stack
+(``family_coeffs_from_density`` is the same call on one state).
 """
 
 import json
@@ -82,12 +84,19 @@ def _reject(bad: np.ndarray, error, message):
 
 
 def check_hermitian(mats: np.ndarray):
-    """Reject matrices that are not Hermitian within HERMITIAN_ATOL entrywise.
+    """Reject matrices that are not finite, or not Hermitian within HERMITIAN_ATOL.
 
-    The first matrix of the ``(..., d, d)`` stack that fails raises
-    NotHermitianError; the density-matrix validator and the moment kernel
+    The first matrix of the ``(..., d, d)`` stack with a NaN or infinite
+    entry raises NonFiniteError, since no Hermitian test can pass or fail on
+    it; then the first that is not Hermitian entrywise raises
+    NotHermitianError.  The density-matrix validator and the moment kernel
     share this one rule.
     """
+    _reject(
+        ~np.isfinite(mats).all(axis=(-2, -1)),
+        NonFiniteError,
+        lambda i: "not finite: the matrix holds a NaN or infinite entry",
+    )
     herm = np.abs(mats - np.swapaxes(mats, -1, -2).conj()).max(axis=(-2, -1))
     _reject(
         herm > HERMITIAN_ATOL,
@@ -119,11 +128,6 @@ def validate_density_stack(mats) -> np.ndarray:
     ``eigvalsh``).  The first failing matrix names the typed error.
     """
     mats = _two_qubit_stack(mats)
-    _reject(
-        ~np.isfinite(mats).all(axis=(-2, -1)),
-        NonFiniteError,
-        lambda i: "not finite: the matrix holds a NaN or infinite entry",
-    )
     check_hermitian(mats)
     tr = np.trace(mats, axis1=-2, axis2=-1).real
     _reject(
@@ -251,13 +255,21 @@ def _family_matrices(x1, x2, x3, y) -> np.ndarray:
 
 
 def family_density_stack(x1, x2, x3, y=0.0) -> np.ndarray:
-    """Validated family states for arrays of coefficients, shape ``(..., 4, 4)``.
+    """Family states for arrays of coefficients, shape ``(..., 4, 4)``.
 
-    Applies the FamilyCoeffs rules and the density-matrix checks to the
-    whole stack at once; the first invalid tuple raises the same typed error
-    that building it alone would.
+    Applies the FamilyCoeffs rules to the whole stack at once; the first
+    invalid tuple raises the same typed error that building it alone would.
+    Every tuple that passes them gives a density matrix that
+    ``validate_density_stack`` accepts, so the stack is not checked again:
+
+    * ``_family_matrices`` writes an exactly Hermitian, finite matrix;
+    * its trace is x1 + x2 + x3, within FAMILY_ATOL (1e-12) of 1;
+    * its eigenvalues are x2, 0 and those of [[x1, y], [conj(y), x3]].
+      With every x_i >= -1e-12 and |y| <= sqrt(max(x1, 0) max(x3, 0)) + 1e-12,
+      none is below -2e-12 (x1 = x3 = -1e-12 and |y| = 1e-12 reach it), far
+      inside PSD_ATOL (1e-10).
     """
-    return validate_density_stack(_family_matrices(*check_family_coeffs(x1, x2, x3, y)))
+    return _family_matrices(*check_family_coeffs(x1, x2, x3, y))
 
 
 def family_density(c: FamilyCoeffs) -> DensityMatrix:

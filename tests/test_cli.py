@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -714,6 +715,36 @@ def test_no_convergence_exits_2(monkeypatch, capsys):
     def stalled(mats):
         raise NoConvergenceError("eigensolver did not converge: stalled")
 
-    monkeypatch.setattr(cli, "pt_spectrum", stalled)
+    monkeypatch.setattr(cli, "_pt_values", stalled)
     assert run_cli(["family", "--x1", "0.2", "--x2", "0.5", "--x3", "0.3"]) == EXIT_NUMERIC
     assert capsys.readouterr().err == "cavsqueeze: eigensolver did not converge: stalled\n"
+
+
+def test_unchecked_spectrum_maps_a_solver_failure_to_exit_2(monkeypatch, capsys):
+    # The scan reads the partial-transpose spectrum without re-checking the
+    # stack; a LinAlgError from the 4 x 4 solve is still a typed failure.
+    eigh = np.linalg.eigh
+
+    def stalls_on_4x4(a, *args, **kwargs):
+        if np.shape(a)[-1] == 4:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", stalls_on_4x4)
+    assert run_cli(["scan-time", "--steps", "3"]) == EXIT_NUMERIC
+    assert capsys.readouterr() == (
+        "",
+        "cavsqueeze: eigensolver did not converge: Eigenvalues did not converge\n",
+    )
+
+
+def test_phase_overflow_exits_2_with_one_line_and_no_warning(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(["scan-time", "--photons", "50", "--gt-max", "1e308", "--steps", "3"])
+    assert code == EXIT_NUMERIC
+    assert capsys.readouterr() == (
+        "",
+        "cavsqueeze: entry 1: the phase theta = rabi_frequency(n) * gt "
+        "overflows at gt = 5e+307\n",
+    )

@@ -1,6 +1,8 @@
 import math
 import re
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +91,17 @@ def test_closed_form_photon_number_bound():
             closed_form_populations(n, [0.5])
     # the exact route has no such bound
     assert np.isfinite(evolve_exact_stack(10**200, [0.5])).all()
+
+
+def test_phase_overflow_names_the_first_gt_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match=r"overflows at gt = 5e\+307$") as raised:
+            closed_form_populations(50, [0.0, 5e307, 1e308])
+        assert raised.value.index == (1,)
+        # the largest gt whose phase stays finite at n = 50
+        edge = np.nextafter(sys.float_info.max / rabi_frequency(50), 0.0)
+        assert np.isfinite(closed_form_populations(50, [edge])).all()
 
 
 class TestRabiFrequency:

@@ -7,14 +7,18 @@ the complex contraction of the moments (``helpers``) and a projected 3x3
 eigenproblem, written out here, not the kernel itself.
 """
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cavsqueeze as cs
 from cavsqueeze import cli, criteria
 from cavsqueeze.cli import SCAN_CHUNK, build_scan_rows
+from cavsqueeze.states import FAMILY_ATOL
 from helpers import (
     SPIN_OPERATORS,
     random_density,
@@ -254,16 +258,82 @@ def test_zero_mean_row_is_inf_in_the_stack_and_raises_alone():
     ],
 )
 def test_one_invalid_family_row_fails_the_chunk_like_the_scalar(bad, error):
+    assert _fails_the_chunk_like_the_scalar(bad) is error
+
+
+def _fails_the_chunk_like_the_scalar(bad):
+    """The type of the error that ``FamilyCoeffs(*bad)`` raises, after checking
+    that the tuple planted in a chunk of valid rows raises the same error,
+    with the same text after the row's index."""
+    with pytest.raises(cs.CavsqueezeError) as scalar:
+        cs.FamilyCoeffs(*bad)
     gt = np.linspace(0.0, 3.0, SCAN_CHUNK)
     x1, x2, x3 = (np.array(v) for v in cs.closed_form_populations(3, gt))
     y = np.zeros(SCAN_CHUNK, dtype=complex)
     row = SCAN_CHUNK // 3
     for column, value in zip((x1, x2, x3, y), bad):
         column[row] = value
-    with pytest.raises(error, match=f"^entry {row}: "):
+    with pytest.raises(cs.CavsqueezeError) as raised:
         cs.family_density_stack(x1, x2, x3, y)
-    with pytest.raises(error):
-        cs.FamilyCoeffs(*bad)
+    assert type(raised.value) is type(scalar.value)
+    assert str(raised.value) == f"entry {row}: {scalar.value}"
+    assert raised.value.index == (row,)
+    return type(scalar.value)
+
+
+# The edges of the population range, and one step of FAMILY_ATOL past each.
+_RULE_EDGES = st.sampled_from(
+    [-2 * FAMILY_ATOL, -FAMILY_ATOL, 0.0, 1.0, 1.0 + FAMILY_ATOL, 1.0 + 2 * FAMILY_ATOL]
+)
+
+
+@st.composite
+def _edge_family_tuples(draw):
+    """Coefficients at the edges of the family rules, accepted or not.
+
+    The sum is off by up to 2e-12 and |y| reaches sqrt(x1 x3) + 2e-12 at any
+    phase, so the rules' tolerances are crossed from both sides.
+    """
+    population = st.one_of(_RULE_EDGES, st.floats(-2 * FAMILY_ATOL, 1.0 + 2 * FAMILY_ATOL))
+    x1, x3 = draw(population), draw(population)
+    x2 = draw(st.one_of(st.just(1.0 - x1 - x3), _RULE_EDGES))
+    x2 += draw(
+        st.one_of(
+            st.sampled_from([-FAMILY_ATOL, FAMILY_ATOL]),
+            st.floats(-2 * FAMILY_ATOL, 2 * FAMILY_ATOL),
+        )
+    )
+    bound = math.sqrt(max(x1, 0.0) * max(x3, 0.0))
+    modulus = draw(
+        st.one_of(
+            st.sampled_from([bound + FAMILY_ATOL, bound + 2 * FAMILY_ATOL]),
+            st.floats(0.0, bound + 2 * FAMILY_ATOL),
+        )
+    )
+    return x1, x2, x3, cmath.rect(modulus, draw(st.floats(0.0, 2.0 * math.pi)))
+
+
+# eigvalsh's own rounding on a matrix of unit trace: a few ulps of 1
+_EIGVALSH_ROUNDING = 1e-15
+
+
+@settings(max_examples=500, deadline=None)
+@given(coeffs=_edge_family_tuples())
+@example(coeffs=(-FAMILY_ATOL, 1.0 + FAMILY_ATOL, -FAMILY_ATOL, FAMILY_ATOL))
+@example(coeffs=(0.25, 0.5 + FAMILY_ATOL, 0.25, 0.25 + FAMILY_ATOL))
+@example(coeffs=(-2 * FAMILY_ATOL, 1.0 + FAMILY_ATOL, 0.0, FAMILY_ATOL))
+def test_family_rules_alone_decide_the_stack(coeffs):
+    # family_density_stack checks only the coefficient rules: every tuple
+    # they accept must be a density matrix by the validator's rules, with
+    # the eigenvalue bound of its docstring.
+    try:
+        cs.check_family_coeffs(*coeffs)
+    except cs.CavsqueezeError:
+        _fails_the_chunk_like_the_scalar(coeffs)
+        return
+    mats = cs.family_density_stack(*coeffs)
+    cs.validate_density_stack(mats)  # raises on any violated rule
+    assert np.linalg.eigvalsh(mats)[0] >= -2e-12 - _EIGVALSH_ROUNDING
 
 
 @pytest.mark.parametrize(

@@ -53,6 +53,19 @@ def test_family_coeffs_reject_non_finite_imaginary_coherence():
         cs.FamilyCoeffs(0.5, 0.2, 0.3, complex(0.0, math.nan))
 
 
+@pytest.mark.parametrize("bad, entry", [(math.nan, (0, 1)), (math.inf, (3, 3))])
+def test_moment_kernel_rejects_non_finite_entry(bad, entry):
+    # NaN fails no "> tolerance" test, so the kernel checks finiteness first
+    stack = np.tile(np.eye(4, dtype=complex) / 4.0, (5, 1, 1))
+    stack[3][entry] = bad
+    with pytest.raises(NonFiniteError, match="^entry 3: not finite") as raised:
+        cs.spin_moments_stack(stack)
+    assert raised.value.index == (3,)
+    with pytest.raises(NonFiniteError) as raised:
+        cs.spin_moments_stack(stack[3])
+    assert raised.value.index == ()
+
+
 @pytest.mark.parametrize("bad", BAD_VALUES)
 def test_model_config_rejects_non_finite_gt(bad):
     with pytest.raises(NonFiniteError):
