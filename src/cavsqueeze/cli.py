@@ -10,25 +10,30 @@ in output order: ``ScanRow``, ``FamilyRow`` and ``CheckRow``.  The CSV
 header and the JSON keys are those field names, so a column is named in one
 place only.
 
-``scan-time`` runs the array kernel of ``dynamics``, ``states`` and
-``criteria`` over the gt grid in chunks of ``SCAN_CHUNK`` rows: closed-form
-populations, one stack of family states, the spin moments, both squeezing
-quotients and one partial-transpose spectrum per chunk.  Each state is
-checked once, by the family coefficient rules in ``family_density_stack``,
-which guarantee a density matrix; the moments and the spectrum are then
-read without checking the stack again (``_diagnose``).  The chunk bounds
-memory; a row's values do not depend on the chunk it lands in.
+``scan-time`` reads every column from the family's closed forms: the
+closed-form populations of the whole gt grid go through one call of
+``criteria.family_diagnostics_stack``, which checks them by the family
+coefficient rules and returns both squeezing quotients, the negativity and
+both verdicts by their formulas, with no eigensolver and no 4 x 4 state.
 The xi^2 flag column applies ``criteria.xi_entangled``, the verdict rule of
-``xi_squared``.
-The scan stays in columns, one ``ScanRow`` of arrays (``scan_columns``).
-``scan-time --verify`` evolves its gt column exactly in the same chunks
-with ``evolve_exact_stack``, which diagonalizes the Hamiltonian's block on
-the excitation sector of |g, g, n>, at most 4 x 4, once per photon number.
-It reads the populations back (``family_coeffs_stack``) and compares them
-with the printed columns.
-``family`` and ``check-state`` call the same kernel on a stack of one state,
-validated once as a ``DensityMatrix``, and read the negativity and the PPT
-verdict from one partial-transpose spectrum.
+``xi_squared``.  The scan stays in columns, one ``ScanRow`` of arrays
+(``scan_columns``).
+``scan-time --verify`` checks the report by two independent routes, in
+chunks of ``SCAN_CHUNK`` rows.  It evolves the gt column exactly with
+``evolve_exact_stack``, which diagonalizes the Hamiltonian's block on the
+excitation sector of |g, g, n>, at most 4 x 4, once per photon number, reads
+the populations back (``family_coeffs_stack``) and compares them with the
+printed columns.  And it builds the printed populations into family states
+(``states._family_matrices``, the unchecked core of ``family_density_stack``:
+the family kernel has checked those populations) and reads them by the
+generic kernel (``_diagnose``: the spin moments, ``xi_perp_stack`` and the
+partial-transpose spectrum; ``xi_frame_stack``), which is the closed forms'
+oracle.  stderr gets one line per route.
+``family`` calls the family kernel on its one tuple; ``family --verify``
+runs the generic kernel on the same state.  ``check-state`` runs the
+generic kernel on the stack of one state, validated once as a
+``DensityMatrix``, and reads the negativity and the PPT verdict from one
+partial-transpose spectrum.
 
 Both formats follow one cell rule.  A float's CSV text is ``"%.12g" % v``,
 except that -0 prints as ``0`` and an infinite value, which is always an
@@ -57,14 +62,13 @@ import numpy as np
 
 from .criteria import (
     GLOBAL,
+    FamilyStack,
     SpinFrame,
     _moments,
     _pt_values,
-    diagonal_family_entangled,
-    family_squeezing_condition,
+    family_diagnostics_stack,
     spectrum_entangled,
     spectrum_negativity,
-    xi2_family,
     xi_entangled,
     xi_frame_stack,
     xi_perp_stack,
@@ -72,14 +76,8 @@ from .criteria import (
     xi_squared_in_frame,
 )
 from .dynamics import closed_form_populations, evolve_exact_stack
-from .errors import CavsqueezeError, OutsideFamilyError, StateFormatError, ZeroMeanSpinError
-from .states import (
-    FamilyCoeffs,
-    family_coeffs_stack,
-    family_density,
-    family_density_stack,
-    load_density_matrix,
-)
+from .errors import CavsqueezeError, OutsideFamilyError, StateFormatError
+from .states import _family_matrices, family_coeffs_stack, load_density_matrix
 
 EXIT_OK = 0
 EXIT_NUMERIC = 2
@@ -89,25 +87,26 @@ EXIT_PARSE = 65
 VERIFY_TOLERANCE = 1e-9
 
 # Every inf the CLI would print is an undefined squeezing quotient: the
-# kernel returns inf exactly where the quotient's denominator (|<S>|^2, or
-# the squared mean spin on the (n2, n3) plane) is at or below
-# MEAN_SPIN_FLOOR^2, ``family`` puts inf for xi2_family where <Sz> does, and
-# every other column is finite once its input is validated.  So inf prints
-# as this token in both formats.
+# kernels return inf exactly where the quotient's denominator (|<S>|^2, the
+# squared mean spin on the (n2, n3) plane, or (x1 - x3)^2 in the family's
+# closed forms) is at or below MEAN_SPIN_FLOOR^2, and every other column is
+# finite once its input is validated.  So inf prints as this token in both
+# formats.
 ZERO_MEAN_TOKEN = "zero-mean-spin"
 
-# Grid rows per kernel call and per exact evolution in scan-time: large
-# enough that numpy's per-call overhead vanishes, small enough that the
-# temporaries stay in cache and the peak memory of a long scan stays where
-# the per-row loop had it.  The largest is the spin-moment kernel's 96
-# gathered doubles per row (393 KB); a 512-row chunk peaks at about 0.7 MB
-# of traced allocations.  On a 2-core x86-64 machine a 10 001-row scan's
-# kernel time is flat from 512 rows up (1024 and 2048 are no faster) and
-# 15-20% higher at 256.
+# Grid rows per exact evolution and per generic-route call of
+# ``scan-time --verify``, the only user: large enough that numpy's per-call
+# overhead vanishes, small enough that the temporaries stay in cache and the
+# peak memory of a long scan stays flat.  The largest is the spin-moment
+# kernel's 96 gathered doubles per row (393 KB); a 512-row chunk peaks at
+# about 0.7 MB of traced allocations.  On a 2-core x86-64 machine the
+# generic route's time is flat from 512 rows up (1024 and 2048 are no
+# faster) and 15-20% higher at 256.
 SCAN_CHUNK = 512
 
-# The fixed (x, y, z) triad of the scan's xi2_fixed_frame column and of
-# family --verify; a SpinFrame is immutable, so one serves every request.
+# The fixed (x, y, z) triad in which the generic route of scan-time --verify
+# and family --verify reads xi2_fixed_frame; a SpinFrame is immutable, so
+# one serves every request.
 _CANONICAL_FRAME = SpinFrame.canonical()
 
 # The cell rule (see the module docstring).  Adding 0.0 turns -0 into 0
@@ -323,41 +322,46 @@ def _write(text: str, output):
 
 
 def _diagnose(mats):
-    """Spin moments and the report columns of a stack of states.
+    """The generic route over a stack of states: moments, xi^2 and PT spectrum.
 
-    ``mats`` is a validated complex (N, 4, 4) stack: a ``family_density_stack``
-    or a ``DensityMatrix``'s matrix.  So the moments and the partial-transpose
-    spectrum are read through the kernels' unchecked cores, and only an
-    eigensolver failure can raise (NoConvergenceError).  Returns the arrays
-    of the mean spins (N, 3), the second moments (N, 3, 3) and the columns
-    ``xi2_optimized``, ``negativity`` and ``ppt_entangled``; a quotient is
-    inf where the mean spin vanishes.
+    ``mats`` is a validated complex (N, 4, 4) stack: the family states of
+    checked coefficients, or a ``DensityMatrix``'s matrix.  So the moments
+    and the partial-transpose spectrum are read through the kernels'
+    unchecked cores, and only an eigensolver failure can raise
+    (NoConvergenceError).  Returns the arrays of the mean spins (N, 3), the
+    second moments (N, 3, 3), the perp-optimal quotients (N,), inf where the
+    mean spin vanishes, and the ascending partial-transpose spectra (N, 4).
     """
     mean, second = _moments(mats)
-    xi_opt = xi_perp_stack(mean, second).value
-    spectrum = _pt_values(mats)
-    return mean, second, xi_opt, spectrum_negativity(spectrum), spectrum_entangled(spectrum)
+    return mean, second, xi_perp_stack(mean, second).value, _pt_values(mats)
+
+
+def _closed_scan(photons: int, gt_max: float, steps: int):
+    """``scan_columns`` and the ``FamilyStack`` its columns come from."""
+    gt = np.linspace(0.0, gt_max, steps)
+    x1, x2, x3 = closed_form_populations(photons, gt)
+    found = family_diagnostics_stack(x1, x2, x3)
+    columns = ScanRow(
+        gt,
+        x1,
+        x2,
+        x3,
+        found.xi2_optimized,
+        found.xi2_fixed_frame,
+        found.negativity,
+        found.ppt_entangled,
+        found.xi2_flags_entangled,
+    )
+    return columns, found
 
 
 def scan_columns(photons: int, gt_max: float, steps: int) -> ScanRow:
     """The closed-form scan on the uniform gt grid, one ``ScanRow`` of columns.
 
-    Runs the array kernel on ``SCAN_CHUNK`` rows at a time.  Where the mean
-    spin vanishes both quotients are ``inf``.
+    One call of ``family_diagnostics_stack`` over the whole grid's
+    populations.  Where the mean spin vanishes both quotients are ``inf``.
     """
-    grid = np.linspace(0.0, gt_max, steps)
-    chunks = []
-    for start in range(0, steps, SCAN_CHUNK):
-        gt = grid[start : start + SCAN_CHUNK]
-        x1, x2, x3 = closed_form_populations(photons, gt)
-        mean, second, xi_opt, negativity, entangled = _diagnose(
-            family_density_stack(x1, x2, x3)
-        )
-        xi_fixed = xi_frame_stack(mean, second, _CANONICAL_FRAME).value
-        chunks.append((gt, x1, x2, x3, xi_opt, xi_fixed, negativity, entangled, xi_entangled(xi_opt)))
-    # Star-unpacking a list, not an iterator: CPython builds an iterator's
-    # argument tuple by resizing and parks one tuple per call in its free list.
-    return ScanRow(*[np.concatenate(column) for column in zip(*chunks)])
+    return _closed_scan(photons, gt_max, steps)[0]
 
 
 def build_scan_rows(photons: int, gt_max: float, steps: int):
@@ -365,15 +369,43 @@ def build_scan_rows(photons: int, gt_max: float, steps: int):
     return list(map(ScanRow, *[c.tolist() for c in scan_columns(photons, gt_max, steps)]))
 
 
-def _verify_scan(photons: int, scan: ScanRow) -> float:
-    """Largest |closed form - evolved| population deviation over a scan.
+def _scaled_gap(closed, generic, closed_scale, generic_scale) -> np.ndarray:
+    """|closed * closed_scale - generic * generic_scale| of two quotient arrays.
 
-    Evolves the gt column ``SCAN_CHUNK`` rows at a time and compares the
-    read-back populations with the x1, x2 and x3 columns.  An evolved state
-    outside the symmetric family is the exact route's round-off, which
-    grows with gt * sqrt(n); the error says so.
+    An inf is an undefined quotient: a row that both routes leave undefined
+    agrees (0), one that only one route does disagrees (inf).
     """
-    worst = 0.0
+    closed_defined, generic_defined = ~np.isinf(closed), ~np.isinf(generic)
+    gap = np.abs(
+        np.where(closed_defined, closed, 0.0) * closed_scale
+        - np.where(generic_defined, generic, 0.0) * generic_scale
+    )
+    return np.where(closed_defined == generic_defined, gap, np.inf)
+
+
+def _verify_scan(photons: int, scan: ScanRow, closed: FamilyStack):
+    """The two deviations of ``scan-time --verify``, each the largest over a scan.
+
+    The first is |closed form - evolved| over the populations: the gt column
+    is evolved exactly ``SCAN_CHUNK`` rows at a time and the read-back
+    populations are compared with the x1, x2 and x3 columns.  An evolved
+    state outside the symmetric family is the exact route's round-off, which
+    grows with gt * sqrt(n); the error says so.
+
+    The second is |closed form - generic| over the diagnostics: ``closed``,
+    the closed forms the report printed, against the generic route
+    (``_diagnose``, ``xi_frame_stack``) on the printed populations built
+    into family states, in the same chunks.  ``family_diagnostics_stack``
+    has checked those populations by the family coefficient rules, so the
+    states come from ``family_density_stack``'s unchecked core.
+    Each quotient is compared times its squared mean spin, so the comparison
+    stays well conditioned where the mean spin nearly vanishes: xi2 |<S>|^2
+    of both quotients and |<S>| itself, then the negativity and the smallest
+    partial-transpose eigenvalue, all absolute.
+    """
+    worst_population = worst_generic = 0.0
+    closed_mean = np.abs(scan.x1 - scan.x3)
+    closed_sq = closed_mean * closed_mean
     for start in range(0, len(scan.gt), SCAN_CHUNK):
         part = slice(start, start + SCAN_CHUNK)
         states = evolve_exact_stack(photons, scan.gt[part])
@@ -385,46 +417,65 @@ def _verify_scan(photons: int, scan: ScanRow) -> float:
                 f"evolution to gt = {scan.gt[part][exc.index]:.12g} leaves the symmetric "
                 f"family by round-off ({str(exc).rpartition(': ')[2]})"
             ) from exc
-        closed = (scan.x1[part], scan.x2[part], scan.x3[part])
-        worst = max(worst, float(np.abs(np.subtract(evolved, closed)).max()))
-    return worst
+        populations = (scan.x1[part], scan.x2[part], scan.x3[part])
+        worst_population = max(
+            worst_population, float(np.abs(np.subtract(evolved, populations)).max())
+        )
+
+        mean, second, xi_opt, spectrum = _diagnose(_family_matrices(*populations, 0.0))
+        fixed = xi_frame_stack(mean, second, _CANONICAL_FRAME)
+        mean_sq = (mean * mean).sum(axis=-1)
+        gaps = (
+            _scaled_gap(closed.xi2_optimized[part], xi_opt, closed_sq[part], mean_sq),
+            _scaled_gap(
+                closed.xi2_fixed_frame[part], fixed.value, closed_sq[part], fixed.plane_sq
+            ),
+            np.abs(closed_mean[part] - np.sqrt(mean_sq)),
+            np.abs(closed.negativity[part] - spectrum_negativity(spectrum)),
+            np.abs(closed.pt_minimum[part] - spectrum[:, 0]),
+        )
+        # max and np.maximum keep a NaN, which then fails the tolerance
+        worst_generic = np.maximum(worst_generic, np.concatenate(gaps).max())
+    return worst_population, float(worst_generic)
 
 
 def _cmd_scan_time(args) -> int:
-    scan = scan_columns(args.photons, args.gt_max, args.steps)
+    scan, closed = _closed_scan(args.photons, args.gt_max, args.steps)
     _write(_render_columns(scan, args.format), args.output)
     if args.verify:
-        worst = _verify_scan(args.photons, scan)
-        print(
-            f"verify: max |closed form - evolved| = {worst:.3e} over {args.steps} rows",
-            file=sys.stderr,
-        )
-        if worst > VERIFY_TOLERANCE:
+        worst_population, worst_generic = _verify_scan(args.photons, scan, closed)
+        for route, worst in (("evolved", worst_population), ("generic", worst_generic)):
+            print(
+                f"verify: max |closed form - {route}| = {worst:.3e} over {args.steps} rows",
+                file=sys.stderr,
+            )
+        if not (worst_population <= VERIFY_TOLERANCE and worst_generic <= VERIFY_TOLERANCE):
             return EXIT_NUMERIC
     return EXIT_OK
 
 
 def _cmd_family(args) -> int:
-    coeffs = FamilyCoeffs(args.x1, args.x2, args.x3, complex(args.y, 0.0))
-    rho = family_density(coeffs)
-    _, _, (xi_opt,), (negativity,), (entangled,) = _diagnose(rho.mat[None])
-    try:
-        xi_fam = xi2_family(coeffs)
-    except ZeroMeanSpinError:
-        xi_fam = math.inf
-    condition = family_squeezing_condition(coeffs)
+    found = family_diagnostics_stack(args.x1, args.x2, args.x3, args.y)
+    xi_fam = found.xi2_fixed_frame
     row = FamilyRow(
-        coeffs.x1, coeffs.x2, coeffs.x3, args.y, xi_fam, condition, xi_opt, negativity, entangled
+        args.x1,
+        args.x2,
+        args.x3,
+        args.y,
+        xi_fam,
+        xi_entangled(xi_fam),
+        found.xi2_optimized,
+        found.negativity,
+        found.ppt_entangled,
     )
     _write(_render([row], args.format), args.output)
     if args.verify:
-        worst = 0.0
-        if not math.isinf(xi_fam):
-            generic = xi_squared_in_frame(rho, _CANONICAL_FRAME)
-            worst = abs(generic - xi_fam)
-        agree = True
-        if complex(coeffs.y) == 0:
-            agree = diagonal_family_entangled(coeffs) == row.ppt_entangled
+        # the generic route on the state of the tuple the kernel has checked
+        mats = _family_matrices(*np.atleast_1d(args.x1, args.x2, args.x3, args.y))
+        mean, second, _, spectrum = _diagnose(mats)
+        generic = xi_frame_stack(mean, second, _CANONICAL_FRAME).value
+        worst = float(_scaled_gap(xi_fam, generic[0], 1.0, 1.0))
+        agree = bool(spectrum_entangled(spectrum[0])) == bool(found.ppt_entangled)
         print(
             f"verify: |fixed-frame generic - closed form| = {worst:.3e}, "
             f"closed-form verdict agrees = {str(agree).lower()}",
@@ -441,9 +492,15 @@ def _cmd_check_state(args) -> int:
     except OSError as exc:
         print(f"cavsqueeze: cannot read {args.file}: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    (mean,), (second,), (xi_opt,), (negativity,), (entangled,) = _diagnose(rho.mat[None])
+    (mean,), (second,), (xi_opt,), (spectrum,) = _diagnose(rho.mat[None])
     # the moment cells: the mean, then the upper triangle of second, row-major
-    row = CheckRow(negativity, entangled, xi_opt, *mean, *second[np.triu_indices(3)])
+    row = CheckRow(
+        spectrum_negativity(spectrum),
+        spectrum_entangled(spectrum),
+        xi_opt,
+        *mean,
+        *second[np.triu_indices(3)],
+    )
     _write(_render([row], args.format), args.output)
     if args.verify:
         worst = 0.0

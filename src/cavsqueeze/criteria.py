@@ -13,19 +13,30 @@ Two independent criteria are implemented side by side:
   (n1, n2, n3), which witnesses entanglement only when it drops below 1;
   ``xi_entangled`` is that verdict, for ``xi_squared`` and the scan alike.
 
-Closed forms for the symmetric family sit next to the generic machinery so
-either route can check the other.
+Two array kernels compute them, each the other's oracle.
 
-The generic machinery is one array kernel over stacks of 4x4 states:
-``spin_moments_stack`` (the traces against the 12 spin-moment operators, in
-real arithmetic over their 72 nonzero entries), ``xi_perp_stack`` (batched
-2x2 eigenproblem),
+The generic kernel works on stacks of 4x4 states: ``spin_moments_stack``
+(the traces against the 12 spin-moment operators, in real arithmetic over
+their 72 nonzero entries), ``xi_perp_stack`` (batched 2x2 eigenproblem),
 ``xi_frame_stack`` (fixed triad) and ``pt_spectrum`` (the partial-transpose
 eigenvalues, from which ``spectrum_negativity`` and ``spectrum_entangled``
 read both PPT diagnostics).  The scalar functions ``spin_moments``,
 ``xi_squared``, ``xi_squared_in_frame``, ``negativity`` and
-``ppt_entangled`` run the same kernel on a batch of one, so a state gets the
-same bits alone as inside a scan.
+``ppt_entangled`` run it on a batch of one, so a state gets the same bits
+alone as inside a stack.  It serves ``check-state``, and it is the oracle
+of the family kernel in the tests and under ``scan-time --verify`` and
+``family --verify``.
+
+The family kernel, ``family_diagnostics_stack``, works on the coefficients
+(x1, x2, x3, y) of the symmetric family alone, by formulas: with
+d = x1 - x3 the mean spin, xi^2 = (1 + x2 - 2|y|)/d^2 over the plane
+orthogonal to it (Kitagawa and Ueda, PRA 47, 5138 (1993)) and
+(1 + x2 + 2 Re y)/d^2 in the canonical triad, and the partial transpose
+splits into the 2x2 blocks [[x1, x2/2], [x2/2, x3]] and
+[[x2/2, y], [conj(y), x2/2]], whose eigenvalues are closed forms too.
+``scan-time`` and ``family`` read it; ``xi2_family``,
+``family_squeezing_condition`` and ``diagonal_family_entangled`` are its
+one-row views, so a tuple gets the same bits alone as inside a scan.
 """
 
 import math
@@ -47,6 +58,7 @@ from .states import (
     DensityMatrix,
     FamilyCoeffs,
     _two_qubit_stack,
+    check_family_coeffs,
     check_hermitian,
     partial_transpose,
 )
@@ -273,7 +285,7 @@ def xi_perp_stack(mean: np.ndarray, second: np.ndarray) -> PerpStack:
     restricted[:, 0, 0] = (u_cov * u).sum(axis=-1)
     restricted[:, 1, 1] = (v_cov * v).sum(axis=-1)
     restricted[:, 0, 1] = restricted[:, 1, 0] = 0.5 * (uv + vu)
-    w, vecs = np.linalg.eigh(restricted)
+    w, vecs = _eigh(restricted)
     n1 = vecs[:, 0, 0, None] * u + vecs[:, 1, 0, None] * v
     n1 /= np.sqrt((n1 * n1).sum(axis=-1))[:, None]
     value = np.maximum(0.0, ATOM_COUNT * w[:, 0] / norm_sq)
@@ -500,44 +512,123 @@ def ppt_entangled(rho: DensityMatrix) -> bool:
     return bool(spectrum_entangled(pt_spectrum(rho)))
 
 
+class FamilyStack(NamedTuple):
+    """The diagnostics of family states by their closed forms, an array per field.
+
+    ``xi2_optimized`` and ``xi2_fixed_frame`` are inf where the mean spin
+    vanishes; ``pt_minimum`` is the smallest partial-transpose eigenvalue,
+    from which ``negativity`` and ``ppt_entangled`` follow, and
+    ``xi2_flags_entangled`` is ``xi_entangled`` of ``xi2_optimized``.
+    """
+
+    xi2_optimized: np.ndarray
+    xi2_fixed_frame: np.ndarray
+    pt_minimum: np.ndarray
+    negativity: np.ndarray
+    ppt_entangled: np.ndarray
+    xi2_flags_entangled: np.ndarray
+
+
+def family_diagnostics_stack(x1, x2, x3, y=0.0) -> FamilyStack:
+    """Both diagnostics of family states, from their coefficients alone.
+
+    ``x1``, ``x2``, ``x3`` and ``y`` are arrays (or scalars) that broadcast
+    together; the first tuple that breaks the FamilyCoeffs rules raises the
+    typed error of ``check_family_coeffs``.  With d = x1 - x3 the mean spin
+    is d along z, and with 1 = x1 + x2 + x3:
+
+    * xi2_optimized = (1 + x2 - 2|y|)/d^2, clamped at 0: the transverse
+      covariance has the eigenvalues (1 + x2)/2 +- |y| (Kitagawa and Ueda,
+      PRA 47, 5138 (1993));
+    * xi2_fixed_frame = (1 + x2 + 2 Re y)/d^2, with S_x as n1 in the
+      canonical triad;
+    * the partial transpose splits into the blocks [[x1, x2/2], [x2/2, x3]]
+      and [[x2/2, y], [conj(y), x2/2]].  The first block's smaller
+      eigenvalue is its determinant over its larger one,
+      (x1 x3 - x2^2/4)/(half_sum + radius), free of the cancellation of
+      ``half_sum - radius``, which near x1 = 0 and x3 = 1 lost the
+      eigenvalue's fourth digit right at the PPT floor.  The second block's
+      are x2/2 +- |y|.  The larger eigenvalue of the first block is at
+      least (x1 + x2 + x3)/2, about 1/2, so it never counts.
+
+    A row whose d^2 is at or below MEAN_SPIN_FLOOR^2 is undefined (inf), by
+    the rule of ``xi_perp_stack`` and ``xi_frame_stack``.  Every operation
+    acts elementwise, so a row gets the same bits alone as inside a scan.
+    """
+    x1, x2, x3, y = check_family_coeffs(x1, x2, x3, y)
+    mean_z = x1 - x3
+    mean_sq = mean_z * mean_z
+    defined = mean_sq > MEAN_SPIN_FLOOR**2
+    denom = np.where(defined, mean_sq, 1.0)
+    modulus = np.abs(y)
+    base = 1.0 + x2
+    xi_opt = np.where(defined, np.maximum(0.0, (base - 2.0 * modulus) / denom), np.inf)
+    xi_fixed = np.where(defined, (base + 2.0 * y.real) / denom, np.inf)
+
+    half_x2 = 0.5 * x2
+    half_sum = 0.5 * (x1 + x3)
+    radius = np.hypot(0.5 * mean_z, half_x2)
+    corner = (x1 * x3 - half_x2 * half_x2) / (half_sum + radius)
+    middle = half_x2 - modulus
+    top = half_x2 + modulus
+    pt_minimum = np.minimum(corner, middle)
+    # np.maximum returns its second argument on a tie, so -0 sums as +0
+    negativity = (
+        np.maximum(-corner, 0.0) + np.maximum(-middle, 0.0) + np.maximum(-top, 0.0)
+    )
+    return FamilyStack(
+        xi_opt,
+        xi_fixed,
+        pt_minimum,
+        negativity,
+        pt_minimum < PPT_EIGENVALUE_FLOOR,
+        xi_entangled(xi_opt),
+    )
+
+
+def _family_row(c: FamilyCoeffs) -> FamilyStack:
+    """``family_diagnostics_stack`` of one validated tuple, each field a 0-d array."""
+    return family_diagnostics_stack(c.x1, c.x2, c.x3, c.y)
+
+
 def diagonal_family_entangled(c: FamilyCoeffs) -> bool:
     """Closed-form partial-transpose verdict for coherence-free family states.
 
     The partial transpose couples only the corner block
     [[x1, x2/2], [x2/2, x3]]; its smaller eigenvalue is negative exactly when
-    x2 > 2*sqrt(x1*x3).  The same certification floor as ppt_entangled keeps
-    the two routes aligned at machine precision.
+    x2 > 2*sqrt(x1*x3).  The verdict of ``family_diagnostics_stack`` on the
+    one tuple, with the certification floor of ppt_entangled.
     """
     if complex(c.y) != 0:
         raise NonDiagonalError(f"family coherence y = {c.y} must be exactly zero")
-    half_sum = 0.5 * (c.x1 + c.x3)
-    radius = math.hypot(0.5 * (c.x1 - c.x3), 0.5 * c.x2)
-    return (half_sum - radius) < PPT_EIGENVALUE_FLOOR
+    return bool(_family_row(c).ppt_entangled)
 
 
-def _require_real_y(c: FamilyCoeffs) -> float:
+def _require_real_y(c: FamilyCoeffs):
     y = complex(c.y)
     if y.imag != 0.0:
         raise NonRealError(f"coherence y = {y} must be real here")
-    return y.real
 
 
 def xi2_family(c: FamilyCoeffs) -> float:
-    """Fixed-frame squeezing parameter (2y + 2 - <Sz^2>)/<Sz>^2 of a real-y family.
+    """Fixed-frame squeezing parameter (1 + x2 + 2y)/(x1 - x3)^2 of a real-y family.
 
-    Equals the generic quotient evaluated in the canonical (x, y, z) triad.
+    ``family_diagnostics_stack``'s xi2_fixed_frame of the one tuple: the
+    generic quotient in the canonical (x, y, z) triad.  A vanishing mean spin
+    raises ZeroMeanSpinError.
     """
-    y = _require_real_y(c)
-    mean_z = c.x1 - c.x3
-    if abs(mean_z) <= MEAN_SPIN_FLOOR:
+    _require_real_y(c)
+    value = float(_family_row(c).xi2_fixed_frame)
+    if math.isinf(value):
+        mean_z = c.x1 - c.x3
         raise ZeroMeanSpinError(f"<Sz> = {mean_z:.3e} is at or below {MEAN_SPIN_FLOOR:g}")
-    second_z = c.x1 + c.x3
-    return (2.0 * y + 2.0 - second_z) / (mean_z * mean_z)
+    return value
 
 
 def family_squeezing_condition(c: FamilyCoeffs) -> bool:
-    """Strict inequality <Sz^2> + <Sz>^2 > 2 + 2y marking squeezing in a family."""
-    y = _require_real_y(c)
-    mean_z = c.x1 - c.x3
-    second_z = c.x1 + c.x3
-    return second_z + mean_z * mean_z > 2.0 + 2.0 * y
+    """Squeezing of a real-y family in the canonical triad: ``xi2_family`` below 1.
+
+    The same as <Sz^2> + <Sz>^2 > 2 + 2y; false where the mean spin vanishes.
+    """
+    _require_real_y(c)
+    return bool(xi_entangled(_family_row(c).xi2_fixed_frame))

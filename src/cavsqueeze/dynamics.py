@@ -147,14 +147,16 @@ def evolve_exact_stack(n_photons: int, gt) -> np.ndarray:
     """Evolve |g, g, n> for every phase in ``gt`` and trace out the field.
 
     ``gt`` is an array of phases (any shape) checked by ModelConfig's rules;
-    the first bad entry names the typed error.  The block of the excitation
-    sector that holds |g, g, n> (at most 4 x 4) is diagonalized once per n
-    and cached (see ``_eigensystem``).  Each phase applies exp(-i*E*gt) to
-    the initial state's components in the sector's eigenbasis.  The
-    eigenvectors are real, so the evolved vectors come from two real
-    products, one for each part of the phases.  Each vector must have unit
-    norm within NORM_ATOL, 1e-10 (NotNormalizedError), and the stack of
-    reduced states is validated once with ``validate_density_stack``.
+    the first bad entry names the typed error, and so does the first gt at
+    which a phase E * gt overflows (NonFiniteError, with no numpy warning).
+    The block of the excitation sector that holds |g, g, n> (at most 4 x 4)
+    is diagonalized once per n and cached (see ``_eigensystem``).  Each
+    phase applies exp(-i*E*gt) to the initial state's components in the
+    sector's eigenbasis.  The eigenvectors are real, so the evolved vectors
+    come from two real products, one for each part of the phases.  Each
+    vector must have unit norm within NORM_ATOL, 1e-10 (NotNormalizedError;
+    a NaN norm fails too), and the stack of reduced states is validated
+    once with ``validate_density_stack``.
 
     Returns
     -------
@@ -167,13 +169,20 @@ def evolve_exact_stack(n_photons: int, gt) -> np.ndarray:
     # components of |g, g> x |n> in the eigenbasis: the last row of V (real),
     # since |g, g, n> is the sector's last state
     initial = vectors[-1]
-    angles = np.multiply.outer(gt, values)
+    with np.errstate(over="ignore"):
+        angles = np.multiply.outer(gt, values)
+    _reject(
+        ~np.isfinite(angles).all(axis=-1),
+        NonFiniteError,
+        lambda i: f"the phase E * gt of the sector's eigenvalues overflows at gt = {gt[i]:.12g}",
+    )
     psi = np.empty(angles.shape, dtype=complex)
     psi.real = (np.cos(angles) * initial) @ vectors.T
     psi.imag = (np.sin(angles) * -initial) @ vectors.T
     norm = np.linalg.norm(psi, axis=-1)
+    # written so that a NaN norm fails it too
     _reject(
-        np.abs(norm - 1.0) > NORM_ATOL,
+        ~(np.abs(norm - 1.0) <= NORM_ATOL),
         NotNormalizedError,
         lambda i: f"state vector is not normalized: norm = {norm[i]:.12g}",
     )

@@ -19,10 +19,13 @@ qubits.
 The checks run on arrays: ``validate_density_stack`` validates a stack of
 matrices and ``check_family_coeffs`` applies the coefficient rules to arrays
 of coefficients.  ``DensityMatrix`` and ``FamilyCoeffs`` call them on a
-single instance.  ``family_density_stack`` builds the family states of a
-whole scan at once and checks them once, by the coefficient rules: a tuple
-that passes them gives a density matrix within the validator's tolerances
-(its docstring has the bound), so the stack is not checked again.
+single instance.  ``family_density_stack`` builds a stack of family states
+and checks them once, by the coefficient rules: a tuple that passes them
+gives a density matrix within the validator's tolerances (its docstring has
+the bound), so the stack is not checked again.  The scan itself needs no
+states; the generic route that checks its closed forms (``scan-time
+--verify``, ``family --verify``) builds the states of tuples the family
+kernel has already checked, through the unchecked core ``_family_matrices``.
 ``family_coeffs_stack`` reads the coefficients back from a stack
 (``family_coeffs_from_density`` is the same call on one state).
 """
@@ -178,6 +181,21 @@ def check_family_coeffs(x1, x2, x3, y=0.0):
         np.asarray(x3, dtype=float),
         np.asarray(y, dtype=complex),
     )
+    # Every rule in one test first: a NaN or inf fails it, and only then are
+    # the rules applied one at a time to name the first broken one.
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf input, or 1e308 + 1e308
+        total = x1 + x2 + x3
+        bound = np.sqrt(np.maximum(x1, 0.0) * np.maximum(x3, 0.0))
+        modulus = np.abs(y)
+    low = np.minimum(np.minimum(x1, x2), x3)
+    high = np.maximum(np.maximum(x1, x2), x3)
+    if (
+        (low >= -FAMILY_ATOL)
+        & (high <= 1.0 + FAMILY_ATOL)
+        & (np.abs(total - 1.0) <= FAMILY_ATOL)
+        & (modulus <= bound + FAMILY_ATOL)
+    ).all():
+        return x1, x2, x3, y
     _reject(
         ~(np.isfinite(x1) & np.isfinite(x2) & np.isfinite(x3) & np.isfinite(y)),
         NonFiniteError,
@@ -190,17 +208,15 @@ def check_family_coeffs(x1, x2, x3, y=0.0):
             NotPositiveError,
             lambda i: f"{name} = {value[i]:.12g} is outside [0, 1]",
         )
-    total = x1 + x2 + x3
     _reject(
         np.abs(total - 1.0) > FAMILY_ATOL,
         NotNormalizedError,
         lambda i: f"populations must sum to 1: x1 + x2 + x3 = {total[i]:.15g}",
     )
-    bound = np.sqrt(np.maximum(x1, 0.0) * np.maximum(x3, 0.0))
     _reject(
-        np.abs(y) > bound + FAMILY_ATOL,
+        modulus > bound + FAMILY_ATOL,
         NotPositiveError,
-        lambda i: f"|y| = {abs(y[i]):.12g} exceeds sqrt(x1*x3) = {bound[i]:.12g}",
+        lambda i: f"|y| = {modulus[i]:.12g} exceeds sqrt(x1*x3) = {bound[i]:.12g}",
     )
     return x1, x2, x3, y
 
@@ -243,7 +259,10 @@ def partial_transpose(rho) -> np.ndarray:
 
 
 def _family_matrices(x1, x2, x3, y) -> np.ndarray:
-    """Family states in the computational basis, shape ``x1.shape + (4, 4)``."""
+    """Family states in the computational basis, shape ``x1.shape + (4, 4)``.
+
+    No check: the caller passes coefficients that passed ``check_family_coeffs``.
+    """
     half = 0.5 * np.asarray(x2)
     mats = np.zeros(np.shape(x1) + (4, 4), dtype=complex)
     mats[..., 0, 0] = x1
@@ -257,6 +276,9 @@ def _family_matrices(x1, x2, x3, y) -> np.ndarray:
 def family_density_stack(x1, x2, x3, y=0.0) -> np.ndarray:
     """Family states for arrays of coefficients, shape ``(..., 4, 4)``.
 
+    The states on which the generic kernel checks the family kernel of
+    ``criteria``; the CLI builds them from coefficients that kernel has
+    checked, through ``_family_matrices`` alone.
     Applies the FamilyCoeffs rules to the whole stack at once; the first
     invalid tuple raises the same typed error that building it alone would.
     Every tuple that passes them gives a density matrix that

@@ -18,6 +18,7 @@ from cavsqueeze.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_USAGE,
+    VERIFY_TOLERANCE,
     ZERO_MEAN_TOKEN,
     CheckRow,
     FamilyRow,
@@ -28,10 +29,17 @@ from cavsqueeze.cli import (
     build_scan_rows,
     main,
 )
-from cavsqueeze.criteria import XiResult, xi_squared
+from cavsqueeze.criteria import (
+    PPT_EIGENVALUE_FLOOR,
+    XiResult,
+    diagonal_family_entangled,
+    family_diagnostics_stack,
+    ppt_entangled,
+    xi_squared,
+)
 from cavsqueeze.dynamics import _eigensystem, closed_form_populations
 from cavsqueeze.errors import CavsqueezeError, NoConvergenceError
-from cavsqueeze.states import FAMILY_ATOL, FAMILY_RESIDUAL_ATOL
+from cavsqueeze.states import FAMILY_ATOL, FAMILY_RESIDUAL_ATOL, FamilyCoeffs, family_density
 from helpers import reference_render
 
 
@@ -204,6 +212,99 @@ def test_scan_verify_covers_a_one_row_last_chunk(capsys):
     assert f"over {steps} rows" in checked.err
 
 
+_VERIFY_LINES = re.compile(
+    r"verify: max \|closed form - evolved\| = (\S+) over (\d+) rows\n"
+    r"verify: max \|closed form - generic\| = (\S+) over (\d+) rows\n"
+)
+
+
+def _verify_deviations(err, steps):
+    """The population and generic-route deviations of scan-time --verify."""
+    found = _VERIFY_LINES.fullmatch(err)
+    assert found, err
+    assert int(found.group(2)) == int(found.group(4)) == steps
+    return float(found.group(1)), float(found.group(3))
+
+
+def test_scan_verify_checks_the_closed_forms_against_the_generic_route(capsys):
+    argv = ["scan-time", "--photons", "5", "--gt-max", "9", "--steps", str(SCAN_CHUNK + 7)]
+    assert run_cli(argv + ["--verify"]) == EXIT_OK
+    population, generic = _verify_deviations(capsys.readouterr().err, SCAN_CHUNK + 7)
+    assert population <= 1e-12 and generic <= 1e-14
+
+
+def test_scan_verify_fails_when_a_closed_form_drifts(monkeypatch, capsys):
+    # A negativity 1e-8 off is still a plausible report; only the generic
+    # route can catch it.  The rows span two chunks.
+    family_diagnostics_stack = cli.family_diagnostics_stack
+
+    def drifted(*coeffs):
+        found = family_diagnostics_stack(*coeffs)
+        return found._replace(negativity=found.negativity + 1e-8)
+
+    monkeypatch.setattr(cli, "family_diagnostics_stack", drifted)
+    steps = SCAN_CHUNK + 1
+    argv = ["scan-time", "--photons", "2", "--steps", str(steps), "--verify"]
+    assert run_cli(argv) == EXIT_NUMERIC
+    population, generic = _verify_deviations(capsys.readouterr().err, steps)
+    assert population <= 1e-12
+    assert abs(generic - 1e-8) < 1e-10
+
+
+def test_scan_verify_fails_when_the_closed_forms_widen_the_mean_spin_floor(monkeypatch, capsys):
+    # Next to theta = pi/2 at n = 1 the mean spin falls to 2.5e-6, above the
+    # 1e-8 floor.  Closed forms that call such a row undefined differ from
+    # the generic route by xi^2 |<S>|^2, only about 1e-11 there, so the
+    # check must treat a row undefined by one route alone as a failure.
+    family_diagnostics_stack = cli.family_diagnostics_stack
+
+    def widened(x1, x2, x3, y=0.0):
+        found = family_diagnostics_stack(x1, x2, x3, y)
+        undefined = np.abs(np.subtract(x1, x3)) < 1e-5
+        return found._replace(
+            xi2_optimized=np.where(undefined, np.inf, found.xi2_optimized),
+            xi2_fixed_frame=np.where(undefined, np.inf, found.xi2_fixed_frame),
+        )
+
+    monkeypatch.setattr(cli, "family_diagnostics_stack", widened)
+    argv = ["scan-time", "--photons", "1", "--gt-max", "2.221441469079183", "--steps", "2001"]
+    assert run_cli(argv + ["--verify"]) == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert captured.out.count(ZERO_MEAN_TOKEN) > 2
+    _, generic = _verify_deviations(captured.err, 2001)
+    assert math.isinf(generic)
+
+
+# n = 7 at this gt gives x1 == x3 to the last bit: the mean spin is exactly 0.
+VANISHING_MEAN_SCAN = [
+    "scan-time", "--photons", "7", "--gt-max", "0.9311707530591913", "--steps", "2"
+]
+# n = 1 at gt = 0.001: the smallest partial-transpose eigenvalue is
+# -1.0000007e-12, 6.7e-19 past the PPT floor.
+PPT_FLOOR_SCAN = ["scan-time", "--photons", "1", "--gt-max", "0.001", "--steps", "2"]
+
+
+def test_scan_verify_at_an_exactly_vanishing_mean_spin(capsys):
+    x1, _, x3 = closed_form_populations(7, [0.9311707530591913])
+    assert x1[0] == x3[0]
+    assert run_cli(VANISHING_MEAN_SCAN + ["--verify"]) == EXIT_OK
+    captured = capsys.readouterr()
+    row = parse_csv(captured.out)[1]
+    assert row["xi2_optimized"] == row["xi2_fixed_frame"] == ZERO_MEAN_TOKEN
+    population, generic = _verify_deviations(captured.err, 2)
+    assert population <= VERIFY_TOLERANCE and generic <= VERIFY_TOLERANCE
+
+
+def test_scan_verify_next_to_the_ppt_floor(capsys):
+    found = family_diagnostics_stack(*closed_form_populations(1, [0.001]))
+    assert abs(found.pt_minimum[0] - PPT_EIGENVALUE_FLOOR) < 1e-15
+    assert run_cli(PPT_FLOOR_SCAN + ["--verify"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert parse_csv(captured.out)[1]["ppt_entangled"] == "true"
+    population, generic = _verify_deviations(captured.err, 2)
+    assert population <= VERIFY_TOLERANCE and generic <= VERIFY_TOLERANCE
+
+
 def test_scan_verify_out_of_precision_names_n_and_gt(capsys):
     # At n = 10^11 the exact route's phase round-off, which grows with
     # gt * sqrt(n), pushes an evolved state out of the family: the failure
@@ -344,6 +445,23 @@ def test_family_verify_passes(capsys):
     ]
     assert run_cli(args) == EXIT_OK
     assert "verify:" in capsys.readouterr().err
+
+
+# The gt = 0.001 row of an n = 1 scan, whose smallest partial-transpose
+# eigenvalue -1.0000007e-12 lies just past the floor; half_sum - radius gave
+# -9.99978e-13 and a false "closed-form verdict agrees = false".
+PPT_FLOOR_TUPLE = ("0.0", "1.9999986666670227e-06", "0.9999980000013332")
+
+
+def test_family_verify_next_to_the_ppt_floor(capsys):
+    x1, x2, x3 = PPT_FLOOR_TUPLE
+    assert run_cli(["family", "--x1", x1, "--x2", x2, "--x3", x3, "--verify"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert parse_csv(captured.out)[0]["ppt_entangled"] == "true"
+    assert captured.err.endswith("closed-form verdict agrees = true\n")
+    coeffs = FamilyCoeffs(*map(float, PPT_FLOOR_TUPLE))
+    assert ppt_entangled(family_density(coeffs)) is True
+    assert diagonal_family_entangled(coeffs) is True
 
 
 def test_family_invalid_coefficients_exit_2(capsys):
@@ -711,31 +829,79 @@ def test_untyped_error_is_a_bug_not_exit_2(monkeypatch):
 
 
 def test_no_convergence_exits_2(monkeypatch, capsys):
-    # NoConvergenceError is a RuntimeError, and typed: a numeric failure
+    # NoConvergenceError is a RuntimeError, and typed: a numeric failure.
+    # family reads its report from the closed forms; --verify runs the
+    # generic route, whose partial-transpose spectrum stalls here.
     def stalled(mats):
         raise NoConvergenceError("eigensolver did not converge: stalled")
 
     monkeypatch.setattr(cli, "_pt_values", stalled)
-    assert run_cli(["family", "--x1", "0.2", "--x2", "0.5", "--x3", "0.3"]) == EXIT_NUMERIC
+    argv = ["family", "--x1", "0.2", "--x2", "0.5", "--x3", "0.3", "--verify"]
+    assert run_cli(argv) == EXIT_NUMERIC
     assert capsys.readouterr().err == "cavsqueeze: eigensolver did not converge: stalled\n"
 
 
-def test_unchecked_spectrum_maps_a_solver_failure_to_exit_2(monkeypatch, capsys):
-    # The scan reads the partial-transpose spectrum without re-checking the
-    # stack; a LinAlgError from the 4 x 4 solve is still a typed failure.
+def _stalls_on(size, monkeypatch):
+    """Make np.linalg.eigh raise LinAlgError on (..., size, size) input only."""
     eigh = np.linalg.eigh
 
-    def stalls_on_4x4(a, *args, **kwargs):
-        if np.shape(a)[-1] == 4:
+    def stalls(a, *args, **kwargs):
+        if np.shape(a)[-1] == size:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", stalls_on_4x4)
-    assert run_cli(["scan-time", "--steps", "3"]) == EXIT_NUMERIC
-    assert capsys.readouterr() == (
-        "",
-        "cavsqueeze: eigensolver did not converge: Eigenvalues did not converge\n",
-    )
+    monkeypatch.setattr(np.linalg, "eigh", stalls)
+
+
+STALLED = "cavsqueeze: eigensolver did not converge: Eigenvalues did not converge\n"
+
+
+def test_unchecked_spectrum_maps_a_solver_failure_to_exit_2(monkeypatch, capsys):
+    # The generic route of scan-time --verify reads the partial-transpose
+    # spectrum without re-checking the stack; a LinAlgError from the 4 x 4
+    # solve is still a typed failure, after the report has been written.
+    argv = ["scan-time", "--steps", "3"]
+    assert run_cli(argv) == EXIT_OK
+    report = capsys.readouterr().out
+    _stalls_on(4, monkeypatch)
+    assert run_cli(argv + ["--verify"]) == EXIT_NUMERIC
+    assert capsys.readouterr() == (report, STALLED)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan-time", "--steps", "3", "--verify"],
+        ["family", "--x1", "0.2", "--x2", "0.5", "--x3", "0.3", "--verify"],
+        ["check-state", "STATE"],
+    ],
+)
+def test_perp_quotient_maps_a_solver_failure_to_exit_2(argv, tmp_path, monkeypatch, capsys):
+    # xi_perp_stack solves its 2 x 2 problems through the package's one
+    # eigensolver wrapper, so a LinAlgError there is NoConvergenceError too.
+    path = tmp_path / "state.json"
+    write_state(path, np.diag([0.1, 0.2, 0.3, 0.4]), (2, 2))
+    argv = [str(path) if arg == "STATE" else arg for arg in argv]
+    _stalls_on(2, monkeypatch)
+    assert run_cli(argv) == EXIT_NUMERIC
+    assert capsys.readouterr().err == STALLED
+
+
+def test_scan_runs_no_eigensolver_and_no_generic_route(monkeypatch, capsys):
+    # Without --verify a scan is its closed forms alone: no eigensolver, no
+    # spin moments, no stack of 4 x 4 states.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("scan-time left its closed forms")
+
+    for name in ("_diagnose", "_moments", "_pt_values", "_family_matrices"):
+        monkeypatch.setattr(cli, name, forbidden)
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    argv = ["scan-time", "--photons", "1", "--gt-max", "3", "--steps", "301"]
+    for fmt in ("csv", "json"):
+        assert run_cli(argv + ["--format", fmt]) == EXIT_OK
+        reference = Path(__file__).parent / "data" / f"scan_n1_gt3_301.{fmt}"
+        assert capsys.readouterr().out == reference.read_text(encoding="utf-8")
 
 
 def test_phase_overflow_exits_2_with_one_line_and_no_warning(capsys):

@@ -333,6 +333,34 @@ class TestEvolveExactStack:
         with pytest.raises(NotNormalizedError, match="^entry 0: .*norm = 2.25$"):
             evolve_exact_stack(2, [0.5, 1.0])
 
+    def test_a_nan_norm_fails_the_norm_test(self, monkeypatch):
+        # NaN passes an "is the deviation too large" test; the norm test
+        # asks whether it is small enough instead.
+        atoms, photons, values, vectors = _eigensystem(2)
+        broken = vectors.copy()
+        broken[0, 0] = np.nan
+        monkeypatch.setattr(dynamics, "_eigensystem", lambda n: (atoms, photons, values, broken))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotNormalizedError, match="^entry 0: .*norm = nan$"):
+                evolve_exact_stack(2, [0.5, 1.0])
+
+    def test_phase_overflow_names_the_gt_without_a_warning(self):
+        # 1e308 times the sector's largest eigenvalue overflows a double;
+        # the error names that gt instead of blaming the state it would give.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            overflow = r"^entry 1: .*overflows at gt = 1e\+308$"
+            with pytest.raises(NonFiniteError, match=overflow) as raised:
+                evolve_exact_stack(50, [0.0, 1e308])
+        assert raised.value.index == (1,)
+        # the largest gt whose phases stay finite at n = 50
+        _, _, values, _ = _eigensystem(50)
+        edge = np.nextafter(sys.float_info.max / np.abs(values).max(), 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(evolve_exact_stack(50, [edge])).all()
+
 
 class TestExcitationSector:
     @pytest.mark.parametrize(
