@@ -10,12 +10,10 @@ closed-form coefficient family makes the comparison cheap enough to sweep.
 from .criteria import (
     GLOBAL,
     PERP_OPTIMAL,
-    FamilyStack,
     SpinFrame,
     SpinMoments,
     XiResult,
     diagonal_family_entangled,
-    family_diagnostics_stack,
     family_squeezing_condition,
     negativity,
     ppt_entangled,

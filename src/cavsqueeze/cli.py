@@ -30,7 +30,8 @@ generic kernel (``_diagnose``: the spin moments, ``xi_perp_stack`` and the
 partial-transpose spectrum; ``xi_frame_stack``), which is the closed forms'
 oracle.  stderr gets one line per route.
 ``family`` calls the family kernel on its one tuple; ``family --verify``
-runs the generic kernel on the same state.  ``check-state`` runs the
+runs the generic kernel on the same state and compares the fixed-frame
+quotients times their squared mean spins, as the scan does.  ``check-state`` runs the
 generic kernel on the stack of one state, validated once as a
 ``DensityMatrix``, and reads the negativity and the PPT verdict from one
 partial-transpose spectrum.
@@ -473,11 +474,14 @@ def _cmd_family(args) -> int:
         # the generic route on the state of the tuple the kernel has checked
         mats = _family_matrices(*np.atleast_1d(args.x1, args.x2, args.x3, args.y))
         mean, second, _, spectrum = _diagnose(mats)
-        generic = xi_frame_stack(mean, second, _CANONICAL_FRAME).value
-        worst = float(_scaled_gap(xi_fam, generic[0], 1.0, 1.0))
+        generic = xi_frame_stack(mean, second, _CANONICAL_FRAME)
+        # times the squared mean spin, as in scan-time --verify: the closed
+        # form takes the trace as 1, and the rules leave it 1 within 1e-12
+        closed_sq = (args.x1 - args.x3) ** 2
+        worst = float(_scaled_gap(xi_fam, generic.value[0], closed_sq, generic.plane_sq[0]))
         agree = bool(spectrum_entangled(spectrum[0])) == bool(found.ppt_entangled)
         print(
-            f"verify: |fixed-frame generic - closed form| = {worst:.3e}, "
+            f"verify: fixed-frame |generic - closed form| of xi^2 |<S>|^2 = {worst:.3e}, "
             f"closed-form verdict agrees = {str(agree).lower()}",
             file=sys.stderr,
         )

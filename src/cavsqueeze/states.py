@@ -181,21 +181,6 @@ def check_family_coeffs(x1, x2, x3, y=0.0):
         np.asarray(x3, dtype=float),
         np.asarray(y, dtype=complex),
     )
-    # Every rule in one test first: a NaN or inf fails it, and only then are
-    # the rules applied one at a time to name the first broken one.
-    with np.errstate(over="ignore", invalid="ignore"):  # an inf input, or 1e308 + 1e308
-        total = x1 + x2 + x3
-        bound = np.sqrt(np.maximum(x1, 0.0) * np.maximum(x3, 0.0))
-        modulus = np.abs(y)
-    low = np.minimum(np.minimum(x1, x2), x3)
-    high = np.maximum(np.maximum(x1, x2), x3)
-    if (
-        (low >= -FAMILY_ATOL)
-        & (high <= 1.0 + FAMILY_ATOL)
-        & (np.abs(total - 1.0) <= FAMILY_ATOL)
-        & (modulus <= bound + FAMILY_ATOL)
-    ).all():
-        return x1, x2, x3, y
     _reject(
         ~(np.isfinite(x1) & np.isfinite(x2) & np.isfinite(x3) & np.isfinite(y)),
         NonFiniteError,
@@ -208,15 +193,17 @@ def check_family_coeffs(x1, x2, x3, y=0.0):
             NotPositiveError,
             lambda i: f"{name} = {value[i]:.12g} is outside [0, 1]",
         )
+    total = x1 + x2 + x3
     _reject(
         np.abs(total - 1.0) > FAMILY_ATOL,
         NotNormalizedError,
         lambda i: f"populations must sum to 1: x1 + x2 + x3 = {total[i]:.15g}",
     )
+    bound = np.sqrt(np.maximum(x1, 0.0) * np.maximum(x3, 0.0))
     _reject(
-        modulus > bound + FAMILY_ATOL,
+        np.abs(y) > bound + FAMILY_ATOL,
         NotPositiveError,
-        lambda i: f"|y| = {modulus[i]:.12g} exceeds sqrt(x1*x3) = {bound[i]:.12g}",
+        lambda i: f"|y| = {abs(y[i]):.12g} exceeds sqrt(x1*x3) = {bound[i]:.12g}",
     )
     return x1, x2, x3, y
 

@@ -464,6 +464,18 @@ def test_family_verify_next_to_the_ppt_floor(capsys):
     assert diagonal_family_entangled(coeffs) is True
 
 
+# The rules accept a trace 5e-13 off 1, which the closed form takes as 1 and
+# the generic route reads; with (x1 - x3)^2 = 1e-4 the bare quotients differ
+# by about 5e-9, beyond the tolerance, and only their products with the
+# squared mean spin agree.
+@pytest.mark.parametrize("y", ["0", "0.2"])
+def test_family_verify_with_trace_slack_and_small_mean_spin(y, capsys):
+    args = ["family", "--x1", "0.3", "--x2", "0.39", "--x3", "0.3100000000005", "--y", y]
+    assert run_cli(args + ["--verify"]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert float(err.split(" = ")[1].split(",")[0]) < 1e-12
+
+
 def test_family_invalid_coefficients_exit_2(capsys):
     assert run_cli(["family", "--x1", "0.6", "--x2", "0.0", "--x3", "0.6"]) == EXIT_NUMERIC
     assert "sum to 1" in capsys.readouterr().err
