@@ -11,7 +11,8 @@ Two independent criteria are implemented side by side:
 * the collective-spin squeezing parameter
   xi^2 = N var(S_n1) / (<S_n2>^2 + <S_n3>^2) over orthonormal triads
   (n1, n2, n3), which witnesses entanglement only when it drops below 1;
-  ``xi_entangled`` is that verdict, for ``xi_squared`` and the scan alike.
+  ``xi_entangled`` is that verdict, for ``xi_squared`` and the scan alike,
+  with a floor just under 1 for the validator's trace slack.
 
 Two array kernels compute them, each the other's oracle.
 
@@ -53,13 +54,13 @@ from .errors import (
     UnknownPolicyError,
     ZeroMeanSpinError,
 )
-from .linalg import _eigh, hermitian_eig
+from .linalg import _eigh, _eigvalsh, check_hermitian
 from .states import (
+    TRACE_ATOL,
     DensityMatrix,
     FamilyCoeffs,
     _two_qubit_stack,
     check_family_coeffs,
-    check_hermitian,
     partial_transpose,
 )
 
@@ -75,6 +76,11 @@ FRAME_ORTHONORMAL_ATOL = 1e-10
 # A partial-transpose eigenvalue below this certifies entanglement; values
 # above it count as numerical noise around zero.
 PPT_EIGENVALUE_FLOOR = -1e-12
+
+# A squeezing quotient below this certifies entanglement.  xi^2_perp(c rho) =
+# xi^2_perp(rho)/c, so a separable state of trace up to 1 + TRACE_ATOL reads
+# down to 1/(1 + TRACE_ATOL); the floor adds TRACE_ATOL for round-off.
+XI_SQUARED_FLOOR = 1.0 - 2.0 * TRACE_ATOL
 
 PERP_OPTIMAL = "perp-optimal"
 GLOBAL = "global"
@@ -419,7 +425,7 @@ def xi_squared(rho: DensityMatrix, policy: str = PERP_OPTIMAL) -> XiResult:
     XiResult
         The minimized quotient, the triad realizing it (n2 along the mean
         spin projection), and the entanglement flag ``xi_entangled`` (value
-        strictly below 1).
+        below XI_SQUARED_FLOOR).
 
     Raises
     ------
@@ -462,12 +468,12 @@ def pt_spectrum(rho) -> np.ndarray:
     ``rho`` is a DensityMatrix or a bare ``(..., 4, 4)`` stack; the result
     has shape ``(..., 4)``.  Both PPT diagnostics read this one spectrum.
 
-    A full ``eigh``, though only eigenvalues are read: ``eigvalsh`` changed
-    the printed negativity in 95 of 127 scans (n = 1-60, 10^2, 10^3, 10^6;
-    356 014 rows), e.g. 0.0805005265758 to ...759, and a real-dtype solve
-    changed 9 cells and saved only about 20% of the eigensolve.
+    One values-only eigensolve after ``check_hermitian``; a solver failure
+    raises NoConvergenceError.
     """
-    return hermitian_eig(partial_transpose(rho)).values
+    transposed = partial_transpose(rho)
+    check_hermitian(transposed)
+    return _eigvalsh(transposed)
 
 
 def _pt_values(mats: np.ndarray) -> np.ndarray:
@@ -477,7 +483,7 @@ def _pt_values(mats: np.ndarray) -> np.ndarray:
     finite Hermitian stack is finite and Hermitian too; only a solver
     failure can raise (NoConvergenceError).
     """
-    return _eigh(partial_transpose(mats)).values
+    return _eigvalsh(partial_transpose(mats))
 
 
 def spectrum_negativity(values: np.ndarray) -> np.ndarray:
@@ -491,11 +497,11 @@ def spectrum_entangled(values: np.ndarray) -> np.ndarray:
 
 
 def xi_entangled(values) -> np.ndarray:
-    """The xi^2 verdict: True where a squeezing quotient is strictly below 1.
+    """The xi^2 verdict: True where a squeezing quotient is below XI_SQUARED_FLOOR.
 
     An undefined quotient (inf, vanishing mean spin) is False.
     """
-    return np.asarray(values) < 1.0
+    return np.asarray(values) < XI_SQUARED_FLOOR
 
 
 def negativity(rho: DensityMatrix) -> float:
@@ -626,9 +632,9 @@ def xi2_family(c: FamilyCoeffs) -> float:
 
 
 def family_squeezing_condition(c: FamilyCoeffs) -> bool:
-    """Squeezing of a real-y family in the canonical triad: ``xi2_family`` below 1.
+    """Squeezing of a real-y family in the canonical triad: ``xi_entangled`` of ``xi2_family``.
 
-    The same as <Sz^2> + <Sz>^2 > 2 + 2y; false where the mean spin vanishes.
+    Up to that floor <Sz^2> + <Sz>^2 > 2 + 2y; false where the mean spin vanishes.
     """
     _require_real_y(c)
     return bool(xi_entangled(_family_row(c).xi2_fixed_frame))

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadPhotonNumberError, NegativeTimeError, NonFiniteError, NotNormalizedError
-from .linalg import hermitian_eig
-from .states import NORM_ATOL, DensityMatrix, FamilyCoeffs, _reject, validate_density_stack
+from .linalg import _reject, hermitian_eig
+from .states import NORM_ATOL, DensityMatrix, FamilyCoeffs, validate_density_stack
 
 # The closed form squares 2n - 1 and multiplies n (n - 1) in doubles, which
 # overflow from about n = 6.7e153 on; it rejects a photon number above this.
@@ -221,24 +221,22 @@ def closed_form_populations(n_photons: int, gt):
 
     n = 0 is the trivial stationary case and returns the constant (0, 0, 1).
     Each population is a float array of the shape of ``gt``; the coherence
-    of these states is zero.
+    of these states is zero.  n and gt follow ModelConfig's rules, the first
+    bad gt named by its entry, as in ``evolve_exact_stack``.
 
     Raises
     ------
     NonFiniteError
         If any gt is NaN or infinite, or if the phase theta overflows a
         double; the first such gt is named.
+    NegativeTimeError
+        If any gt is negative; the first is named.
     BadPhotonNumberError
         If n is negative, fractional, not finite or above 2**510.
     """
-    n = _photon_number(n_photons)
-    if n < 0:
-        raise BadPhotonNumberError(f"n_photons must be >= 0, got {n}")
+    n, gt = _model_rules(n_photons, gt)
     if n > _CLOSED_FORM_MAX_PHOTONS:
         raise BadPhotonNumberError(f"the closed form needs n <= 2**510, got {n:.4g}")
-    gt = np.asarray(gt, dtype=float)
-    if not np.isfinite(gt).all():
-        raise NonFiniteError("gt must be finite")
     if n == 0:
         return np.zeros_like(gt), np.zeros_like(gt), np.ones_like(gt)
     with np.errstate(over="ignore"):

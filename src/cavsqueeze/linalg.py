@@ -4,7 +4,9 @@ Everything here operates on plain numpy arrays of dtype float64 or
 complex128: a real symmetric input stays real, which halves the memory of
 its eigenvectors and lets LAPACK use the faster real solver.  Matrices in
 this package stay small (a few hundred rows at most), so dense routines
-are the right tool.
+are the right tool.  The package's finite and Hermitian test
+(``check_hermitian``) lives here, and every eigensolve goes through
+``_converged``, which maps numpy's ``LinAlgError`` to NoConvergenceError.
 """
 
 from typing import NamedTuple
@@ -25,15 +27,50 @@ class EigenDecomposition(NamedTuple):
     vectors: np.ndarray
 
 
+def _reject(bad: np.ndarray, error, message):
+    """Raise ``error`` for the first True entry of ``bad``.
+
+    ``message(index)`` describes the offending entry; inside a stack the
+    text starts with the entry's index, so a scalar check reads as before.
+    The error carries the index tuple as its ``index``.
+    """
+    if bad.any():
+        index = tuple(map(int, np.unravel_index(int(np.argmax(bad)), bad.shape)))
+        where = f"entry {index[0] if len(index) == 1 else index}: " if index else ""
+        raise error(where + message(index), index=index)
+
+
+def check_hermitian(mats: np.ndarray):
+    """Reject matrices that are not finite, or not Hermitian within HERMITIAN_ATOL.
+
+    The first matrix of the ``(..., d, d)`` stack with a NaN or infinite
+    entry raises NonFiniteError, since no Hermitian test can pass or fail on
+    it; then the first that is not Hermitian entrywise raises
+    NotHermitianError.  ``hermitian_eig``, the density-matrix validator and
+    the moment kernel share this one rule.
+    """
+    _reject(
+        ~np.isfinite(mats).all(axis=(-2, -1)),
+        NonFiniteError,
+        lambda i: "not finite: the matrix holds a NaN or infinite entry",
+    )
+    herm = np.abs(mats - np.swapaxes(mats, -1, -2).conj()).max(axis=(-2, -1), initial=0.0)
+    _reject(
+        herm > HERMITIAN_ATOL,
+        NotHermitianError,
+        lambda i: f"not Hermitian: max |rho - rho^dagger| = {herm[i]:.3e}",
+    )
+
+
 def hermitian_eig(h: np.ndarray) -> EigenDecomposition:
     """Diagonalize a Hermitian matrix or a stack of them.
 
     Parameters
     ----------
     h:
-        Array of shape ``(..., n, n)``, each matrix Hermitian within
-        ``HERMITIAN_ATOL`` entrywise.  Real input is solved as real
-        symmetric.
+        Array of shape ``(..., n, n)``, each matrix finite and Hermitian
+        within ``HERMITIAN_ATOL`` entrywise (``check_hermitian``).  Real
+        input is solved as real symmetric.
 
     Returns
     -------
@@ -44,10 +81,8 @@ def hermitian_eig(h: np.ndarray) -> EigenDecomposition:
 
     Raises
     ------
-    NotHermitianError
-        If the matrices are not square or not Hermitian within tolerance.
-    NonFiniteError
-        If any entry is NaN or infinite.
+    NotHermitianError, NonFiniteError
+        If the matrices are not square, or by ``check_hermitian``.
     NoConvergenceError
         If the underlying solver fails to converge.
     """
@@ -55,26 +90,24 @@ def hermitian_eig(h: np.ndarray) -> EigenDecomposition:
     h = h.astype(np.result_type(h, float), copy=False)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise NotHermitianError(f"expected a square matrix, got shape {h.shape}")
-    if not np.isfinite(h).all():
-        raise NonFiniteError("matrix has a non-finite entry")
-    deviation = float(np.abs(h - np.swapaxes(h, -1, -2).conj()).max()) if h.size else 0.0
-    if deviation > HERMITIAN_ATOL:
-        raise NotHermitianError(
-            f"matrix is not Hermitian: max |h - h^dagger| = {deviation:.3e}"
-        )
+    check_hermitian(h)
     return _eigh(h)
 
 
-def _eigh(h: np.ndarray) -> EigenDecomposition:
-    """``hermitian_eig`` without its checks, for a stack its caller has validated.
-
-    ``h`` is a float64 or complex128 ``(..., n, n)`` array that is finite and
-    Hermitian by construction.  A solver failure still raises
-    NoConvergenceError.
-    """
+def _converged(solver, h: np.ndarray):
+    """``solver(h)``, with a solver failure raised as NoConvergenceError."""
     try:
-        values, vectors = np.linalg.eigh(h)
+        return solver(h)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"eigensolver did not converge: {exc}") from exc
-    return EigenDecomposition(values, vectors)
 
+
+def _eigh(h: np.ndarray) -> EigenDecomposition:
+    """``hermitian_eig`` without its checks, for a float64 or complex128 stack
+    that is finite and Hermitian by construction."""
+    return EigenDecomposition(*_converged(np.linalg.eigh, h))
+
+
+def _eigvalsh(h: np.ndarray) -> np.ndarray:
+    """``_eigh``'s values alone, by the values-only solver (equal up to the last bits)."""
+    return _converged(np.linalg.eigvalsh, h)

@@ -40,13 +40,12 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     NonFiniteError,
-    NotHermitianError,
     NotNormalizedError,
     NotPositiveError,
     OutsideFamilyError,
     StateFormatError,
 )
-from .linalg import HERMITIAN_ATOL
+from .linalg import _eigvalsh, _reject, check_hermitian
 
 TRACE_ATOL = 1e-10
 PSD_ATOL = 1e-10
@@ -73,41 +72,6 @@ SYMMETRIC_BASIS = np.array(
 SYMMETRIC_BASIS.setflags(write=False)
 
 
-def _reject(bad: np.ndarray, error, message):
-    """Raise ``error`` for the first True entry of ``bad``.
-
-    ``message(index)`` describes the offending entry; inside a stack the
-    text starts with the entry's index, so a scalar check reads as before.
-    The error carries the index tuple as its ``index``.
-    """
-    if bad.any():
-        index = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        where = f"entry {index[0] if len(index) == 1 else index}: " if index else ""
-        raise error(where + message(index), index=index)
-
-
-def check_hermitian(mats: np.ndarray):
-    """Reject matrices that are not finite, or not Hermitian within HERMITIAN_ATOL.
-
-    The first matrix of the ``(..., d, d)`` stack with a NaN or infinite
-    entry raises NonFiniteError, since no Hermitian test can pass or fail on
-    it; then the first that is not Hermitian entrywise raises
-    NotHermitianError.  The density-matrix validator and the moment kernel
-    share this one rule.
-    """
-    _reject(
-        ~np.isfinite(mats).all(axis=(-2, -1)),
-        NonFiniteError,
-        lambda i: "not finite: the matrix holds a NaN or infinite entry",
-    )
-    herm = np.abs(mats - np.swapaxes(mats, -1, -2).conj()).max(axis=(-2, -1))
-    _reject(
-        herm > HERMITIAN_ATOL,
-        NotHermitianError,
-        lambda i: f"not Hermitian: max |rho - rho^dagger| = {herm[i]:.3e}",
-    )
-
-
 def _two_qubit_stack(mats) -> np.ndarray:
     """``mats`` as a complex array, after checking its shape is ``(..., 4, 4)``.
 
@@ -128,7 +92,8 @@ def validate_density_stack(mats) -> np.ndarray:
     ``mats`` has shape ``(..., 4, 4)`` (``_two_qubit_stack``).  Every matrix
     must be finite, Hermitian within HERMITIAN_ATOL, of unit trace within
     TRACE_ATOL and positive semidefinite within PSD_ATOL (one batched
-    ``eigvalsh``).  The first failing matrix names the typed error.
+    values-only eigensolve, ``linalg._eigvalsh``).  The first failing matrix
+    names the typed error; a solver failure raises NoConvergenceError.
     """
     mats = _two_qubit_stack(mats)
     check_hermitian(mats)
@@ -138,7 +103,7 @@ def validate_density_stack(mats) -> np.ndarray:
         NotNormalizedError,
         lambda i: f"not unit trace: trace = {tr[i]:.12g}",
     )
-    smallest = np.linalg.eigvalsh(mats)[..., 0]
+    smallest = _eigvalsh(mats)[..., 0]
     _reject(
         smallest < -PSD_ATOL,
         NotPositiveError,

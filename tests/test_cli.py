@@ -447,6 +447,33 @@ def test_family_verify_passes(capsys):
     assert "verify:" in capsys.readouterr().err
 
 
+_FAMILY_VERIFY_LINE = re.compile(
+    r"verify: max \|closed form - generic\| = (\S+), closed-form verdict agrees = (true|false)\n"
+)
+
+
+@pytest.mark.parametrize("field", ["xi2_optimized", "xi2_fixed_frame", "negativity", "pt_minimum"])
+def test_family_verify_compares_what_the_scan_compares(field, monkeypatch, capsys):
+    # One comparison serves both --verify routes: a closed form 1e-8 off
+    # in any of them fails family --verify, on the scan's line.
+    args = ["family", "--x1", "0.9", "--x2", "0", "--x3", "0.1", "--y", "-0.3", "--verify"]
+    assert run_cli(args) == EXIT_OK
+    found = _FAMILY_VERIFY_LINE.fullmatch(capsys.readouterr().err)
+    assert found and float(found.group(1)) <= 1e-15 and found.group(2) == "true"
+    family_diagnostics_stack = cli.family_diagnostics_stack
+
+    def drifted(*coeffs):
+        found = family_diagnostics_stack(*coeffs)
+        return found._replace(**{field: getattr(found, field) + 1e-8})
+
+    monkeypatch.setattr(cli, "family_diagnostics_stack", drifted)
+    assert run_cli(args) == EXIT_NUMERIC
+    found = _FAMILY_VERIFY_LINE.fullmatch(capsys.readouterr().err)
+    # a quotient is compared times its squared mean spin, (0.9 - 0.1)^2
+    gap = 1e-8 * (0.64 if field.startswith("xi2") else 1.0)
+    assert found and abs(float(found.group(1)) - gap) < 1e-10
+
+
 # The gt = 0.001 row of an n = 1 scan, whose smallest partial-transpose
 # eigenvalue -1.0000007e-12 lies just past the floor; half_sum - radius gave
 # -9.99978e-13 and a false "closed-form verdict agrees = false".
@@ -535,6 +562,19 @@ def test_family_missing_flag_is_usage_error():
 def write_state(path, mat, dims):
     rows = [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(mat, dtype=complex)]
     path.write_text(json.dumps({"dims": list(dims), "rows": rows}))
+
+
+def test_committed_state_file_checks_out(capsys):
+    # 0.9 |psi><psi| + 0.1 I/4, |psi> = sin(0.3) e^{0.7i} |ee> + cos(0.3) |gg>:
+    # squeezed and NPT, outside the symmetric family (singlet weight 0.025).
+    # The partial transpose's negative eigenvalue is 0.025 - 0.45 sin(0.6).
+    path = Path(__file__).parent / "data" / "squeezed_mixture.json"
+    assert run_cli(["check-state", str(path), "--verify"]) == EXIT_OK
+    captured = capsys.readouterr()
+    row = parse_csv(captured.out)[0]
+    assert abs(float(row["negativity"]) - (0.45 * math.sin(0.6) - 0.025)) < 1e-12
+    assert row["ppt_entangled"] == "true" and float(row["xi2_optimized"]) < 1.0
+    assert captured.err.startswith("verify: ")
 
 
 def test_check_state_bell(tmp_path, capsys):
@@ -854,24 +894,26 @@ def test_no_convergence_exits_2(monkeypatch, capsys):
 
 
 def _stalls_on(size, monkeypatch):
-    """Make np.linalg.eigh raise LinAlgError on (..., size, size) input only."""
-    eigh = np.linalg.eigh
+    """Make np.linalg.eigh and eigvalsh raise LinAlgError on (..., size, size) input only."""
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
 
-    def stalls(a, *args, **kwargs):
-        if np.shape(a)[-1] == size:
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return eigh(a, *args, **kwargs)
+        def stalls(a, *args, solver=solver, **kwargs):
+            if np.shape(a)[-1] == size:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return solver(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", stalls)
+        monkeypatch.setattr(np.linalg, name, stalls)
 
 
 STALLED = "cavsqueeze: eigensolver did not converge: Eigenvalues did not converge\n"
 
 
 def test_unchecked_spectrum_maps_a_solver_failure_to_exit_2(monkeypatch, capsys):
-    # The generic route of scan-time --verify reads the partial-transpose
-    # spectrum without re-checking the stack; a LinAlgError from the 4 x 4
-    # solve is still a typed failure, after the report has been written.
+    # The report is written before --verify runs its 4 x 4 solves (the
+    # evolved states' PSD test, then the generic route's partial-transpose
+    # spectrum, read without re-checking the stack); a LinAlgError from them
+    # is still a typed failure, after the report.
     argv = ["scan-time", "--steps", "3"]
     assert run_cli(argv) == EXIT_OK
     report = capsys.readouterr().out
@@ -895,6 +937,24 @@ def test_perp_quotient_maps_a_solver_failure_to_exit_2(argv, tmp_path, monkeypat
     write_state(path, np.diag([0.1, 0.2, 0.3, 0.4]), (2, 2))
     argv = [str(path) if arg == "STATE" else arg for arg in argv]
     _stalls_on(2, monkeypatch)
+    assert run_cli(argv) == EXIT_NUMERIC
+    assert capsys.readouterr().err == STALLED
+
+
+@pytest.mark.parametrize(
+    "argv", [["check-state", "STATE"], ["scan-time", "--steps", "3", "--verify"]]
+)
+def test_a_values_only_solver_failure_exits_2(argv, tmp_path, monkeypatch, capsys):
+    # The PSD test of the validator and the PT spectrum read eigenvalues
+    # alone; their solver's LinAlgError is NoConvergenceError too.
+    path = tmp_path / "state.json"
+    write_state(path, np.diag([0.1, 0.2, 0.3, 0.4]), (2, 2))
+    argv = [str(path) if arg == "STATE" else arg for arg in argv]
+
+    def stalls(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", stalls)
     assert run_cli(argv) == EXIT_NUMERIC
     assert capsys.readouterr().err == STALLED
 

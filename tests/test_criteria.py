@@ -24,9 +24,12 @@ from cavsqueeze import (
     spin_moments_stack,
     xi2_closed_n1,
     xi2_family,
+    xi_perp_stack,
     xi_squared,
     xi_squared_in_frame,
 )
+from cavsqueeze.criteria import xi_entangled
+from cavsqueeze.states import TRACE_ATOL
 from helpers import (
     SPIN_OPERATORS,
     check_rotation_covariance,
@@ -345,6 +348,42 @@ class TestFamilySqueezingCondition:
         for _ in range(300):
             c = random_family_coeffs(rng, real_y=True, min_mean_gap=0.1)
             assert family_squeezing_condition(c) == (xi2_family(c) < 1.0)
+
+
+# Trace excesses up to the validator's tolerance; at 1e-10 the validator
+# itself rejects the state (1 + 1e-10 - 1 rounds above 1e-10), so only the
+# kernel reads it.
+TRACE_EXCESSES = (8.9e-16, 1e-12, 5e-11, 1e-10)
+
+
+def _coherent_qubit(axis, sign):
+    """The spin-1/2 state along +-axis (x, y or z), as a density matrix."""
+    pauli = {"x": [[0, 1], [1, 0]], "y": [[0, -1j], [1j, 0]], "z": [[1, 0], [0, -1]]}[axis]
+    return 0.5 * (np.eye(2) + sign * np.array(pauli, dtype=complex))
+
+
+def _separable_stack():
+    """Spin-coherent product states along +-x, +-y, +-z and random separable mixtures."""
+    coherent = [
+        np.kron(_coherent_qubit(axis, sign), _coherent_qubit(axis, sign))
+        for axis in "xyz"
+        for sign in (1, -1)
+    ]
+    rng = np.random.default_rng(41)
+    return np.stack(coherent + [random_separable(rng).mat for _ in range(200)])
+
+
+@pytest.mark.parametrize("excess", TRACE_EXCESSES)
+def test_no_separable_state_reads_squeezed_within_the_trace_tolerance(excess):
+    # xi^2_perp(c rho) = xi^2_perp(rho)/c: |gg> with trace 1 + 8.9e-16 read
+    # 0.9999999999999991 and flagged entanglement under a strict < 1.
+    stack = (1.0 + excess) * _separable_stack()
+    value = xi_perp_stack(*spin_moments_stack(stack)).value
+    assert not xi_entangled(value).any()
+    assert value.min() >= (1.0 - 1e-15) / (1.0 + excess)
+    for mat, quotient in zip(stack, value):
+        if abs(np.trace(mat).real - 1.0) <= TRACE_ATOL and math.isfinite(quotient):
+            assert xi_squared(DensityMatrix(mat)).entangled_flag is False
 
 
 def test_separable_property_suite():

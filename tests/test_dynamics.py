@@ -314,10 +314,13 @@ class TestEvolveExactStack:
         ],
     )
     def test_names_the_first_bad_gt(self, bad, error, text):
+        # the closed form and the exact route apply one set of model rules
         gt = np.linspace(0.0, 2.0, 9)
         gt[5] = gt[7] = bad
-        with pytest.raises(error, match=f"^entry 5: {re.escape(text)}$"):
-            evolve_exact_stack(3, gt)
+        for route in (evolve_exact_stack, closed_form_populations):
+            with pytest.raises(error, match=f"^entry 5: {re.escape(text)}$") as raised:
+                route(3, gt)
+            assert type(raised.value) is error and raised.value.index == (5,)
 
     def test_applies_the_model_rules(self):
         with pytest.raises(BadPhotonNumberError):

@@ -105,9 +105,10 @@ def test_optimized_flag_follows_value(scan):
     assert all(row.xi2_flags_entangled == (row.xi2_optimized < 1.0) for row in rows)
 
 
-def test_xi_verdict_is_strictly_below_one():
-    values = [0.0, 0.5, 1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52, math.inf]
-    assert criteria.xi_entangled(values).tolist() == [True, True, True, False, False, False]
+def test_xi_verdict_is_below_its_floor():
+    floor = criteria.XI_SQUARED_FLOOR
+    values = [0.0, 0.5, np.nextafter(floor, 0.0), floor, 1.0 - 2.0**-53, 1.0, math.inf]
+    assert criteria.xi_entangled(values).tolist() == [True, True, True] + [False] * 4
 
 
 def test_scan_and_xi_squared_read_one_verdict_rule(monkeypatch):
