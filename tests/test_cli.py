@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -807,6 +808,27 @@ def test_render_folds_negative_zero_in_a_finite_column():
     json_text = _render_columns(columns, "json")
     assert re.findall(r'"gt": (\S+),', json_text) == ["0.0", "1.0", "1000000000000.0"]
     assert [row["gt"] for row in json.loads(json_text)] == [0.0, 1.0, 1e12]
+
+
+# ---------------------------------------------------------------------------
+# kernel-sized reports
+
+
+def _pinned_scans():
+    """(sha256, photons, gt-max, steps, format) of the scans in scan_sha256.txt.
+
+    Kernel-sized scans whose stdout digests were taken before the byte kernel
+    existed, from the one-template-per-row renderer.
+    """
+    lines = (Path(__file__).parent / "data" / "scan_sha256.txt").read_text().split("\n")
+    return [tuple(line.split()) for line in lines if line]
+
+
+@pytest.mark.parametrize("digest, photons, gt_max, steps, fmt", _pinned_scans())
+def test_kernel_sized_scan_prints_its_pinned_bytes(digest, photons, gt_max, steps, fmt, capsys):
+    args = ["scan-time", "--photons", photons, "--gt-max", gt_max, "--steps", steps]
+    assert run_cli(args + ["--format", fmt]) == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
 
 def test_nul_byte_in_a_path_is_a_usage_error(capsys):
