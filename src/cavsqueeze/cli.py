@@ -36,10 +36,21 @@ except that -0 prints as ``0`` and an infinite value, which is always an
 undefined squeezing quotient (vanishing mean spin), as ``zero-mean-spin``;
 its JSON text is ``repr(float(csv_text))``, with the token quoted.  So the
 two formats parse to the same numbers, and no column prints ``inf``.
-Booleans print as ``true`` and ``false`` in both.  ``_render_columns``
-applies the rule a whole column at a time and fills one template per row;
-a JSON cell is read back as a float only where its ``%.12g`` text does not
-show the number ``repr`` prints (``_json_number``).
+Booleans print as ``true`` and ``false`` in both.  ``_float_cells`` applies
+the rule to an array of floats; a JSON cell is read back as a float only
+where its ``%.12g`` text does not show the number ``repr`` prints
+(``_json_number``).  ``_render_columns`` renders a report in one of two
+ways, which print the same bytes.  Below ``KERNEL_ROWS`` rows it fills one
+``%`` template per row.  From there on a byte kernel writes the report
+``RENDER_ROWS`` rows at a time, each piece a matrix of uint64 lanes with
+NUL padding that one ``bytes.translate`` deletes: per float cell it
+computes the decimal exponent and the correctly rounded 12-digit integer
+mantissa, with a guard band that proves them exact (``_float_lanes``), and
+lays the digits out by a plan derived from the cell rule itself
+(``_cell_plans``).  A cell it cannot prove, about 0.2% of the cells of the
+benchmark's scans, goes through ``_float_cells``.  ``_write`` writes the
+pieces to stdout or ``--output``; a reader that closes stdout early ends
+the report, not the request.
 
 ``main`` parses with one parser, built on the first call.  Exit codes: 0
 success, 2 numeric or validation failure (a ``CavsqueezeError``, which
@@ -49,7 +60,9 @@ is a bug and propagates), 64 usage error, 65 unparseable input file.
 
 import argparse
 import functools
+import itertools
 import math
+import os
 import re
 import sys
 from typing import NamedTuple
@@ -99,6 +112,19 @@ ZERO_MEAN_TOKEN = "zero-mean-spin"
 # generic route's time is flat from 512 rows up (1024 and 2048 are no
 # faster) and 15-20% higher at 256.
 SCAN_CHUNK = 512
+
+# Reports of at least KERNEL_ROWS rows are rendered by the byte kernel
+# (``_render_chunk``), RENDER_ROWS rows per piece written; smaller ones fill
+# one ``%`` template per row.  On a 2-core x86-64 machine the kernel's
+# fixed cost is about 0.15 ms a piece, so in a long-running process it
+# wins from about 64 rows, but a fresh process first builds its tables
+# (about 3 ms), which only a report of about 1 000 rows pays back; 512 sits
+# between and keeps family, check-state and every --verify scan of the
+# benchmark (at most 201 rows) on the template.  Pieces of 512 rows are as
+# fast as pieces of 1 024 or 2 048, and keep the benchmark's peak resident
+# memory 0.5-1.8 MB above the template's, against 2.6-3.3 MB for 2 048.
+KERNEL_ROWS = 512
+RENDER_ROWS = 512
 
 # The fixed (x, y, z) triad in which the generic route of scan-time --verify
 # and family --verify reads xi2_fixed_frame; a SpinFrame is immutable, so
@@ -270,11 +296,37 @@ def _json_number(text: str) -> str:
     return repr(float(text))
 
 
-def _render_columns(columns, fmt: str) -> str:
-    """Report text of a row type whose fields are equal-length columns.
+def _float_cells(values: np.ndarray, fmt: str):
+    """The cell texts of a float array whose -0 is already folded to 0."""
+    text = list(map(_FLOAT_FORMAT.__mod__, values.tolist()))
+    if fmt == "json":
+        # A text with a point and no exponent is a normal double's 12
+        # digits from 1e-4 to 1e12, which repr prints back as they are.
+        text = [t if "." in t and "e" not in t else _json_number(t) for t in text]
+    if np.isfinite(values).all():
+        return text
+    special = _JSON_SPECIAL if fmt == "json" else _CSV_SPECIAL
+    return list(map(special.get, text, text))
 
-    An all-finite float column fills a ``%.12g`` slot of the CSV row
-    template directly; any other column is turned into cell texts first.
+
+def _layout(names, fmt: str):
+    """The literal text of a report: ``(head, sep, leads, tail, foot)``.
+
+    A report is ``head``, its rows joined by ``sep``, then ``foot``; a row
+    is ``leads[0]``, the first cell, ``leads[1]``, the second cell, and so
+    on, then ``tail``.
+    """
+    if fmt == "csv":
+        return ",".join(names) + "\n", "", [""] + [","] * (len(names) - 1), "\n", ""
+    leads = [f'\n  {{\n    "{names[0]}": '] + [f',\n    "{name}": ' for name in names[1:]]
+    return "[", ",", leads, "\n  }", "\n]\n"
+
+
+def _render_template(columns, fmt: str) -> str:
+    """Report text of a few rows: one ``%`` template filled per row.
+
+    An all-finite float column fills a ``%.12g`` slot of the CSV template
+    directly; any other column is turned into cell texts first.
     """
     slots, cells = [], []
     for column, kind in zip(columns, type(columns).__annotations__.values()):
@@ -283,38 +335,242 @@ def _render_columns(columns, fmt: str) -> str:
             cells.append(map(_BOOL_TEXT.__getitem__, np.asarray(column).tolist()))
             continue
         column = np.asarray(column, dtype=float) + 0.0
-        finite = np.isfinite(column).all()
-        text = column.tolist()
-        if finite and fmt == "csv":
+        if fmt == "csv" and np.isfinite(column).all():
             slots[-1] = _FLOAT_FORMAT
+            cells.append(column.tolist())
         else:
-            text = list(map(_FLOAT_FORMAT.__mod__, text))
-            if fmt == "json":
-                # A text with a point and no exponent is a normal double's 12
-                # digits from 1e-4 to 1e12, which repr prints back as they are.
-                text = [t if "." in t and "e" not in t else _json_number(t) for t in text]
-            special = _JSON_SPECIAL if fmt == "json" else _CSV_SPECIAL
-        cells.append(text if finite else map(special.get, text, text))
-    names = type(columns)._fields
-    if fmt == "csv":
-        template = ",".join(slots) + "\n"
-        return ",".join(names) + "\n" + "".join(map(template.__mod__, zip(*cells)))
-    members = ",\n".join(f'    "{name}": {slot}' for name, slot in zip(names, slots))
-    template = "  {\n" + members + "\n  }"
-    return "[\n" + ",\n".join(map(template.__mod__, zip(*cells))) + "\n]\n"
+            cells.append(_float_cells(column, fmt))
+    head, sep, leads, tail, foot = _layout(type(columns)._fields, fmt)
+    template = "".join(map(str.__add__, leads, slots)) + tail
+    return head + sep.join(map(template.__mod__, zip(*cells))) + foot
+
+
+# The byte kernel writes a report as a matrix of uint64 lanes, one row per
+# report row, and deletes its NUL bytes.  A float cell is five lanes, 40
+# bytes, of which bytes 2-37 can print: bytes 2-7 hold what comes before
+# the first significant digit (sign, "0." and zeros), right-aligned; digit
+# j of the 12-digit mantissa sits at byte 6 + 2j with a point slot after
+# it, so a point goes in without moving a digit; byte 32 is a 13th digit
+# slot (the 0 of JSON's ".0" after 12 integral digits) and bytes 33-37 the
+# exponent.  A boolean cell is one lane, its text at bytes 2-6.
+_CELL_LANES = 5
+_PRINTED_FROM, _FLOAT_TO, _BOOL_TO = 2, 38, 7
+_BOOL_LANES = np.array([b"\0\0" + _BOOL_TEXT[v].encode() for v in (False, True)], dtype="S8")
+_BOOL_LANES = np.frombuffer(_BOOL_LANES.tobytes(), np.uint64)
+# Decimal exponents of the normal doubles below 1e12, the ones the kernel
+# prints; "%g" writes them in fixed notation from _FIXED_MIN on.
+_EXP_MIN, _FIXED_MIN, _EXP_MAX = -308, -4, 11
+# The doubles nearest to 10^k, k = 0-160: 10^(11 - e) is two of them.
+_POW10 = np.array([float(f"1e{k}") for k in range(161)])
+
+
+@functools.cache
+def _digit_tables():
+    """Per 4-digit group 0-9999: its digits with a NUL point slot after each,
+    as one uint64 lane, and its count of trailing zeros (4 for 0)."""
+    group = np.arange(10_000)
+    lanes = np.zeros((10_000, 8), np.uint8)
+    for place in range(4):
+        lanes[:, 2 * place] = ord("0") + group // 10 ** (3 - place) % 10
+    trailing = sum((group % 10**k == 0).astype(np.uint8) for k in range(1, 5))
+    return lanes.view(np.uint64)[:, 0], trailing
+
+
+@functools.cache
+def _cell_plans(fmt: str):
+    """The float cell's plan by (sign, form, significant digits), and the
+    exponent lane by decimal exponent.
+
+    The form is the decimal exponent e where "%g" writes fixed notation
+    (-4 to 11), else one form for all of e <= -5, whose texts differ in
+    their exponent alone.  For each of the 2 x 17 x 12 keys the cell rule
+    formats one value of that sign and form with that many significant
+    digits, all of them 1, and each byte of its text goes to its place in a
+    cell: what precedes the first 1 ends at byte 7, mantissa digit j goes
+    to byte 6 + 2j (the 13th, JSON's 0 after 12 integral digits, is always
+    0), a point to the slot after its digit.  The exponent, from the cell
+    rule's text of 10^e, goes to bytes 33-37 (lane 4).  Lanes 0-4 of a plan
+    hold the bytes that do not depend on the digits, lanes 5-7 mask the
+    digit slots of lanes 1-3 that the text shows.  So the kernel prints what
+    the cell rule prints, by construction.  Returns an (8, 408) uint64
+    array, one column per key, and 320 exponent lanes from e = -308 on.
+    """
+    forms = range(_FIXED_MIN - 1, _EXP_MAX + 1)
+    keys = itertools.product((1, -1), forms, range(1, 13))
+    values = np.array([sign * float(f"{'1' * digits}e{exp - digits + 1}") for sign, exp, digits in keys])
+    text = np.array(_float_cells(values, fmt), dtype="S")
+    text = text.view(np.uint8).reshape(len(values), -1)
+    at = np.arange(text.shape[1])
+    first = (text == ord("1")).argmax(axis=1)[:, None]
+    mantissa = (at >= first) & ~np.logical_or.accumulate(text == ord("e"), axis=1)
+    digit = mantissa & (text >= ord("0")) & (text <= ord("9"))
+    count = np.cumsum(digit, axis=1)
+    place = np.select([at < first, digit], [8 - first + at, 6 + 2 * count], 7 + 2 * count)
+    fixed = np.zeros((len(values), 8 * _CELL_LANES), np.uint8)
+    shown = np.zeros_like(fixed)
+    row = np.broadcast_to(np.arange(len(values))[:, None], text.shape)
+    variable = digit & (place < 32)
+    printed = (text != 0) & (mantissa | (at < first)) & ~variable
+    fixed[row[printed], place[printed]] = text[printed]
+    shown[row[variable], place[variable]] = 0xFF
+    plans = np.vstack((fixed.view(np.uint64).T, shown.view(np.uint64)[:, 1:4].T))
+    powers = [float(f"1e{exp}") for exp in range(_EXP_MIN, _EXP_MAX + 1)]
+    exponents = [t.partition("e")[1:] for t in _float_cells(np.array(powers), fmt)]
+    exponents = np.array([b"\0" + (e + tail).encode() for e, tail in exponents], dtype="S8")
+    return plans, np.frombuffer(exponents.tobytes(), np.uint64)
+
+
+def _float_lanes(values, fmt: str) -> np.ndarray:
+    """The cells of a 1-D float array whose -0 is folded, a (5, N) uint64 array.
+
+    Exactness.  For a normal |v| below 1e12 take e = floor(log10|v|) and
+    m = |v| 10^(11 - e), multiplying by two doubles nearest to powers of
+    ten.  Each factor and each product is rounded once, so m is the exact
+    M = |v| 10^(11 - e) to within 4 roundings: |m - M| < 5e-4 while
+    m < 2^40.  The cell takes the fast path when m >= 1e11,
+    r = rint(m) < 1e12 and |m - r| < 0.499, that is |frac(m) - 1/2| > 1e-3.
+    Then M is no tie and rounds to r, the correctly rounded 12-digit
+    mantissa that "%.12g" prints.  If M >= 1e11 the exponent is e; if not,
+    M > 1e11 - 5e-4, so the exponent is e - 1 and its mantissa
+    round(10 M) = 1e12 carries back to r = 1e11 at e: the same text either
+    way, however close log10 rounds.  r = 1e12 would be such a carry, and
+    is left to the fallback.  r < 2^53, so the floor divisions of doubles
+    that split it into three 4-digit groups are exact.  Zero is written
+    directly; every other cell (inf, NaN, subnormals, |v| >= 1e12, the
+    guard band) goes through the cell rule, ``_float_cells``, in one batch.
+
+    The plans of ``_cell_plans`` serve every fast cell because the cell
+    rule's text of such a cell depends on its sign, e and digits alone.  In
+    JSON too: a fixed text is its own repr, with ".0" when it is a whole
+    number, and from e <= -5 down repr prints a normal decimal of at most
+    15 digits as its "%g" text, since repr's shortest digits are those
+    digits.  The cells in [1e12, 1e16), which repr prints without an
+    exponent, have e > 11.
+    """
+    size = np.abs(values)
+    fast = (size >= np.finfo(float).tiny) & (size < 1e12)
+    size = np.where(fast, size, 1.0)
+    exp = np.floor(np.log10(size)).astype(np.intp)
+    power = np.maximum(_EXP_MAX - exp, 0)
+    m = size * _POW10.take(power // 2) * _POW10.take(power - power // 2)
+    r = np.rint(m)
+    fast &= (m >= 1e11) & (r < 1e12) & (np.abs(m - r) < 0.499)
+    # zero and the fallback cells take the zero's digits and key: a carry
+    # r = 1e12 has no 4-digit groups, and log10 of a double just below 1e12
+    # can round to e = 12, which has no plan
+    r = np.where(fast, r, 0.0)
+    exp = np.where(fast, exp, 0)
+    high = np.floor(r / 1e8)
+    r -= high * 1e8
+    middle = np.floor(r / 1e4)
+    groups = [g.astype(np.intp) for g in (high, middle, r - middle * 1e4)]
+    digit_lanes, trailing = _digit_tables()
+    high, middle, last = (trailing.take(g) for g in groups)
+    zeros = last + (last == 4) * (middle + (middle == 4) * high)
+    form = np.maximum(exp, _FIXED_MIN - 1) - (_FIXED_MIN - 1)
+    key = ((values < 0) * (_EXP_MAX - _FIXED_MIN + 2) + form) * 12 + 11 - np.minimum(zeros, 11)
+    plans, exponents = _cell_plans(fmt)
+    cells = plans.take(key, axis=1)
+    for lane, group in enumerate(groups, 1):
+        cells[lane] |= digit_lanes.take(group) & cells[_CELL_LANES - 1 + lane]
+    cells[_CELL_LANES - 1] |= exponents.take(exp - _EXP_MIN)
+    cells = cells[:_CELL_LANES]
+    slow = np.flatnonzero(~fast & (values != 0.0))
+    if len(slow):
+        text = np.array(_float_cells(values[slow], fmt), dtype="S")
+        spill = np.zeros((len(slow), 8 * _CELL_LANES), np.uint8)
+        spill[:, _PRINTED_FROM : _PRINTED_FROM + text.itemsize] = text.view(np.uint8).reshape(len(slow), -1)
+        cells[:, slow] = spill.view(np.uint64).T
+    return cells
+
+
+@functools.cache
+def _row_plan(row_type, fmt: str):
+    """One row's lanes with its literal text and NUL cells, and where things go.
+
+    Each cell starts on a lane; its literal lead ends where the cell's
+    printed bytes start and may share the free bytes of this cell and the
+    last.  Returns the row's uint64 lanes, each cell's first lane, and the
+    byte offset and length of ``sep``, which the report's first row drops.
+    """
+    _, sep, leads, tail, _ = _layout(row_type._fields, fmt)
+    leads = [sep + leads[0], *leads[1:]]
+    text, first_lanes = bytearray(), []
+    for lead, kind in zip(leads, row_type.__annotations__.values()):
+        lead = lead.encode()
+        start = -(-max(len(text) + len(lead) - _PRINTED_FROM, 0) // 8) * 8
+        text += bytes(start + _PRINTED_FROM - len(lead) - len(text)) + lead
+        first_lanes.append(start // 8)
+        text += bytes((_BOOL_TO if kind is bool else _FLOAT_TO) - _PRINTED_FROM)
+    text += tail.encode()
+    text += bytes(-len(text) % 8)
+    sep_at = 8 * first_lanes[0] + _PRINTED_FROM - len(leads[0])
+    return np.frombuffer(bytes(text), np.uint64), first_lanes, sep_at, len(sep)
+
+
+def _render_chunk(columns, fmt: str, first: bool) -> str:
+    """Text of a run of rows, ``sep`` before each but the report's first."""
+    template, first_lanes, sep_at, sep = _row_plan(type(columns), fmt)
+    rows = len(columns[0])
+    doc = np.empty((rows, template.size), np.uint64)
+    doc[:] = template
+    kinds = list(type(columns).__annotations__.values())
+    floats = [i for i, kind in enumerate(kinds) if kind is not bool]
+    values = np.array([columns[i] for i in floats], dtype=float) + 0.0
+    cells = _float_lanes(values.ravel(), fmt).reshape(_CELL_LANES, len(floats), rows)
+    for i, kind in enumerate(kinds):
+        at = first_lanes[i]
+        if kind is bool:
+            doc[:, at] |= _BOOL_LANES.take(np.asarray(columns[i], dtype=np.intp))
+            continue
+        for lane, part in enumerate(cells[:, floats.index(i)]):
+            doc[:, at + lane] |= part
+    if first:
+        doc.view(np.uint8)[0, sep_at : sep_at + sep] = 0
+    return doc.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _render_columns(columns, fmt: str):
+    """Report text of a row type whose fields are equal-length columns, in pieces.
+
+    Fewer than ``KERNEL_ROWS`` rows fill one ``%`` template per row; more go
+    through the byte kernel, ``RENDER_ROWS`` rows per piece.  Both apply the
+    cell rule of the module docstring and print the same bytes.
+    """
+    rows = len(columns[0])
+    if rows < KERNEL_ROWS:
+        yield _render_template(columns, fmt)
+        return
+    head, _, _, _, foot = _layout(type(columns)._fields, fmt)
+    yield head
+    for start in range(0, rows, RENDER_ROWS):
+        part = slice(start, start + RENDER_ROWS)
+        yield _render_chunk(type(columns)._make(c[part] for c in columns), fmt, start == 0)
+    yield foot
 
 
 def _render(rows, fmt: str) -> str:
     """Report text of a non-empty list of rows of one row type."""
-    return _render_columns(type(rows[0])(*list(zip(*rows))), fmt)
+    return "".join(_render_columns(type(rows[0])(*list(zip(*rows))), fmt))
 
 
-def _write(text: str, output):
-    if output is None:
-        sys.stdout.write(text)
-    else:
+def _write(pieces, output):
+    """Write the report's text pieces to stdout, or to the ``--output`` path.
+
+    A reader that closes stdout early ends the report, not the request: the
+    rest of the text goes to the null device, the flush at exit included.
+    """
+    if output is not None:
         with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
+        return
+    try:
+        sys.stdout.writelines(pieces)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
 
 
 def _diagnose(mats):
@@ -470,7 +726,7 @@ def _cmd_family(args) -> int:
         found.negativity,
         found.ppt_entangled,
     )
-    _write(_render([row], args.format), args.output)
+    _write([_render([row], args.format)], args.output)
     if args.verify:
         coeffs = np.atleast_1d(args.x1, args.x2, args.x3, args.y)
         worst, generic_ppt = _generic_gap(found, *coeffs)
@@ -500,7 +756,7 @@ def _cmd_check_state(args) -> int:
         *mean,
         *second[np.triu_indices(3)],
     )
-    _write(_render([row], args.format), args.output)
+    _write([_render([row], args.format)], args.output)
     if args.verify:
         worst = 0.0
         if not math.isinf(xi_opt):

@@ -4,7 +4,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -54,6 +57,15 @@ def run_cli(argv):
 
 def parse_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
+
+
+def assert_same_text(text, reference):
+    """``text == reference``, failing on the first line that differs (a
+    diff of two whole reports takes pytest minutes)."""
+    lines, want = text.split("\n"), reference.split("\n")
+    for number, (line, expected) in enumerate(zip(lines, want), 1):
+        assert line == expected, f"line {number}"
+    assert len(lines) == len(want)
 
 
 # ---------------------------------------------------------------------------
@@ -150,10 +162,13 @@ def test_scan_json_matches_its_committed_twin(capsys):
     assert capsys.readouterr().out == reference.read_text(encoding="utf-8")
 
 
-# (photons, gt-max, steps).  The last grid lands within the mean-spin floor
-# of both gt < 5 where the n = 1 mean spin vanishes, so two rows print the
-# token.
+# (photons, gt-max, steps).  The 8606-step grid lands within the mean-spin
+# floor of both gt < 5 where the n = 1 mean spin vanishes, so two rows print
+# the token.
 SCAN_AT_SCALE = [(1, 3.0, 3001), (2, 10.0, 3001), (7, 4.2, 1025), (40, 0.75, 301), (1, 5.001358, 8606)]
+# Cells far below 1e-33, where two exact powers of ten no longer reach 12
+# digits: some at gt-max 2.77081, whole columns at 1e-20.
+SCAN_AT_SCALE += [(8, 2.77081, 2763), (8, 1e-20, 2763)]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -162,7 +177,7 @@ def test_scan_output_matches_reference_render(photons, gt_max, steps, fmt, capsy
     args = ["scan-time", "--photons", str(photons), "--gt-max", repr(gt_max), "--steps", str(steps)]
     assert run_cli(args + ["--format", fmt]) == EXIT_OK
     out = capsys.readouterr().out
-    assert out == reference_render(build_scan_rows(photons, gt_max, steps), fmt)
+    assert_same_text(out, reference_render(build_scan_rows(photons, gt_max, steps), fmt))
     if steps == 8606:
         assert out.count(ZERO_MEAN_TOKEN) == 4  # two rows, two quotient columns each
 
@@ -795,7 +810,7 @@ def _columns_of(rows):
     fmt=st.sampled_from(["csv", "json"]),
 )
 def test_render_matches_reference_render(rows, fmt):
-    assert _render_columns(_columns_of(rows), fmt) == reference_render(rows, fmt)
+    assert "".join(_render_columns(_columns_of(rows), fmt)) == reference_render(rows, fmt)
     assert _render(rows, fmt) == reference_render(rows, fmt)
 
 
@@ -803,15 +818,139 @@ def test_render_folds_negative_zero_in_a_finite_column():
     column = np.array([-0.0, 1.0, 1e12])
     flags = np.array([True, False, True])
     columns = ScanRow(*[column] * 7, flags, flags)
-    csv_rows = parse_csv(_render_columns(columns, "csv"))
+    csv_rows = parse_csv("".join(_render_columns(columns, "csv")))
     assert [row["gt"] for row in csv_rows] == ["0", "1", "1e+12"]
-    json_text = _render_columns(columns, "json")
+    json_text = "".join(_render_columns(columns, "json"))
     assert re.findall(r'"gt": (\S+),', json_text) == ["0.0", "1.0", "1000000000000.0"]
     assert [row["gt"] for row in json.loads(json_text)] == [0.0, 1.0, 1e12]
 
 
 # ---------------------------------------------------------------------------
-# kernel-sized reports
+# kernel-sized reports: the byte kernel against the reference renderer
+
+
+def _nudged(value, steps):
+    """``value`` moved by ``steps`` doubles (ulps) toward +-inf."""
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.copysign(math.inf, steps))
+    return value
+
+
+# Floats at the edges of the kernel's exactness argument, each signed and
+# moved by up to one ulp: 12-digit ties d.ddddddddddd5 x 10^k, 10^k for k
+# from -40 to 20, zeros, subnormals, inf and NaN, [1e12, 1e16) where "%.12g"
+# writes an exponent that repr does not, values below 1e-33, and values of
+# any size.
+_KERNEL_EDGES = st.one_of(
+    st.builds(lambda m, k: float(f"{m}5e{k}"), st.integers(10**11, 10**12 - 1), st.integers(-52, 8)),
+    st.integers(-40, 20).map(lambda k: float(f"1e{k}")),
+    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, math.inf, math.nan]),
+    st.floats(0.0, 2.2250738585072014e-308, exclude_min=True, exclude_max=True),
+    st.floats(1e12, 1e16, exclude_max=True),
+    st.floats(0.0, 1e-33, exclude_min=True),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_KERNEL_FLOATS = st.builds(
+    lambda value, steps, sign: sign * _nudged(value, steps) if math.isfinite(value) else sign * value,
+    _KERNEL_EDGES,
+    st.integers(-1, 1),
+    st.sampled_from([1.0, -1.0]),
+)
+
+
+def _kernel_columns(row_type, rows, edges, seed):
+    """Columns of ``rows`` rows: scan-like values with ``edges`` strewn over
+    the float columns, and random flags."""
+    rng = np.random.default_rng(seed)
+    columns = []
+    for kind in row_type.__annotations__.values():
+        if kind is bool:
+            columns.append(rng.random(rows) < 0.5)
+            continue
+        column = rng.uniform(-1.0, 1.0, rows) * 10.0 ** rng.integers(-6, 3, rows)
+        spots = rng.integers(0, rows, len(edges))
+        column[spots] = edges
+        columns.append(column)
+    return row_type(*columns)
+
+
+def _rows_of_columns(columns):
+    return [type(columns)(*row) for row in zip(*(c.tolist() for c in columns))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    row_type=st.sampled_from([ScanRow, FamilyRow, CheckRow]),
+    edges=st.lists(_KERNEL_FLOATS, min_size=1, max_size=200),
+    seed=st.integers(0, 2**32 - 1),
+    fmt=st.sampled_from(["csv", "json"]),
+)
+def test_kernel_render_matches_reference_render(row_type, edges, seed, fmt):
+    columns = _kernel_columns(row_type, cli.KERNEL_ROWS, edges, seed)
+    text = "".join(_render_columns(columns, fmt))
+    assert_same_text(text, reference_render(_rows_of_columns(columns), fmt))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_kernel_rounds_twelve_digit_ties_as_the_reference(fmt):
+    # 12-digit ties d.ddddddddddd5 x 10^k over the normal doubles, and the
+    # doubles next to them: where |v| 10^(11 - e) is computed within its
+    # rounding error of a half, only the guard band keeps the kernel from
+    # rounding the other way.
+    rng = np.random.default_rng(2001)
+    count = 7 * 3000
+    exps = rng.integers(-319, 1, count)
+    ties = [float(f"{m}5e{k}") for m, k in zip(rng.integers(10**11, 10**12, count), exps)]
+    steps = rng.integers(-1, 2, count)
+    values = np.array([_nudged(v, int(s)) for v, s in zip(ties, steps)]) * rng.choice([-1.0, 1.0], count)
+    flags = rng.random(count // 7) < 0.5
+    columns = ScanRow(*values.reshape(7, -1), flags, ~flags)
+    assert_same_text("".join(_render_columns(columns, fmt)), reference_render(_rows_of_columns(columns), fmt))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "rows",
+    sorted({cli.KERNEL_ROWS - 1, cli.KERNEL_ROWS, cli.RENDER_ROWS, cli.RENDER_ROWS + 1, 2 * cli.RENDER_ROWS + 1}),
+)
+def test_render_at_the_kernel_threshold_and_the_piece_size(rows, fmt, monkeypatch):
+    pieces = []
+    render_chunk = cli._render_chunk
+
+    def spy(columns, *args):
+        pieces.append(len(columns[0]))
+        return render_chunk(columns, *args)
+
+    monkeypatch.setattr(cli, "_render_chunk", spy)
+    # zeros, inf, NaN, a subnormal, a value below 1e-33, one above 1e12, a
+    # 12-digit tie, and values whose 12 digits round up into the next decade
+    edges = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e-34, 1e15, 12345678901.25]
+    edges += [9.9999999999996, math.nextafter(1e5, 0.0), -999999999999.6, math.nextafter(1e12, 0.0)]
+    columns = _kernel_columns(ScanRow, rows, edges, rows)
+    text = "".join(_render_columns(columns, fmt))
+    assert_same_text(text, reference_render(_rows_of_columns(columns), fmt))
+    if rows < cli.KERNEL_ROWS:
+        assert pieces == []
+    else:
+        whole, rest = divmod(rows, cli.RENDER_ROWS)
+        assert pieces == [cli.RENDER_ROWS] * whole + [rest] * (rest > 0)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_kernel_sends_whole_columns_to_the_cell_rule(fmt):
+    # Columns the kernel cannot print at all: [1e12, 1e16), subnormals,
+    # inf and NaN, and 12-digit ties, next to columns it prints itself.
+    rng = np.random.default_rng(7)
+    rows = cli.KERNEL_ROWS + 3
+    huge = rng.uniform(1e12, 1e16, rows)
+    tiny = rng.uniform(0.0, 2.2250738585072014e-308, rows)
+    special = rng.choice([math.inf, -math.inf, math.nan, 0.0], rows)
+    ties = np.array([float(f"{m}5e-7") for m in rng.integers(10**11, 10**12, rows)])
+    plain = rng.uniform(-1.0, 1.0, rows)
+    flags = rng.random(rows) < 0.5
+    columns = ScanRow(huge, tiny, special, ties, plain, -huge, plain * 1e-200, flags, ~flags)
+    text = "".join(_render_columns(columns, fmt))
+    assert_same_text(text, reference_render(_rows_of_columns(columns), fmt))
 
 
 def _pinned_scans():
@@ -829,6 +968,51 @@ def test_kernel_sized_scan_prints_its_pinned_bytes(digest, photons, gt_max, step
     args = ["scan-time", "--photons", photons, "--gt-max", gt_max, "--steps", steps]
     assert run_cli(args + ["--format", fmt]) == EXIT_OK
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_kernel_sized_output_file_matches_stdout(fmt, tmp_path, capsys):
+    args = ["scan-time", "--photons", "3", "--gt-max", "9", "--steps", "3001", "--format", fmt]
+    assert run_cli(args) == EXIT_OK
+    stdout_text = capsys.readouterr().out
+    path = tmp_path / "scan.txt"
+    assert run_cli(args + ["--output", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == stdout_text.encode("utf-8")
+
+
+def test_kernel_sized_output_to_a_full_device_exits_2_with_one_line(capsys):
+    args = ["scan-time", "--photons", "3", "--steps", "3001", "--output", "/dev/full"]
+    assert run_cli(args) == EXIT_NUMERIC
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("cavsqueeze: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_reader_that_closes_stdout_early_ends_the_report_not_the_request(unbuffered):
+    # A pager or "head" that stops reading: the rest of the report is
+    # dropped, the exit code stays 0 and nothing reaches stderr, with stdout
+    # buffered or not (a buffered stdout raises at the first write after
+    # the close, an unbuffered one also writes short).
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parent.parent), env.get("PYTHONPATH")])
+    )
+    argv = ["scan-time", "--photons", "3", "--steps", "20001"]
+    child = subprocess.Popen(
+        [sys.executable, "-m", "cavsqueeze.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert os.read(child.stdout.fileno(), 10)
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert (child.wait(timeout=120), err) == (EXIT_OK, b"")
 
 
 def test_nul_byte_in_a_path_is_a_usage_error(capsys):
