@@ -956,8 +956,11 @@ def test_kernel_sends_whole_columns_to_the_cell_rule(fmt):
 def _pinned_scans():
     """(sha256, photons, gt-max, steps, format) of the scans in scan_sha256.txt.
 
-    Kernel-sized scans whose stdout digests were taken before the byte kernel
-    existed, from the one-template-per-row renderer.
+    Stdout digests taken before the renderer they now check: four scans of
+    2 763 to 10 001 rows from the one-template-per-row renderer, before the
+    byte kernel existed, and short scans (2 to 511 rows, a middle row at a
+    vanishing mean spin, a grid to gt = 1e-20) from the renderer that split
+    reports at 512 rows, before every table went through the kernel.
     """
     lines = (Path(__file__).parent / "data" / "scan_sha256.txt").read_text().split("\n")
     return [tuple(line.split()) for line in lines if line]
@@ -968,6 +971,22 @@ def test_kernel_sized_scan_prints_its_pinned_bytes(digest, photons, gt_max, step
     args = ["scan-time", "--photons", photons, "--gt-max", gt_max, "--steps", steps]
     assert run_cli(args + ["--format", fmt]) == EXIT_OK
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
+
+# One-row reports, committed as the renderer that split reports at 512 rows
+# printed them.
+ONE_ROW_REPORTS = [
+    (["family", "--x1", "0.9", "--x2", "0", "--x3", "0.1", "--y", "-0.3"], "family_report"),
+    (["check-state", str(Path(__file__).parent / "data" / "squeezed_mixture.json")], "check_state_report"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv, name", ONE_ROW_REPORTS)
+def test_one_row_report_prints_its_committed_bytes(argv, name, fmt, capsys):
+    assert run_cli(argv + ["--format", fmt]) == EXIT_OK
+    reference = Path(__file__).parent / "data" / f"{name}.{fmt}"
+    assert capsys.readouterr() == (reference.read_text(encoding="utf-8"), "")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
