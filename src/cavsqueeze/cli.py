@@ -39,18 +39,20 @@ two formats parse to the same numbers, and no column prints ``inf``.
 Booleans print as ``true`` and ``false`` in both.  ``_float_cells`` applies
 the rule to an array of floats; a JSON cell is read back as a float only
 where its ``%.12g`` text does not show the number ``repr`` prints
-(``_json_number``).  ``_render_columns`` renders a report in one of two
-ways, which print the same bytes.  Below ``KERNEL_ROWS`` rows it fills one
-``%`` template per row.  From there on a byte kernel writes the report
-``RENDER_ROWS`` rows at a time, each piece a matrix of uint64 lanes with
-NUL padding that one ``bytes.translate`` deletes: per float cell it
-computes the decimal exponent and the correctly rounded 12-digit integer
-mantissa, with a guard band that proves them exact (``_float_lanes``), and
-lays the digits out by a plan derived from the cell rule itself
-(``_cell_plans``).  A cell it cannot prove, about 0.2% of the cells of the
-benchmark's scans, goes through ``_float_cells``.  ``_write`` writes the
-pieces to stdout or ``--output``; a reader that closes stdout early ends
-the report, not the request.
+(``_json_number``).  The shape of a report picks its renderer, and both
+print by that rule.  A one-row report (``family``, ``check-state``) joins
+its cell texts, all float cells from one ``_float_cells`` call, with the
+literal text of ``_layout`` (``_render_row``).  A table of two or more rows
+(every ``scan-time`` report) goes through a byte kernel ``SCAN_CHUNK`` rows
+at a time, the slice size of ``--verify`` too; each piece is a matrix of
+uint64 lanes with NUL padding that one ``bytes.translate`` deletes.  Per
+float cell the kernel computes the decimal exponent and the correctly
+rounded 12-digit integer mantissa, with a guard band that proves them exact
+(``_float_lanes``), and lays the digits out by a plan derived from the cell
+rule itself (``_cell_plans``).  A cell it cannot prove, about 0.2% of the
+cells of the benchmark's scans, goes through ``_float_cells``.  ``_write``
+writes the pieces to stdout or ``--output``; a reader that closes stdout
+early ends the report, not the request.
 
 ``main`` parses with one parser, built on the first call.  Exit codes: 0
 success, 2 numeric or validation failure (a ``CavsqueezeError``, which
@@ -103,28 +105,17 @@ VERIFY_TOLERANCE = 1e-9
 # formats.
 ZERO_MEAN_TOKEN = "zero-mean-spin"
 
-# Grid rows per exact evolution and per generic-route call of
-# ``scan-time --verify``, the only user: large enough that numpy's per-call
-# overhead vanishes, small enough that the temporaries stay in cache and the
-# peak memory of a long scan stays flat.  The largest is the spin-moment
-# kernel's 96 gathered doubles per row (393 KB); a 512-row chunk peaks at
-# about 0.7 MB of traced allocations.  On a 2-core x86-64 machine the
-# generic route's time is flat from 512 rows up (1024 and 2048 are no
-# faster) and 15-20% higher at 256.
+# Rows per rendered piece of a table, per exact evolution and per
+# generic-route call of ``scan-time --verify``: large enough that numpy's
+# per-call overhead vanishes, small enough that the temporaries stay in
+# cache and the peak memory of a long scan stays flat.  The largest is the
+# spin-moment kernel's 96 gathered doubles per row (393 KB); a 512-row chunk
+# peaks at about 0.7 MB of traced allocations.  On a 2-core x86-64 machine
+# the generic route's time is flat from 512 rows up (1024 and 2048 are no
+# faster) and 15-20% higher at 256; rendered pieces of 512 rows are as fast
+# as pieces of 2 048 and keep the peak resident memory of the benchmark's
+# scans about 1.5 MB lower.
 SCAN_CHUNK = 512
-
-# Reports of at least KERNEL_ROWS rows are rendered by the byte kernel
-# (``_render_chunk``), RENDER_ROWS rows per piece written; smaller ones fill
-# one ``%`` template per row.  On a 2-core x86-64 machine the kernel's
-# fixed cost is about 0.15 ms a piece, so in a long-running process it
-# wins from about 64 rows, but a fresh process first builds its tables
-# (about 3 ms), which only a report of about 1 000 rows pays back; 512 sits
-# between and keeps family, check-state and every --verify scan of the
-# benchmark (at most 201 rows) on the template.  Pieces of 512 rows are as
-# fast as pieces of 1 024 or 2 048, and keep the benchmark's peak resident
-# memory 0.5-1.8 MB above the template's, against 2.6-3.3 MB for 2 048.
-KERNEL_ROWS = 512
-RENDER_ROWS = 512
 
 # The fixed (x, y, z) triad in which the generic route of scan-time --verify
 # and family --verify reads xi2_fixed_frame; a SpinFrame is immutable, so
@@ -309,6 +300,7 @@ def _float_cells(values: np.ndarray, fmt: str):
     return list(map(special.get, text, text))
 
 
+@functools.cache
 def _layout(names, fmt: str):
     """The literal text of a report: ``(head, sep, leads, tail, foot)``.
 
@@ -322,27 +314,14 @@ def _layout(names, fmt: str):
     return "[", ",", leads, "\n  }", "\n]\n"
 
 
-def _render_template(columns, fmt: str) -> str:
-    """Report text of a few rows: one ``%`` template filled per row.
-
-    An all-finite float column fills a ``%.12g`` slot of the CSV template
-    directly; any other column is turned into cell texts first.
-    """
-    slots, cells = [], []
-    for column, kind in zip(columns, type(columns).__annotations__.values()):
-        slots.append("%s")
-        if kind is bool:
-            cells.append(map(_BOOL_TEXT.__getitem__, np.asarray(column).tolist()))
-            continue
-        column = np.asarray(column, dtype=float) + 0.0
-        if fmt == "csv" and np.isfinite(column).all():
-            slots[-1] = _FLOAT_FORMAT
-            cells.append(column.tolist())
-        else:
-            cells.append(_float_cells(column, fmt))
-    head, sep, leads, tail, foot = _layout(type(columns)._fields, fmt)
-    template = "".join(map(str.__add__, leads, slots)) + tail
-    return head + sep.join(map(template.__mod__, zip(*cells))) + foot
+def _render_row(row, fmt: str) -> str:
+    """Report text of one row: its cell texts between the literal text."""
+    kinds = type(row).__annotations__.values()
+    values = np.array([v for v, kind in zip(row, kinds) if kind is not bool], dtype=float)
+    floats = iter(_float_cells(values + 0.0, fmt))
+    cells = [_BOOL_TEXT[bool(v)] if kind is bool else next(floats) for v, kind in zip(row, kinds)]
+    head, _, leads, tail, foot = _layout(type(row)._fields, fmt)
+    return head + "".join(map(str.__add__, leads, cells)) + tail + foot
 
 
 # The byte kernel writes a report as a matrix of uint64 lanes, one row per
@@ -490,41 +469,43 @@ def _row_plan(row_type, fmt: str):
 
     Each cell starts on a lane; its literal lead ends where the cell's
     printed bytes start and may share the free bytes of this cell and the
-    last.  Returns the row's uint64 lanes, each cell's first lane, and the
-    byte offset and length of ``sep``, which the report's first row drops.
+    last.  Returns the row's uint64 lanes; the lanes of the float cells,
+    lane-major as ``_render_chunk`` reshapes ``_float_lanes``, and the lane
+    of each flag; and the byte offset and length of ``sep``, which the
+    report's first row drops.
     """
     _, sep, leads, tail, _ = _layout(row_type._fields, fmt)
     leads = [sep + leads[0], *leads[1:]]
+    flags = [kind is bool for kind in row_type.__annotations__.values()]
     text, first_lanes = bytearray(), []
-    for lead, kind in zip(leads, row_type.__annotations__.values()):
+    for lead, flag in zip(leads, flags):
         lead = lead.encode()
         start = -(-max(len(text) + len(lead) - _PRINTED_FROM, 0) // 8) * 8
         text += bytes(start + _PRINTED_FROM - len(lead) - len(text)) + lead
         first_lanes.append(start // 8)
-        text += bytes((_BOOL_TO if kind is bool else _FLOAT_TO) - _PRINTED_FROM)
+        text += bytes((_BOOL_TO if flag else _FLOAT_TO) - _PRINTED_FROM)
     text += tail.encode()
     text += bytes(-len(text) % 8)
+    first_lanes, flags = np.array(first_lanes), np.array(flags)
+    float_at = (np.arange(_CELL_LANES)[:, None] + first_lanes[~flags]).ravel()
+    flag_at = first_lanes[flags]
+    # each cell starts on a lane of its own, so one scatter writes each set
+    assert len(np.unique(np.concatenate((float_at, flag_at)))) == len(float_at) + len(flag_at)
     sep_at = 8 * first_lanes[0] + _PRINTED_FROM - len(leads[0])
-    return np.frombuffer(bytes(text), np.uint64), first_lanes, sep_at, len(sep)
+    return np.frombuffer(bytes(text), np.uint64), float_at, flag_at, sep_at, len(sep)
 
 
 def _render_chunk(columns, fmt: str, first: bool) -> str:
     """Text of a run of rows, ``sep`` before each but the report's first."""
-    template, first_lanes, sep_at, sep = _row_plan(type(columns), fmt)
+    template, float_at, flag_at, sep_at, sep = _row_plan(type(columns), fmt)
+    kinds = type(columns).__annotations__.values()
+    values = np.array([c for c, kind in zip(columns, kinds) if kind is not bool], dtype=float)
+    flags = np.array([c for c, kind in zip(columns, kinds) if kind is bool], dtype=np.intp)
     rows = len(columns[0])
     doc = np.empty((rows, template.size), np.uint64)
     doc[:] = template
-    kinds = list(type(columns).__annotations__.values())
-    floats = [i for i, kind in enumerate(kinds) if kind is not bool]
-    values = np.array([columns[i] for i in floats], dtype=float) + 0.0
-    cells = _float_lanes(values.ravel(), fmt).reshape(_CELL_LANES, len(floats), rows)
-    for i, kind in enumerate(kinds):
-        at = first_lanes[i]
-        if kind is bool:
-            doc[:, at] |= _BOOL_LANES.take(np.asarray(columns[i], dtype=np.intp))
-            continue
-        for lane, part in enumerate(cells[:, floats.index(i)]):
-            doc[:, at + lane] |= part
+    doc.T[float_at] |= _float_lanes(values.ravel() + 0.0, fmt).reshape(len(float_at), rows)
+    doc.T[flag_at] |= _BOOL_LANES.take(flags)
     if first:
         doc.view(np.uint8)[0, sep_at : sep_at + sep] = 0
     return doc.tobytes().translate(None, b"\0").decode("ascii")
@@ -533,18 +514,17 @@ def _render_chunk(columns, fmt: str, first: bool) -> str:
 def _render_columns(columns, fmt: str):
     """Report text of a row type whose fields are equal-length columns, in pieces.
 
-    Fewer than ``KERNEL_ROWS`` rows fill one ``%`` template per row; more go
-    through the byte kernel, ``RENDER_ROWS`` rows per piece.  Both apply the
-    cell rule of the module docstring and print the same bytes.
+    One row is ``_render_row``'s text; more go through the byte kernel,
+    ``SCAN_CHUNK`` rows per piece.
     """
     rows = len(columns[0])
-    if rows < KERNEL_ROWS:
-        yield _render_template(columns, fmt)
+    if rows == 1:
+        yield _render_row(type(columns)._make(c[0] for c in columns), fmt)
         return
     head, _, _, _, foot = _layout(type(columns)._fields, fmt)
     yield head
-    for start in range(0, rows, RENDER_ROWS):
-        part = slice(start, start + RENDER_ROWS)
+    for start in range(0, rows, SCAN_CHUNK):
+        part = slice(start, start + SCAN_CHUNK)
         yield _render_chunk(type(columns)._make(c[part] for c in columns), fmt, start == 0)
     yield foot
 
@@ -726,7 +706,7 @@ def _cmd_family(args) -> int:
         found.negativity,
         found.ppt_entangled,
     )
-    _write([_render([row], args.format)], args.output)
+    _write([_render_row(row, args.format)], args.output)
     if args.verify:
         coeffs = np.atleast_1d(args.x1, args.x2, args.x3, args.y)
         worst, generic_ppt = _generic_gap(found, *coeffs)
@@ -756,7 +736,7 @@ def _cmd_check_state(args) -> int:
         *mean,
         *second[np.triu_indices(3)],
     )
-    _write([_render([row], args.format)], args.output)
+    _write([_render_row(row, args.format)], args.output)
     if args.verify:
         worst = 0.0
         if not math.isinf(xi_opt):

@@ -38,6 +38,16 @@ splits into the 2x2 blocks [[x1, x2/2], [x2/2, x3]] and
 ``scan-time`` and ``family`` read it; ``xi2_family``,
 ``family_squeezing_condition`` and ``diagonal_family_entangled`` are its
 one-row views, so a tuple gets the same bits alone as inside a scan.
+
+Why xi^2 misses the scan's entanglement.  Let a state be block-diagonal in
+atomic excitation number: rho_ee,gg = 0 and no coherence between |ee>,
+{|eg>, |ge>} and |gg>, as every state evolved from a Fock field is.
+  Its mean spin lies along z, m = p_ee - p_gg, and its transverse variance
+  is isotropic, 1/2 + Re rho_eg,ge, with |rho_eg,ge| <= p_mid/2; so
+  2 var_perp >= p_ee + p_gg >= |m| >= m^2, that is xi^2_perp >= 1.
+  A direction at angle t to z reads
+  2 (sin^2 t var_perp + cos^2 t var_z) / (m sin t)^2 >= xi^2_perp.
+So xi^2 >= 1 under both policies, entangled (NPT) or not.
 """
 
 import math
@@ -452,14 +462,16 @@ def xi_squared(rho: DensityMatrix, policy: str = PERP_OPTIMAL) -> XiResult:
 def xi2_closed_n1(theta: float) -> float:
     """Squeezing parameter (1 + sin^2 theta)/cos^4 theta of the one-photon scan.
 
-    Returns math.inf at the singular points cos(theta) = 0 instead of
-    raising.
+    The mean spin of the one-photon scan is cos^2 theta, so this returns
+    math.inf where it is at or below MEAN_SPIN_FLOOR, as the scan does,
+    instead of raising.
     """
     c = math.cos(theta)
-    if abs(c) < 1e-12:
+    mean_sq = c * c * c * c
+    if mean_sq <= MEAN_SPIN_FLOOR**2:
         return math.inf
     s = math.sin(theta)
-    return (1.0 + s * s) / (c * c * c * c)
+    return (1.0 + s * s) / mean_sq
 
 
 def pt_spectrum(rho) -> np.ndarray:

@@ -2,9 +2,10 @@
 
 Everything here operates on plain numpy arrays of dtype float64 or
 complex128: a real symmetric input stays real, which halves the memory of
-its eigenvectors and lets LAPACK use the faster real solver.  Matrices in
-this package stay small (a few hundred rows at most), so dense routines
-are the right tool.  The package's finite and Hermitian test
+its eigenvectors and lets LAPACK use the faster real solver.  Every matrix
+the library builds is at most 4 x 4 (a two-qubit state, its partial
+transpose, an excitation-sector block), so dense routines are the right
+tool.  The package's finite and Hermitian test
 (``check_hermitian``) lives here, and every eigensolve goes through
 ``_converged``, which maps numpy's ``LinAlgError`` to NoConvergenceError.
 """

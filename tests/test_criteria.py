@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, event, example, given, settings
+from hypothesis import strategies as st
 
 from cavsqueeze import (
     GLOBAL,
@@ -28,7 +30,8 @@ from cavsqueeze import (
     xi_squared,
     xi_squared_in_frame,
 )
-from cavsqueeze.criteria import xi_entangled
+from cavsqueeze.criteria import MEAN_SPIN_FLOOR, family_diagnostics_stack, xi_entangled
+from cavsqueeze.dynamics import closed_form_populations, rabi_frequency
 from cavsqueeze.states import TRACE_ATOL
 from helpers import (
     SPIN_OPERATORS,
@@ -245,6 +248,48 @@ class TestXi2ClosedN1:
     def test_never_below_one(self):
         for theta in np.linspace(0.0, 2.0 * math.pi, 400):
             assert xi2_closed_n1(float(theta)) >= 1.0
+
+    @pytest.mark.parametrize("cos_theta", [1e-6, 0.99e-4, 1.01e-4, 1e-3])
+    def test_undefined_where_the_scan_is(self, cos_theta):
+        # The one-photon mean spin is cos^2 theta: at or below the 1e-8
+        # floor, |cos theta| <= 1e-4, the quotient is undefined, as in the
+        # scan's row at the same gt.
+        theta = math.acos(cos_theta)
+        closed = xi2_closed_n1(theta)
+        assert math.isinf(closed) == (cos_theta < 1e-4)
+        x1, x2, x3 = closed_form_populations(1, [theta / rabi_frequency(1)])
+        assert np.isinf(family_diagnostics_stack(x1, x2, x3).xi2_optimized[0]) == math.isinf(closed)
+
+
+_UNIT = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@example(weights=(0.05, 0.8, 0.15), split=0.5, coherence=1.0, phase=0.0)
+@given(
+    weights=st.tuples(_UNIT, _UNIT, _UNIT),
+    split=_UNIT,
+    coherence=_UNIT,
+    phase=st.floats(0.0, 2.0 * math.pi),
+)
+def test_no_squeezing_without_coherence_between_excitation_numbers(weights, split, coherence, phase):
+    # The lemma of the criteria docstring: a state block-diagonal in atomic
+    # excitation number, p_ee |ee><ee| + the {|eg>, |ge>} block + p_gg
+    # |gg><gg|, reads xi^2 >= 1 under both policies, NPT or not.
+    assume(sum(weights) > 0.1)
+    p_ee, p_mid, p_gg = np.array(weights) / sum(weights)
+    eg, ge = p_mid * split, p_mid * (1.0 - split)
+    mat = np.diag([p_ee, eg, ge, p_gg]).astype(complex)
+    mat[1, 2] = coherence * math.sqrt(eg * ge) * complex(math.cos(phase), math.sin(phase))
+    mat[2, 1] = mat[1, 2].conjugate()
+    rho = DensityMatrix(mat)
+    mean = spin_moments(rho).mean
+    assume(float(mean @ mean) > MEAN_SPIN_FLOOR**2)
+    event("NPT" if ppt_entangled(rho) else "PPT")
+    result = xi_squared(rho)
+    assert not result.entangled_flag
+    assert result.value >= 1.0 - 1e-12
+    assert reference_global_minimum(rho) >= 1.0 - 1e-12
 
 
 class TestNegativity:
