@@ -486,13 +486,13 @@ def _row_plan(row_type, fmt: str):
         text += bytes((_BOOL_TO if flag else _FLOAT_TO) - _PRINTED_FROM)
     text += tail.encode()
     text += bytes(-len(text) % 8)
-    first_lanes, flags = np.array(first_lanes), np.array(flags)
-    float_at = (np.arange(_CELL_LANES)[:, None] + first_lanes[~flags]).ravel()
-    flag_at = first_lanes[flags]
+    cells = list(zip(first_lanes, flags))
+    float_at = [at + lane for lane in range(_CELL_LANES) for at, flag in cells if not flag]
+    flag_at = [at for at, flag in cells if flag]
     # each cell starts on a lane of its own, so one scatter writes each set
-    assert len(np.unique(np.concatenate((float_at, flag_at)))) == len(float_at) + len(flag_at)
+    assert len(set(float_at + flag_at)) == len(float_at) + len(flag_at)
     sep_at = 8 * first_lanes[0] + _PRINTED_FROM - len(leads[0])
-    return np.frombuffer(bytes(text), np.uint64), float_at, flag_at, sep_at, len(sep)
+    return np.frombuffer(bytes(text), np.uint64), np.array(float_at), np.array(flag_at), sep_at, len(sep)
 
 
 def _render_chunk(columns, fmt: str, first: bool) -> str:
