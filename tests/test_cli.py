@@ -640,7 +640,7 @@ _EDGE_ERRORS = {
 @given(
     seed=st.integers(0, 2**32 - 1),
     edge=st.sampled_from(["hermitian", "trace", "psd"]),
-    scale=st.just(0.0) | st.floats(0.0, 2.0),
+    scale=st.floats(0.0, 2.0),
 )
 def test_check_state_at_the_validator_edges(seed, edge, scale):
     # Hermitian within HERMITIAN_ATOL, of unit trace within TRACE_ATOL and
