@@ -89,20 +89,19 @@ from .criteria import (
 from .dynamics import closed_form_populations, evolve_exact_stack
 from .errors import CavsqueezeError, OutsideFamilyError, StateFormatError
 from .states import _family_matrices, family_coeffs_stack, load_density_matrix
+from .tolerances import VERIFY_TOLERANCE
 
 EXIT_OK = 0
 EXIT_NUMERIC = 2
 EXIT_USAGE = 64
 EXIT_PARSE = 65
 
-VERIFY_TOLERANCE = 1e-9
-
 # Every inf the CLI would print is an undefined squeezing quotient: the
 # kernels return inf exactly where the quotient's denominator (|<S>|^2, the
 # squared mean spin on the (n2, n3) plane, or (x1 - x3)^2 in the family's
-# closed forms) is at or below MEAN_SPIN_FLOOR^2, and every other column is
-# finite once its input is validated.  So inf prints as this token in both
-# formats.
+# closed forms) is at or below MEAN_SPIN_FLOOR^2 (``criteria._quotient``),
+# and every other column is finite once its input is validated.  So inf
+# prints as this token in both formats.
 ZERO_MEAN_TOKEN = "zero-mean-spin"
 
 # Rows per rendered piece of a table, per exact evolution and per
@@ -243,7 +242,8 @@ def _add_common_flags(parser: argparse.ArgumentParser):
     parser.add_argument(
         "--verify",
         action="store_true",
-        help="cross-check the report against an independent route (exit 2 beyond 1e-9)",
+        help="cross-check the report against an independent route (exit 2 beyond "
+        f"{np.format_float_scientific(VERIFY_TOLERANCE, trim='-', exp_digits=1)})",
     )
 
 

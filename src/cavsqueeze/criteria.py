@@ -14,7 +14,10 @@ Two independent criteria are implemented side by side:
   ``xi_entangled`` is that verdict, for ``xi_squared`` and the scan alike,
   with a floor just under 1 for the validator's trace slack.
 
-Two array kernels compute them, each the other's oracle.
+Two array kernels compute them, each the other's oracle.  Both read their
+floors from ``tolerances``, and both leave a quotient undefined (inf) by one
+rule, ``_quotient``: where its squared denominator is at or below
+MEAN_SPIN_FLOOR**2.
 
 The generic kernel works on stacks of 4x4 states: ``spin_moments_stack``
 (the traces against the 12 spin-moment operators, in real arithmetic over
@@ -66,31 +69,15 @@ from .errors import (
 )
 from .linalg import _eigh, _eigvalsh, check_hermitian
 from .states import (
-    TRACE_ATOL,
     DensityMatrix,
     FamilyCoeffs,
     _two_qubit_stack,
     check_family_coeffs,
     partial_transpose,
 )
+from .tolerances import FRAME_ORTHONORMAL_ATOL, MEAN_SPIN_FLOOR, PPT_EIGENVALUE_FLOOR, XI_SQUARED_FLOOR
 
 ATOM_COUNT = 2
-
-# |<S>| at or below this is treated as a vanishing mean spin.
-MEAN_SPIN_FLOOR = 1e-8
-
-# Largest entry of |G - 1|, G the Gram matrix of a SpinFrame's axes, that
-# still counts as orthonormal.
-FRAME_ORTHONORMAL_ATOL = 1e-10
-
-# A partial-transpose eigenvalue below this certifies entanglement; values
-# above it count as numerical noise around zero.
-PPT_EIGENVALUE_FLOOR = -1e-12
-
-# A squeezing quotient below this certifies entanglement.  xi^2_perp(c rho) =
-# xi^2_perp(rho)/c, so a separable state of trace up to 1 + TRACE_ATOL reads
-# down to 1/(1 + TRACE_ATOL); the floor adds TRACE_ATOL for round-off.
-XI_SQUARED_FLOOR = 1.0 - 2.0 * TRACE_ATOL
 
 PERP_OPTIMAL = "perp-optimal"
 GLOBAL = "global"
@@ -267,20 +254,36 @@ def _quadratic(a: np.ndarray, m: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (_row_times(a, m) * b).sum(axis=-1)
 
 
+def _quotient(numer, denom_sq):
+    """``numer / denom_sq``, inf where ``denom_sq <= MEAN_SPIN_FLOOR**2``.
+
+    The one rule for an undefined squeezing quotient: its squared
+    denominator, |<S>|^2 or the squared mean spin on the (n2, n3) plane, at
+    or below the floor means no quotient.  Every kernel that forms a
+    quotient calls this, so they agree on which rows are undefined.
+    Elementwise over arrays.  Two Python floats give a Python float without
+    a numpy call: the sphere search calls this some 3 000 times per state.
+    """
+    defined = denom_sq > MEAN_SPIN_FLOOR**2
+    if isinstance(defined, bool):
+        return numer / denom_sq if defined else math.inf
+    return np.where(defined, numer / np.where(defined, denom_sq, 1.0), np.inf)
+
+
 def xi_perp_stack(mean: np.ndarray, second: np.ndarray) -> PerpStack:
     """Perp-optimal squeezing quotient of each state of a stack.
 
     Minimizes N var(S_n1) / |<S>|^2 over directions n1 orthogonal to the
     mean spin: the smallest eigenvalue of the covariance restricted to that
     plane, one batched 2x2 ``eigh``.  Rows with |<S>| <= MEAN_SPIN_FLOOR get
-    an infinite value.
+    an infinite value (``_quotient``).
     """
     mean_sq = (mean * mean).sum(axis=-1)
-    defined = mean_sq > MEAN_SPIN_FLOOR**2
-    # Vanishing rows get a stand-in direction so the arithmetic stays finite.
-    direction = np.where(defined[:, None], mean, _STAND_IN_AXIS)
-    norm_sq = np.where(defined, mean_sq, 1.0)
-    mhat = direction / np.sqrt(norm_sq)[:, None]
+    # A zero mean has no direction: its row gets a stand-in so the arithmetic
+    # stays finite, and its quotient is inf all the same.
+    nonzero = mean_sq > 0.0
+    direction = np.where(nonzero[:, None], mean, _STAND_IN_AXIS)
+    mhat = direction / np.sqrt(np.where(nonzero, mean_sq, 1.0))[:, None]
     cov = second - mean[:, :, None] * mean[:, None, :]
 
     # In-plane basis: the coordinate axis least aligned with the mean,
@@ -304,8 +307,8 @@ def xi_perp_stack(mean: np.ndarray, second: np.ndarray) -> PerpStack:
     w, vecs = _eigh(restricted)
     n1 = vecs[:, 0, 0, None] * u + vecs[:, 1, 0, None] * v
     n1 /= np.sqrt((n1 * n1).sum(axis=-1))[:, None]
-    value = np.maximum(0.0, ATOM_COUNT * w[:, 0] / norm_sq)
-    return PerpStack(np.where(defined, value, np.inf), n1, mean_sq)
+    value = np.maximum(0.0, _quotient(ATOM_COUNT * w[:, 0], mean_sq))
+    return PerpStack(value, n1, mean_sq)
 
 
 def xi_frame_stack(mean: np.ndarray, second: np.ndarray, frame: SpinFrame) -> FrameStack:
@@ -315,9 +318,7 @@ def xi_frame_stack(mean: np.ndarray, second: np.ndarray, frame: SpinFrame) -> Fr
     m2 = (mean * frame.n2).sum(axis=-1)
     m3 = (mean * frame.n3).sum(axis=-1)
     plane_sq = m2 * m2 + m3 * m3
-    defined = plane_sq > MEAN_SPIN_FLOOR**2
-    value = ATOM_COUNT * variance / np.where(defined, plane_sq, 1.0)
-    return FrameStack(np.where(defined, value, np.inf), plane_sq)
+    return FrameStack(_quotient(ATOM_COUNT * variance, plane_sq), plane_sq)
 
 
 def spin_moments(rho: DensityMatrix) -> SpinMoments:
@@ -378,16 +379,11 @@ def _sphere_minimum(cov: np.ndarray, mean: np.ndarray, mm: float, baseline):
     """
 
     def quotient(n: np.ndarray) -> float:
-        denom = mm - float(n @ mean) ** 2
-        if denom <= mm * 1e-12:
-            return math.inf
-        return ATOM_COUNT * float(n @ cov @ n) / denom
+        return _quotient(ATOM_COUNT * float(n @ cov @ n), mm - float(n @ mean) ** 2)
 
     dirs = _fibonacci_directions(_GLOBAL_GRID)
     numer = ATOM_COUNT * np.einsum("id,de,ie->i", dirs, cov, dirs)
-    denom = mm - (dirs @ mean) ** 2
-    ok = denom > mm * 1e-12
-    values = np.where(ok, numer / np.where(ok, denom, 1.0), np.inf)
+    values = _quotient(numer, mm - (dirs @ mean) ** 2)
     spacing = 2.0 * math.sqrt(math.pi / _GLOBAL_GRID)
 
     best_dir, best_val = baseline
@@ -440,7 +436,7 @@ def xi_squared(rho: DensityMatrix, policy: str = PERP_OPTIMAL) -> XiResult:
     Raises
     ------
     ZeroMeanSpinError
-        If |<S>| <= 1e-8; the quotient is undefined there.
+        If |<S>| <= MEAN_SPIN_FLOOR (1e-8); the quotient is undefined there.
     """
     if policy not in (PERP_OPTIMAL, GLOBAL):
         raise UnknownPolicyError(f"unknown policy {policy!r}")
@@ -467,11 +463,8 @@ def xi2_closed_n1(theta: float) -> float:
     instead of raising.
     """
     c = math.cos(theta)
-    mean_sq = c * c * c * c
-    if mean_sq <= MEAN_SPIN_FLOOR**2:
-        return math.inf
     s = math.sin(theta)
-    return (1.0 + s * s) / mean_sq
+    return _quotient(1.0 + s * s, c * c * c * c)
 
 
 def pt_spectrum(rho) -> np.ndarray:
@@ -570,18 +563,16 @@ def family_diagnostics_stack(x1, x2, x3, y=0.0) -> FamilyStack:
       least (x1 + x2 + x3)/2, about 1/2, so it never counts.
 
     A row whose d^2 is at or below MEAN_SPIN_FLOOR^2 is undefined (inf), by
-    the rule of ``xi_perp_stack`` and ``xi_frame_stack``.  Every operation
+    ``_quotient``, the rule of ``xi_perp_stack`` and ``xi_frame_stack``.  Every operation
     acts elementwise, so a row gets the same bits alone as inside a scan.
     """
     x1, x2, x3, y = check_family_coeffs(x1, x2, x3, y)
     mean_z = x1 - x3
     mean_sq = mean_z * mean_z
-    defined = mean_sq > MEAN_SPIN_FLOOR**2
-    denom = np.where(defined, mean_sq, 1.0)
     modulus = np.abs(y)
     base = 1.0 + x2
-    xi_opt = np.where(defined, np.maximum(0.0, (base - 2.0 * modulus) / denom), np.inf)
-    xi_fixed = np.where(defined, (base + 2.0 * y.real) / denom, np.inf)
+    xi_opt = np.maximum(0.0, _quotient(base - 2.0 * modulus, mean_sq))
+    xi_fixed = _quotient(base + 2.0 * y.real, mean_sq)
 
     half_x2 = 0.5 * x2
     half_sum = 0.5 * (x1 + x3)

@@ -30,7 +30,8 @@ import numpy as np
 
 from .errors import BadPhotonNumberError, NegativeTimeError, NonFiniteError, NotNormalizedError
 from .linalg import _reject, hermitian_eig
-from .states import NORM_ATOL, DensityMatrix, FamilyCoeffs, validate_density_stack
+from .states import DensityMatrix, FamilyCoeffs, validate_density_stack
+from .tolerances import NORM_ATOL
 
 # The closed form squares 2n - 1 and multiplies n (n - 1) in doubles, which
 # overflow from about n = 6.7e153 on; it rejects a photon number above this.

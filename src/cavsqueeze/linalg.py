@@ -15,10 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NoConvergenceError, NonFiniteError, NotHermitianError
-
-# Entrywise tolerance for accepting a matrix as Hermitian, here and in the
-# density-matrix validator.
-HERMITIAN_ATOL = 1e-10
+from .tolerances import HERMITIAN_ATOL
 
 
 class EigenDecomposition(NamedTuple):

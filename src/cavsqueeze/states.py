@@ -46,16 +46,7 @@ from .errors import (
     StateFormatError,
 )
 from .linalg import _eigvalsh, _reject, check_hermitian
-
-TRACE_ATOL = 1e-10
-PSD_ATOL = 1e-10
-# Slack on the unit norm of each state vector the exact evolution produces.
-NORM_ATOL = 1e-10
-# Slack on the family coefficient rules: range, sum and coherence bound.
-FAMILY_ATOL = 1e-12
-# Largest entry outside the family pattern that family_coeffs_from_density
-# accepts as numerical noise.
-FAMILY_RESIDUAL_ATOL = 1e-10
+from .tolerances import FAMILY_ATOL, FAMILY_RESIDUAL_ATOL, PSD_ATOL, TRACE_ATOL
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -118,8 +109,9 @@ class DensityMatrix:
 
     Construction runs ``validate_density_stack`` on the one 4 x 4 matrix: it
     rejects any other shape, non-finite entries, inputs that are not
-    Hermitian within 1e-10, whose trace differs from 1 by more than 1e-10,
-    or whose minimum eigenvalue is below -1e-10.
+    Hermitian within HERMITIAN_ATOL (1e-10), whose trace differs from 1 by
+    more than TRACE_ATOL (1e-10), or whose minimum eigenvalue is below
+    -PSD_ATOL (-1e-10).
     """
 
     mat: np.ndarray
@@ -137,8 +129,9 @@ def check_family_coeffs(x1, x2, x3, y=0.0):
     """The FamilyCoeffs rules applied to arrays of coefficients.
 
     Every value must be finite, each population must lie in [0, 1] and the
-    three must sum to 1, and |y| <= sqrt(x1*x3), all within 1e-12.  Returns
-    the inputs broadcast together as float, float, float and complex arrays.
+    three must sum to 1, and |y| <= sqrt(x1*x3), all within FAMILY_ATOL
+    (1e-12).  Returns the inputs broadcast together as float, float, float
+    and complex arrays.
     """
     x1, x2, x3, y = np.broadcast_arrays(
         np.asarray(x1, dtype=float),
@@ -178,9 +171,10 @@ class FamilyCoeffs:
     """Coefficients (x1, x2, x3, y) of a symmetric-family state.
 
     The values must be finite, the populations must lie in [0, 1] and sum
-    to 1 within 1e-12, and the coherence must satisfy |y| <= sqrt(x1*x3)
-    within 1e-12, otherwise the matrix the coefficients describe would not
-    be positive (``check_family_coeffs`` on one tuple).
+    to 1 within FAMILY_ATOL (1e-12), and the coherence must satisfy
+    |y| <= sqrt(x1*x3) within FAMILY_ATOL, otherwise the matrix the
+    coefficients describe would not be positive (``check_family_coeffs`` on
+    one tuple).
     """
 
     x1: float

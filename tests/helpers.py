@@ -14,6 +14,7 @@ import numpy as np
 import cavsqueeze as cs
 from cavsqueeze.cli import ZERO_MEAN_TOKEN
 from cavsqueeze.criteria import spin_moments
+from cavsqueeze.tolerances import MEAN_SPIN_FLOOR
 
 _PAULIS = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -213,10 +214,9 @@ def reference_xi_perp_stack(mean, second):
         return ((a[..., :, None] * m).sum(axis=-2) * b).sum(axis=-1)
 
     mean_sq = (mean * mean).sum(axis=-1)
-    defined = mean_sq > cs.criteria.MEAN_SPIN_FLOOR**2
-    direction = np.where(defined[:, None], mean, (0.0, 0.0, 1.0))
-    norm_sq = np.where(defined, mean_sq, 1.0)
-    mhat = direction / np.sqrt(norm_sq)[:, None]
+    nonzero = mean_sq > 0.0
+    direction = np.where(nonzero[:, None], mean, (0.0, 0.0, 1.0))
+    mhat = direction / np.sqrt(np.where(nonzero, mean_sq, 1.0))[:, None]
     cov = second - mean[:, :, None] * mean[:, None, :]
     seed = np.eye(3)[np.argmin(np.abs(mhat), axis=-1)]
     u = seed - (seed * mhat).sum(axis=-1)[:, None] * mhat
@@ -231,7 +231,8 @@ def reference_xi_perp_stack(mean, second):
     w, vecs = np.linalg.eigh(restricted)
     n1 = vecs[:, 0, 0, None] * u + vecs[:, 1, 0, None] * v
     n1 /= np.sqrt((n1 * n1).sum(axis=-1))[:, None]
-    value = np.maximum(0.0, cs.criteria.ATOM_COUNT * w[:, 0] / norm_sq)
+    defined = mean_sq > MEAN_SPIN_FLOOR**2
+    value = np.maximum(0.0, cs.criteria.ATOM_COUNT * w[:, 0] / np.where(defined, mean_sq, 1.0))
     return np.where(defined, value, np.inf), n1, mean_sq
 
 

@@ -23,7 +23,6 @@ from cavsqueeze.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_USAGE,
-    VERIFY_TOLERANCE,
     ZERO_MEAN_TOKEN,
     CheckRow,
     FamilyRow,
@@ -35,7 +34,6 @@ from cavsqueeze.cli import (
     main,
 )
 from cavsqueeze.criteria import (
-    PPT_EIGENVALUE_FLOOR,
     XiResult,
     diagonal_family_entangled,
     family_diagnostics_stack,
@@ -44,14 +42,16 @@ from cavsqueeze.criteria import (
 )
 from cavsqueeze.dynamics import _eigensystem, closed_form_populations
 from cavsqueeze.errors import CavsqueezeError, NoConvergenceError
-from cavsqueeze.linalg import HERMITIAN_ATOL
-from cavsqueeze.states import (
+from cavsqueeze.states import FamilyCoeffs, family_density
+from cavsqueeze.tolerances import (
     FAMILY_ATOL,
     FAMILY_RESIDUAL_ATOL,
+    HERMITIAN_ATOL,
+    MEAN_SPIN_FLOOR,
+    PPT_EIGENVALUE_FLOOR,
     PSD_ATOL,
     TRACE_ATOL,
-    FamilyCoeffs,
-    family_density,
+    VERIFY_TOLERANCE,
 )
 from helpers import reference_render
 
@@ -599,6 +599,21 @@ def test_committed_state_file_checks_out(capsys):
     row = parse_csv(captured.out)[0]
     assert abs(float(row["negativity"]) - (0.45 * math.sin(0.6) - 0.025)) < 1e-12
     assert row["ppt_entangled"] == "true" and float(row["xi2_optimized"]) < 1.0
+    assert captured.err.startswith("verify: ")
+
+
+def test_check_state_verify_next_to_the_mean_spin_floor(capsys):
+    # (1/2 + 3e-8) sigma + (1/2 - 3e-8) sigma~, sigma~ = (Y x Y) sigma* (Y x Y)
+    # the spin flip of a random state sigma, whose mean spin it negates:
+    # |<S>| = 1.009e-8, just above MEAN_SPIN_FLOOR.  The sphere search once
+    # kept a direction whose mean spin projection on the (n2, n3) plane was
+    # 9.27e-9, below the floor, by a rule of its own relative to |<S>|^2;
+    # the value in that frame then raised ZeroMeanSpinError and exited 2.
+    path = Path(__file__).parent / "data" / "spin_flip_mixture.json"
+    assert run_cli(["check-state", str(path), "--verify"]) == EXIT_OK
+    captured = capsys.readouterr()
+    mean = [float(parse_csv(captured.out)[0][f"mean_{k}"]) for k in "xyz"]
+    assert MEAN_SPIN_FLOOR < math.hypot(*mean) < 1.01 * MEAN_SPIN_FLOOR
     assert captured.err.startswith("verify: ")
 
 

@@ -30,9 +30,9 @@ from cavsqueeze import (
     xi_squared,
     xi_squared_in_frame,
 )
-from cavsqueeze.criteria import MEAN_SPIN_FLOOR, family_diagnostics_stack, xi_entangled
+from cavsqueeze.criteria import family_diagnostics_stack, xi_entangled
 from cavsqueeze.dynamics import closed_form_populations, rabi_frequency
-from cavsqueeze.states import TRACE_ATOL
+from cavsqueeze.tolerances import MEAN_SPIN_FLOOR, TRACE_ATOL
 from helpers import (
     SPIN_OPERATORS,
     check_rotation_covariance,

@@ -1,8 +1,11 @@
-"""The README's library tour runs and gives the values its comments state."""
+"""The README's library tour runs and gives the values its comments state, and
+its tolerance table lists the tolerances module as it is written."""
 
 import ast
 import re
 from pathlib import Path
+
+from cavsqueeze import tolerances
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -44,3 +47,28 @@ def test_library_tour_values_match_its_comments():
         )
         checked.append(shown.group(1))
     assert tuple(checked) == EXPECTED
+
+
+def _tolerance_rows():
+    """(name, value, derived from) of each row of the README's tolerance table."""
+    section = README.read_text(encoding="utf-8").split("## Tolerances", 1)[1]
+    lines = [line for line in section.split("\n## ", 1)[0].splitlines() if line.startswith("| `")]
+    cells = [[cell.strip() for cell in line.strip("|").split("|")] for line in lines]
+    return [(name.strip("`"), value, derived.strip("`")) for name, value, _, derived in cells]
+
+
+def test_tolerance_table_matches_the_module():
+    source = Path(tolerances.__file__).read_text(encoding="utf-8")
+    written = {
+        node.targets[0].id: node.value
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign)
+    }
+    rows = _tolerance_rows()
+    assert [name for name, _, _ in rows] == list(written)
+    for name, value, derived in rows:
+        assert float(value) == getattr(tolerances, name), name
+        if derived == "set on its own":
+            assert isinstance(ast.literal_eval(written[name]), float), name
+        else:
+            assert ast.unparse(written[name]) == ast.unparse(ast.parse(derived, mode="eval").body), name
