@@ -62,9 +62,7 @@ def test_quotient_kernels_share_one_undefined_rule():
     criteria = dict(_modules())["criteria.py"]
     functions = _functions(criteria)
     for name in QUOTIENT_KERNELS:
-        called = {call.func.id for call in ast.walk(functions[name])
-                  if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)}
-        assert "_quotient" in called, name
+        assert "_quotient" in _names(functions[name]), name
     # The mean-spin floor decides definedness in the rule alone; elsewhere it
     # only appears in the text of an error.
     comparing = {
