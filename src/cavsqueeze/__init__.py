@@ -45,7 +45,6 @@ from .errors import (
     NoConvergenceError,
     NonDiagonalError,
     NonFiniteError,
-    NonRealError,
     NotHermitianError,
     NotNormalizedError,
     NotOrthonormalError,

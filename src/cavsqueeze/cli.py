@@ -56,8 +56,9 @@ early ends the report, not the request.
 
 ``main`` parses with one parser, built on the first call.  Exit codes: 0
 success, 2 numeric or validation failure (a ``CavsqueezeError``, which
-includes every eigensolver failure, or an ``OSError``; any other exception
-is a bug and propagates), 64 usage error, 65 unparseable input file.
+includes every eigensolver failure, an ``OSError`` or a ``MemoryError``; any
+other exception is a bug and propagates), 64 usage error, 65 unparseable
+input file.  Every ``--verify`` passes or fails by one rule, ``_verified``.
 """
 
 import argparse
@@ -222,6 +223,11 @@ def _step_count(text: str) -> int:
     value = _positive_int(text)
     if value < 2:
         raise argparse.ArgumentTypeError(f"need at least 2 grid points, got {value}")
+    # the most float64 entries whose byte count numpy can size; a larger grid
+    # ends in an overflow or index error inside numpy, not a MemoryError
+    largest = np.iinfo(np.intp).max // 8
+    if value > largest:
+        raise argparse.ArgumentTypeError(f"at most {largest} grid points, got {value}")
     return value
 
 
@@ -677,19 +683,31 @@ def _verify_scan(photons: int, scan: ScanRow, closed: FamilyStack):
     return worst_population, float(worst_generic)
 
 
+def _verified(lines, deviations, agree=True) -> int:
+    """Print the ``--verify`` lines to stderr and decide the pass.
+
+    The check passes when ``agree`` holds and every deviation is at most
+    VERIFY_TOLERANCE; a NaN deviation fails.  Returns the exit code.
+    """
+    for line in lines:
+        print(line, file=sys.stderr)
+    within = all(worst <= VERIFY_TOLERANCE for worst in deviations)
+    return EXIT_OK if agree and within else EXIT_NUMERIC
+
+
 def _cmd_scan_time(args) -> int:
     scan, closed = _closed_scan(args.photons, args.gt_max, args.steps)
     _write(_render_columns(scan, args.format), args.output)
-    if args.verify:
-        worst_population, worst_generic = _verify_scan(args.photons, scan, closed)
-        for route, worst in (("evolved", worst_population), ("generic", worst_generic)):
-            print(
-                f"verify: max |closed form - {route}| = {worst:.3e} over {args.steps} rows",
-                file=sys.stderr,
-            )
-        if not (worst_population <= VERIFY_TOLERANCE and worst_generic <= VERIFY_TOLERANCE):
-            return EXIT_NUMERIC
-    return EXIT_OK
+    if not args.verify:
+        return EXIT_OK
+    deviations = _verify_scan(args.photons, scan, closed)
+    return _verified(
+        [
+            f"verify: max |closed form - {route}| = {worst:.3e} over {args.steps} rows"
+            for route, worst in zip(("evolved", "generic"), deviations)
+        ],
+        deviations,
+    )
 
 
 def _cmd_family(args) -> int:
@@ -707,18 +725,19 @@ def _cmd_family(args) -> int:
         found.ppt_entangled,
     )
     _write([_render_row(row, args.format)], args.output)
-    if args.verify:
-        coeffs = np.atleast_1d(args.x1, args.x2, args.x3, args.y)
-        worst, generic_ppt = _generic_gap(found, *coeffs)
-        agree = bool(generic_ppt[0]) == bool(found.ppt_entangled)
-        print(
+    if not args.verify:
+        return EXIT_OK
+    coeffs = np.atleast_1d(args.x1, args.x2, args.x3, args.y)
+    worst, generic_ppt = _generic_gap(found, *coeffs)
+    agree = bool(generic_ppt[0]) == bool(found.ppt_entangled)
+    return _verified(
+        [
             f"verify: max |closed form - generic| = {worst:.3e}, "
-            f"closed-form verdict agrees = {str(agree).lower()}",
-            file=sys.stderr,
-        )
-        if not (worst <= VERIFY_TOLERANCE and agree):
-            return EXIT_NUMERIC
-    return EXIT_OK
+            f"closed-form verdict agrees = {str(agree).lower()}"
+        ],
+        [worst],
+        agree,
+    )
 
 
 def _cmd_check_state(args) -> int:
@@ -737,21 +756,16 @@ def _cmd_check_state(args) -> int:
         *second[np.triu_indices(3)],
     )
     _write([_render_row(row, args.format)], args.output)
-    if args.verify:
-        worst = 0.0
-        if not math.isinf(xi_opt):
-            # The search returns its value and the frame it found; the value
-            # recomputed in that frame by the generic route must agree.
-            wide = xi_squared(rho, policy=GLOBAL)
-            again = xi_squared_in_frame(rho, wide.frame)
-            worst = abs(again - wide.value) / wide.value if wide.value else abs(again)
-        print(
-            f"verify: |global xi^2 - xi^2 in its frame| = {worst:.3e} relative",
-            file=sys.stderr,
-        )
-        if worst > VERIFY_TOLERANCE:
-            return EXIT_NUMERIC
-    return EXIT_OK
+    if not args.verify:
+        return EXIT_OK
+    worst = 0.0
+    if not math.isinf(xi_opt):
+        # The search returns its value and the frame it found; the value
+        # recomputed in that frame by the generic route must agree.
+        wide = xi_squared(rho, policy=GLOBAL)
+        again = xi_squared_in_frame(rho, wide.frame)
+        worst = abs(again - wide.value) / wide.value if wide.value else abs(again)
+    return _verified([f"verify: |global xi^2 - xi^2 in its frame| = {worst:.3e} relative"], [worst])
 
 
 @functools.cache
@@ -775,7 +789,7 @@ def main(argv=None) -> int:
     except StateFormatError as exc:
         print(f"cavsqueeze: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (CavsqueezeError, OSError) as exc:
+    except (CavsqueezeError, OSError, MemoryError) as exc:
         print(f"cavsqueeze: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

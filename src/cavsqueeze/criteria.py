@@ -62,7 +62,6 @@ import numpy as np
 from .errors import (
     NonDiagonalError,
     NonFiniteError,
-    NonRealError,
     NotOrthonormalError,
     UnknownPolicyError,
     ZeroMeanSpinError,
@@ -473,12 +472,14 @@ def pt_spectrum(rho) -> np.ndarray:
     ``rho`` is a DensityMatrix or a bare ``(..., 4, 4)`` stack; the result
     has shape ``(..., 4)``.  Both PPT diagnostics read this one spectrum.
 
-    One values-only eigensolve after ``check_hermitian``; a solver failure
-    raises NoConvergenceError.
+    ``check_hermitian`` on ``rho``, then ``_pt_values``.  The partial
+    transpose only permutes entries, so the check names the same deviation
+    at the same index as on the transpose.  A solver failure raises
+    NoConvergenceError.
     """
-    transposed = partial_transpose(rho)
-    check_hermitian(transposed)
-    return _eigvalsh(transposed)
+    mats = _two_qubit_stack(rho.mat if isinstance(rho, DensityMatrix) else rho)
+    check_hermitian(mats)
+    return _pt_values(mats)
 
 
 def _pt_values(mats: np.ndarray) -> np.ndarray:
@@ -497,7 +498,11 @@ def spectrum_negativity(values: np.ndarray) -> np.ndarray:
 
 
 def spectrum_entangled(values: np.ndarray) -> np.ndarray:
-    """True where the smallest eigenvalue is below PPT_EIGENVALUE_FLOOR."""
+    """The PPT verdict: True where the smallest eigenvalue is below PPT_EIGENVALUE_FLOOR.
+
+    ``values`` holds ascending spectra along the last axis; the family
+    kernel passes its smallest eigenvalues as spectra of one.
+    """
     return values[..., 0] < PPT_EIGENVALUE_FLOOR
 
 
@@ -590,7 +595,7 @@ def family_diagnostics_stack(x1, x2, x3, y=0.0) -> FamilyStack:
         xi_fixed,
         pt_minimum,
         negativity,
-        pt_minimum < PPT_EIGENVALUE_FLOOR,
+        spectrum_entangled(pt_minimum[..., None]),
         xi_entangled(xi_opt),
     )
 
@@ -613,20 +618,13 @@ def diagonal_family_entangled(c: FamilyCoeffs) -> bool:
     return bool(_family_row(c).ppt_entangled)
 
 
-def _require_real_y(c: FamilyCoeffs):
-    y = complex(c.y)
-    if y.imag != 0.0:
-        raise NonRealError(f"coherence y = {y} must be real here")
-
-
 def xi2_family(c: FamilyCoeffs) -> float:
-    """Fixed-frame squeezing parameter (1 + x2 + 2y)/(x1 - x3)^2 of a real-y family.
+    """Fixed-frame squeezing parameter (1 + x2 + 2 Re y)/(x1 - x3)^2 of a family state.
 
     ``family_diagnostics_stack``'s xi2_fixed_frame of the one tuple: the
     generic quotient in the canonical (x, y, z) triad.  A vanishing mean spin
     raises ZeroMeanSpinError.
     """
-    _require_real_y(c)
     value = float(_family_row(c).xi2_fixed_frame)
     if math.isinf(value):
         mean_z = c.x1 - c.x3
@@ -635,9 +633,8 @@ def xi2_family(c: FamilyCoeffs) -> float:
 
 
 def family_squeezing_condition(c: FamilyCoeffs) -> bool:
-    """Squeezing of a real-y family in the canonical triad: ``xi_entangled`` of ``xi2_family``.
+    """Squeezing of a family state in the canonical triad: ``xi_entangled`` of ``xi2_family``.
 
-    Up to that floor <Sz^2> + <Sz>^2 > 2 + 2y; false where the mean spin vanishes.
+    Up to that floor <Sz^2> + <Sz>^2 > 2 + 2 Re y; false where the mean spin vanishes.
     """
-    _require_real_y(c)
     return bool(xi_entangled(_family_row(c).xi2_fixed_frame))

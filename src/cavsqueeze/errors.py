@@ -52,10 +52,6 @@ class NonDiagonalError(CavsqueezeError, ValueError):
     """Coherence is present where a diagonal-family formula is required."""
 
 
-class NonRealError(CavsqueezeError, ValueError):
-    """Complex coherence where a real-coherence formula is required."""
-
-
 class StateFormatError(CavsqueezeError, ValueError):
     """A density-matrix file does not match the expected layout."""
 

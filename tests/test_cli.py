@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -424,6 +425,24 @@ def test_scan_usage_errors():
     assert run_cli(["scan-time", "--no-such-flag"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("steps", [99999999999999999999, 2**63, 2**62])
+def test_scan_grid_longer_than_numpy_can_size_is_a_usage_error(steps, capsys):
+    # numpy raised ValueError or IndexError on these before sizing the grid
+    assert run_cli(["scan-time", "--steps", str(steps)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f"at most {np.iinfo(np.intp).max // 8} grid points, got {steps}\n")
+
+
+def test_scan_grid_that_cannot_be_allocated_exits_2_with_one_line(capsys):
+    # 2**59 doubles (4 EiB) pass the bound and fail inside malloc, so this
+    # allocates nothing
+    assert run_cli(["scan-time", "--steps", str(2**59)]) == EXIT_NUMERIC
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("cavsqueeze: ") and err.count("\n") == 1
+
+
 def test_top_level_usage_errors():
     assert run_cli([]) == EXIT_USAGE
     assert run_cli(["frobnicate"]) == EXIT_USAGE
@@ -738,6 +757,28 @@ def test_check_state_verify_fails_when_value_and_frame_disagree(tmp_path, monkey
     assert run_cli(["check-state", str(path), "--verify"]) == EXIT_NUMERIC
     found = re.search(r"in its frame\| = (\S+) relative", capsys.readouterr().err)
     assert abs(float(found.group(1)) - 1e-8) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "argv, name, fake",
+    [
+        (["scan-time", "--steps", "5"], "_verify_scan", lambda photons, scan, closed: (0.0, math.nan)),
+        (
+            ["family", "--x1", "0.9", "--x2", "0", "--x3", "0.1", "--y", "-0.3"],
+            "_generic_gap",
+            lambda closed, *coeffs: (math.nan, np.atleast_1d(closed.ppt_entangled)),
+        ),
+        (
+            ["check-state", str(Path(__file__).parent / "data" / "squeezed_mixture.json")],
+            "xi_squared_in_frame",
+            lambda rho, frame: math.nan,
+        ),
+    ],
+)
+def test_a_nan_deviation_fails_every_verify(argv, name, fake, monkeypatch, capsys):
+    monkeypatch.setattr(cli, name, fake)
+    assert run_cli(argv + ["--verify"]) == EXIT_NUMERIC
+    assert "= nan" in capsys.readouterr().err
 
 
 def test_check_state_accepts_hermitian_residue_within_tolerance(tmp_path, capsys):
@@ -1069,6 +1110,38 @@ def test_kernel_sized_scan_prints_its_pinned_bytes(digest, photons, gt_max, step
     args = ["scan-time", "--photons", photons, "--gt-max", gt_max, "--steps", steps]
     assert run_cli(args + ["--format", fmt]) == EXIT_OK
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
+
+# Rows of each committed scan that are exactly NPT but print ppt_entangled
+# false, because their smallest partial-transpose eigenvalue lies between
+# the PPT floor and 0; by (photons, gt-max, steps), and none in the others.
+FLOOR_MISSES = {
+    ("7", "9", "10001"): 9,
+    ("2", "10", "4805"): 2,
+    ("1", "5.001358", "8606"): 7,
+    ("8", "2.77081", "2763"): 3,
+    ("1", "2.221441469079183", "3"): 1,
+    ("8", "1e-20", "64"): 63,
+}
+
+
+def test_ppt_column_against_the_exact_sign_of_the_corner_determinant():
+    # No eigensolver and no floor: a scan row is a family state with y = 0
+    # and nonnegative populations, which is NPT exactly when
+    # x2^2/4 > x1 x3, read in rationals on the kernel's doubles.
+    scans = {("1", "3", "301")} | {scan[1:4] for scan in _pinned_scans()}
+    misses = {}
+    for photons, gt_max, steps in sorted(scans):
+        columns = cli.scan_columns(int(photons), float(gt_max), int(steps))
+        assert min(columns.x1.min(), columns.x2.min(), columns.x3.min()) >= 0.0
+        misses[photons, gt_max, steps] = 0
+        for x1, x2, x3, printed in zip(
+            *(c.tolist() for c in (columns.x1, columns.x2, columns.x3, columns.ppt_entangled))
+        ):
+            npt = Fraction(x2) ** 2 / 4 > Fraction(x1) * Fraction(x3)
+            assert npt or not printed, (photons, gt_max, steps, x1, x2, x3)
+            misses[photons, gt_max, steps] += npt and not printed
+    assert {scan: count for scan, count in misses.items() if count} == FLOOR_MISSES
 
 
 # One-row reports, committed as the renderer that split reports at 512 rows

@@ -12,7 +12,6 @@ from cavsqueeze import (
     DimensionMismatchError,
     FamilyCoeffs,
     NonDiagonalError,
-    NonRealError,
     NotOrthonormalError,
     SpinFrame,
     UnknownPolicyError,
@@ -356,10 +355,6 @@ class TestXi2Family:
         with pytest.raises(ZeroMeanSpinError):
             xi2_family(FamilyCoeffs(0.3, 0.4, 0.3))
 
-    def test_rejects_complex_coherence(self):
-        with pytest.raises(NonRealError):
-            xi2_family(FamilyCoeffs(0.5, 0.0, 0.5, 0.3j))
-
     def test_matches_generic_route(self):
         rng = np.random.default_rng(32)
         frame = SpinFrame.canonical()
@@ -377,10 +372,6 @@ class TestFamilySqueezingCondition:
     def test_boundary_is_strict(self):
         # <Sz^2> + <Sz>^2 = 2 + 2y exactly here, so no squeezing
         assert not family_squeezing_condition(FamilyCoeffs(0.5, 0.0, 0.5, -0.5))
-
-    def test_rejects_complex_coherence(self):
-        with pytest.raises(NonRealError):
-            family_squeezing_condition(FamilyCoeffs(0.5, 0.0, 0.5, 0.1j))
 
     def test_never_true_without_coherence(self):
         rng = np.random.default_rng(33)

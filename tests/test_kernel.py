@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cavsqueeze as cs
@@ -224,6 +224,26 @@ def test_family_kernel_matches_the_generic_route(coeffs):
     assert abs(closed.negativity - cs.spectrum_negativity(spectrum)[0]) <= PT_ATOL
     if abs(closed.pt_minimum - PPT_EIGENVALUE_FLOOR) > VERDICT_BAND:
         assert closed.ppt_entangled == cs.spectrum_entangled(spectrum)[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeffs=_family_tuples())
+@example(coeffs=(0.9, 0.0, 0.1, 0.3j))
+@example(coeffs=(0.5, 0.01, 0.49, 0.1 - 0.2j))
+def test_kitagawa_ueda_identity_holds_on_the_generic_route(coeffs):
+    # xi^2 (x1 - x3)^2 = 1 - (2|y| - x2) over the plane orthogonal to the mean
+    # spin and 1 + x2 + 2 Re y in the canonical triad, complex y included,
+    # where the generic route reads them from the 4 x 4 state
+    x1, x2, x3, y = coeffs
+    gap_sq = (x1 - x3) ** 2
+    assume(gap_sq >= 1e-4)
+    perp, fixed, _ = _generic_route([x1], [x2], [x3], [y])
+    assert abs(perp.value[0] * gap_sq - (1.0 - (2.0 * abs(y) - x2))) <= 1e-12
+    in_triad = 1.0 + x2 + 2.0 * y.real
+    assert abs(fixed.value[0] * gap_sq - in_triad) <= 1e-12
+    c = cs.FamilyCoeffs(*coeffs)
+    assert abs(cs.xi2_family(c) * gap_sq - in_triad) <= 1e-12
+    assert cs.family_squeezing_condition(c) == criteria.xi_entangled(cs.xi2_family(c))
 
 
 def test_generic_states_get_the_same_bits_alone_and_stacked():

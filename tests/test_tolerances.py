@@ -1,10 +1,12 @@
-"""Every tolerance is defined once, in ``cavsqueeze.tolerances``, and every
-squeezing quotient is undefined by one rule, ``criteria._quotient``."""
+"""Every tolerance is defined once, in ``cavsqueeze.tolerances``, and compared
+in one function, and every squeezing quotient is undefined by one rule,
+``criteria._quotient``."""
 
 import ast
 from pathlib import Path
 
 import cavsqueeze as cs
+from cavsqueeze import tolerances
 
 PACKAGE = Path(cs.__file__).resolve().parent
 TOLERANCE_SUFFIXES = ("_ATOL", "_FLOOR", "_TOLERANCE")
@@ -58,18 +60,39 @@ def _names(node):
     return {child.id for child in ast.walk(node) if isinstance(child, ast.Name)}
 
 
+def _comparing_functions():
+    """For each tolerance named in an ``ast.Compare``, the functions that hold
+    such a comparison, as ``module:function`` of the innermost function
+    (``module:None`` at module level)."""
+    names = {name for name in vars(tolerances) if not name.startswith("__")}
+    found = {}
+
+    def visit(node, module, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Compare):
+            for name in _names(node) & names:
+                found.setdefault(name, set()).add(f"{module}:{function}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for module, tree in _modules():
+        visit(tree, module, None)
+    return found
+
+
+def test_each_tolerance_is_compared_in_one_function():
+    # So moving a verdict floor or the --verify pass rule changes one
+    # function; elsewhere a tolerance only appears in the text of an error.
+    comparing = _comparing_functions()
+    assert comparing
+    assert {name: sorted(where) for name, where in comparing.items() if len(where) != 1} == {}
+
+
 def test_quotient_kernels_share_one_undefined_rule():
     criteria = dict(_modules())["criteria.py"]
     functions = _functions(criteria)
     for name in QUOTIENT_KERNELS:
         assert "_quotient" in _names(functions[name]), name
-    # The mean-spin floor decides definedness in the rule alone; elsewhere it
-    # only appears in the text of an error.
-    comparing = {
-        function.name
-        for _, tree in _modules()
-        for function in _functions(tree).values()
-        for compare in ast.walk(function)
-        if isinstance(compare, ast.Compare) and "MEAN_SPIN_FLOOR" in _names(compare)
-    }
-    assert comparing == {"_quotient"}
+    # the mean-spin floor decides definedness in the rule alone
+    assert _comparing_functions()["MEAN_SPIN_FLOOR"] == {"criteria.py:_quotient"}
