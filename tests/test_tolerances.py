@@ -82,8 +82,7 @@ def _comparing_functions():
 
 
 def test_each_tolerance_is_compared_in_one_function():
-    # So moving a verdict floor or the --verify pass rule changes one
-    # function; elsewhere a tolerance only appears in the text of an error.
+    # so moving a verdict floor or the --verify pass rule changes one function
     comparing = _comparing_functions()
     assert comparing
     assert {name: sorted(where) for name, where in comparing.items() if len(where) != 1} == {}
