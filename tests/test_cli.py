@@ -1149,6 +1149,8 @@ def test_ppt_column_against_the_exact_sign_of_the_corner_determinant():
 ONE_ROW_REPORTS = [
     (["family", "--x1", "0.9", "--x2", "0", "--x3", "0.1", "--y", "-0.3"], "family_report"),
     (["check-state", str(Path(__file__).parent / "data" / "squeezed_mixture.json")], "check_state_report"),
+    # |<S>| = 1.009e-8: the quotient most sensitive to the kernel's arithmetic
+    (["check-state", str(Path(__file__).parent / "data" / "spin_flip_mixture.json")], "spin_flip_mixture_report"),
 ]
 
 
