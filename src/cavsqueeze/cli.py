@@ -562,13 +562,14 @@ def _write(pieces, output):
 def _diagnose(mats):
     """The generic route over a stack of states: moments, xi^2 and PT spectrum.
 
-    ``mats`` is a validated complex (N, 4, 4) stack: the family states of
+    ``mats`` is a validated complex (..., 4, 4) array: the family states of
     checked coefficients, or a ``DensityMatrix``'s matrix.  So the moments
     and the partial-transpose spectrum are read through the kernels'
     unchecked cores, and only an eigensolver failure can raise
-    (NoConvergenceError).  Returns the arrays of the mean spins (N, 3), the
-    second moments (N, 3, 3), the perp-optimal quotients (N,), inf where the
-    mean spin vanishes, and the ascending partial-transpose spectra (N, 4).
+    (NoConvergenceError).  Returns the arrays of the mean spins (..., 3), the
+    second moments (..., 3, 3), the perp-optimal quotients (...), inf where
+    the mean spin vanishes, and the ascending partial-transpose spectra
+    (..., 4).
     """
     mean, second = _moments(mats)
     return mean, second, xi_perp_stack(mean, second).value, _pt_values(mats)
@@ -674,13 +675,13 @@ def _verify_scan(photons: int, scan: ScanRow, closed: FamilyStack):
                 f"family by round-off ({str(exc).rpartition(': ')[2]})"
             ) from exc
         populations = (scan.x1[part], scan.x2[part], scan.x3[part])
-        worst_population = max(
-            worst_population, float(np.abs(np.subtract(evolved, populations)).max())
-        )
         gap, _ = _generic_gap(closed._make(f[part] for f in closed), *populations, 0.0)
         # np.maximum keeps a NaN, which then fails the tolerance
+        worst_population = np.maximum(
+            worst_population, np.abs(np.subtract(evolved, populations)).max()
+        )
         worst_generic = np.maximum(worst_generic, gap)
-    return worst_population, float(worst_generic)
+    return float(worst_population), float(worst_generic)
 
 
 def _verified(lines, deviations, agree=True) -> int:
@@ -746,7 +747,7 @@ def _cmd_check_state(args) -> int:
     except OSError as exc:
         print(f"cavsqueeze: cannot read {args.file}: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    (mean,), (second,), (xi_opt,), (spectrum,) = _diagnose(rho.mat[None])
+    mean, second, xi_opt, spectrum = _diagnose(rho.mat)
     # the moment cells: the mean, then the upper triangle of second, row-major
     row = CheckRow(
         spectrum_negativity(spectrum),

@@ -19,15 +19,16 @@ floors from ``tolerances``, and both leave a quotient undefined (inf) by one
 rule, ``_quotient``: where its squared denominator is at or below
 MEAN_SPIN_FLOOR**2.
 
-The generic kernel works on stacks of 4x4 states: ``spin_moments_stack``
-(the traces against the 12 spin-moment operators, in real arithmetic over
-their 72 nonzero entries), ``xi_perp_stack`` (batched 2x2 eigenproblem),
-``xi_frame_stack`` (fixed triad) and ``pt_spectrum`` (the partial-transpose
-eigenvalues, from which ``spectrum_negativity`` and ``spectrum_entangled``
-read both PPT diagnostics).  The scalar functions ``spin_moments``,
-``xi_squared``, ``xi_squared_in_frame``, ``negativity`` and
-``ppt_entangled`` run it on a batch of one, so a state gets the same bits
-alone as inside a stack.  It serves ``check-state``, and it is the oracle
+The generic kernel works on one 4x4 state or a ``(..., 4, 4)`` stack of
+them: ``spin_moments_stack`` (the traces against the 12 spin-moment
+operators, in real arithmetic over their 72 nonzero entries),
+``xi_perp_stack`` (the smaller eigenvalue of a 2x2 covariance block, by
+formula), ``xi_frame_stack`` (fixed triad) and ``pt_spectrum`` (the
+partial-transpose eigenvalues, from which ``spectrum_negativity`` and
+``spectrum_entangled`` read both PPT diagnostics).  The scalar functions
+``spin_moments``, ``xi_squared``, ``xi_squared_in_frame``, ``negativity``
+and ``ppt_entangled`` run it on the one state, which gets the same bits
+alone as inside any stack.  It serves ``check-state``, and it is the oracle
 of the family kernel in the tests and under ``scan-time --verify`` and
 ``family --verify``.
 
@@ -66,7 +67,7 @@ from .errors import (
     UnknownPolicyError,
     ZeroMeanSpinError,
 )
-from .linalg import _eigh, _eigvalsh, check_hermitian
+from .linalg import _eigvalsh, check_hermitian
 from .states import (
     DensityMatrix,
     FamilyCoeffs,
@@ -211,8 +212,8 @@ class FrameStack(NamedTuple):
 def spin_moments_stack(mats: np.ndarray):
     """Mean spins (..., 3) and symmetrized second moments (..., 3, 3) of states.
 
-    ``mats`` is a stack of two-qubit density matrices, usually of shape
-    (N, 4, 4).  Each moment is the real part of tr(rho O): the entries of
+    ``mats`` is one two-qubit density matrix, (4, 4), or a (..., 4, 4) stack
+    of them.  Each moment is the real part of tr(rho O): the entries of
     rho that meet a nonzero entry of O^T, gathered from the ``float64`` view
     of the stack and scaled by the operator's coefficients
     (``_moment_plan``), 8 terms per moment and 96 doubles per state.  numpy
@@ -243,14 +244,9 @@ def _moments(mats: np.ndarray):
     return real[..., :3], real[..., 3:].reshape(real.shape[:-1] + (3, 3))
 
 
-def _row_times(a: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Row-wise a @ m over stacks, summed in a fixed order."""
-    return (a[..., :, None] * m).sum(axis=-2)
-
-
 def _quadratic(a: np.ndarray, m: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise a @ m @ b over stacks, summed in a fixed order."""
-    return (_row_times(a, m) * b).sum(axis=-1)
+    return ((a[..., :, None] * m).sum(axis=-2) * b).sum(axis=-1)
 
 
 def _quotient(numer, denom_sq):
@@ -270,43 +266,41 @@ def _quotient(numer, denom_sq):
 
 
 def xi_perp_stack(mean: np.ndarray, second: np.ndarray) -> PerpStack:
-    """Perp-optimal squeezing quotient of each state of a stack.
+    """Perp-optimal squeezing quotient of a state or of each state of a stack.
 
-    Minimizes N var(S_n1) / |<S>|^2 over directions n1 orthogonal to the
-    mean spin: the smallest eigenvalue of the covariance restricted to that
-    plane, one batched 2x2 ``eigh``.  Rows with |<S>| <= MEAN_SPIN_FLOOR get
-    an infinite value (``_quotient``).
+    ``mean`` is (..., 3) and ``second`` (..., 3, 3), as ``spin_moments_stack``
+    returns them.  Minimizes N var(S_n1) / |<S>|^2 over directions n1
+    orthogonal to the mean spin m (Kitagawa and Ueda, PRA 47, 5138 (1993)):
+    the smaller eigenvalue of the covariance on that plane, in closed form.
+    The plane's basis (u, v) is branch-free (Duff et al., JCGT 6(1), 2017):
+    with m / |m| = (x, y, z), s = copysign(1, z) and k = -1/(s + z),
+    u = (1 + s x^2 k, s x y k, -s x) and v = (x y k, s + y^2 k, -y).  On it
+    the covariance is [[a, b], [b, d]], whose smaller eigenvalue is
+    (a + d)/2 - hypot((a - d)/2, b), along n1 = cos(phi) v - sin(phi) u with
+    phi = atan2(b, (a - d)/2)/2.  Every step is elementwise, so a state gets
+    the same bits alone as inside any stack.  Rows with
+    |<S>| <= MEAN_SPIN_FLOOR get an infinite value (``_quotient``).
     """
     mean_sq = (mean * mean).sum(axis=-1)
     # A zero mean has no direction: its row gets a stand-in so the arithmetic
     # stays finite, and its quotient is inf all the same.
     nonzero = mean_sq > 0.0
-    direction = np.where(nonzero[:, None], mean, _STAND_IN_AXIS)
-    mhat = direction / np.sqrt(np.where(nonzero, mean_sq, 1.0))[:, None]
-    cov = second - mean[:, :, None] * mean[:, None, :]
+    direction = np.where(nonzero[..., None], mean, _STAND_IN_AXIS)
+    x, y, z = np.moveaxis(direction / np.sqrt(np.where(nonzero, mean_sq, 1.0))[..., None], -1, 0)
+    s = np.copysign(1.0, z)
+    k = -1.0 / (s + z)
+    u = np.stack([1.0 + s * x * x * k, s * x * y * k, -s * x], axis=-1)
+    v = np.stack([x * y * k, s + y * y * k, -y], axis=-1)
 
-    # In-plane basis: the coordinate axis least aligned with the mean,
-    # projected onto the plane, and its cross product with the mean.
-    seed = _EYE3[np.argmin(np.abs(mhat), axis=-1)]
-    u = seed - (seed * mhat).sum(axis=-1)[:, None] * mhat
-    u /= np.sqrt((u * u).sum(axis=-1))[:, None]
-    (m0, m1, m2), (u0, u1, u2) = mhat.T, u.T
-    v = np.empty_like(u)
-    v[:, 0] = m1 * u2 - m2 * u1
-    v[:, 1] = m2 * u0 - m0 * u2
-    v[:, 2] = m0 * u1 - m1 * u0
-    u_cov = _row_times(u, cov)
-    v_cov = _row_times(v, cov)
-    uv = (u_cov * v).sum(axis=-1)
-    vu = (v_cov * u).sum(axis=-1)
-    restricted = np.empty((len(mhat), 2, 2))
-    restricted[:, 0, 0] = (u_cov * u).sum(axis=-1)
-    restricted[:, 1, 1] = (v_cov * v).sum(axis=-1)
-    restricted[:, 0, 1] = restricted[:, 1, 0] = 0.5 * (uv + vu)
-    w, vecs = _eigh(restricted)
-    n1 = vecs[:, 0, 0, None] * u + vecs[:, 1, 0, None] * v
-    n1 /= np.sqrt((n1 * n1).sum(axis=-1))[:, None]
-    value = np.maximum(0.0, _quotient(ATOM_COUNT * w[:, 0], mean_sq))
+    cov = second - mean[..., :, None] * mean[..., None, :]
+    a = _quadratic(u, cov, u)
+    d = _quadratic(v, cov, v)
+    b = 0.5 * (_quadratic(u, cov, v) + _quadratic(v, cov, u))
+    half_diff = 0.5 * (a - d)
+    smallest = 0.5 * (a + d) - np.hypot(half_diff, b)
+    phi = 0.5 * np.arctan2(b, half_diff)
+    n1 = np.cos(phi)[..., None] * v - np.sin(phi)[..., None] * u
+    value = np.maximum(0.0, _quotient(ATOM_COUNT * smallest, mean_sq))
     return PerpStack(value, n1, mean_sq)
 
 
@@ -322,18 +316,17 @@ def xi_frame_stack(mean: np.ndarray, second: np.ndarray, frame: SpinFrame) -> Fr
 
 def spin_moments(rho: DensityMatrix) -> SpinMoments:
     """Mean vector tr(rho S_k) and symmetrized second-moment matrix."""
-    mean, second = spin_moments_stack(rho.mat[None])
-    return SpinMoments(mean[0], second[0])
+    return SpinMoments(*spin_moments_stack(rho.mat))
 
 
 def xi_squared_in_frame(rho: DensityMatrix, frame: SpinFrame) -> float:
     """Squeezing quotient N var(S_n1) / (<S_n2>^2 + <S_n3>^2) in a fixed triad."""
-    result = xi_frame_stack(*spin_moments_stack(rho.mat[None]), frame)
-    if math.isinf(result.value[0]):
+    result = xi_frame_stack(*spin_moments_stack(rho.mat), frame)
+    if math.isinf(result.value):
         raise ZeroMeanSpinError(
-            f"mean spin projection on the (n2, n3) plane is {math.sqrt(result.plane_sq[0]):.3e}"
+            f"mean spin projection on the (n2, n3) plane is {math.sqrt(result.plane_sq):.3e}"
         )
-    return float(result.value[0])
+    return float(result.value)
 
 
 def _frame_about(n1: np.ndarray, mean: np.ndarray) -> SpinFrame:
@@ -439,19 +432,19 @@ def xi_squared(rho: DensityMatrix, policy: str = PERP_OPTIMAL) -> XiResult:
     """
     if policy not in (PERP_OPTIMAL, GLOBAL):
         raise UnknownPolicyError(f"unknown policy {policy!r}")
-    mean, second = spin_moments_stack(rho.mat[None])
+    mean, second = spin_moments_stack(rho.mat)
     perp = xi_perp_stack(mean, second)
-    mm = float(perp.mean_sq[0])
-    if math.isinf(perp.value[0]):
+    mm = float(perp.mean_sq)
+    if math.isinf(perp.value):
         raise ZeroMeanSpinError(
             f"|<S>| = {math.sqrt(mm):.3e} is at or below {MEAN_SPIN_FLOOR:g}"
         )
-    n1, value = perp.n1[0], float(perp.value[0])
+    n1, value = perp.n1, float(perp.value)
     if policy == GLOBAL:
-        cov = second[0] - np.outer(mean[0], mean[0])
-        n1, value = _sphere_minimum(cov, mean[0], mm, baseline=(n1, value))
+        cov = second - np.outer(mean, mean)
+        n1, value = _sphere_minimum(cov, mean, mm, baseline=(n1, value))
         value = max(0.0, float(value))
-    return XiResult(value, _frame_about(n1, mean[0]), bool(xi_entangled(value)))
+    return XiResult(value, _frame_about(n1, mean), bool(xi_entangled(value)))
 
 
 def xi2_closed_n1(theta: float) -> float:

@@ -89,7 +89,7 @@ def hermitian_eig(h: np.ndarray) -> EigenDecomposition:
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise NotHermitianError(f"expected a square matrix, got shape {h.shape}")
     check_hermitian(h)
-    return _eigh(h)
+    return EigenDecomposition(*_converged(np.linalg.eigh, h))
 
 
 def _converged(solver, h: np.ndarray):
@@ -100,12 +100,7 @@ def _converged(solver, h: np.ndarray):
         raise NoConvergenceError(f"eigensolver did not converge: {exc}") from exc
 
 
-def _eigh(h: np.ndarray) -> EigenDecomposition:
-    """``hermitian_eig`` without its checks, for a float64 or complex128 stack
-    that is finite and Hermitian by construction."""
-    return EigenDecomposition(*_converged(np.linalg.eigh, h))
-
-
 def _eigvalsh(h: np.ndarray) -> np.ndarray:
-    """``_eigh``'s values alone, by the values-only solver (equal up to the last bits)."""
+    """Eigenvalues alone, without ``hermitian_eig``'s checks, for a stack that is
+    finite and Hermitian by construction (equal to its values up to the last bits)."""
     return _converged(np.linalg.eigvalsh, h)

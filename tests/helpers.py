@@ -14,7 +14,6 @@ import numpy as np
 import cavsqueeze as cs
 from cavsqueeze.cli import ZERO_MEAN_TOKEN
 from cavsqueeze.criteria import spin_moments
-from cavsqueeze.tolerances import MEAN_SPIN_FLOOR
 
 _PAULIS = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -201,39 +200,6 @@ def reference_global_minimum(rho):
         reduced = reduced - np.outer(coupling, coupling) / parallel
     smallest = float(np.linalg.eigvalsh(0.5 * (reduced + reduced.T))[0])
     return max(2.0 * smallest / mm, 0.0)
-
-
-def reference_xi_perp_stack(mean, second):
-    """The perp-optimal quotient with ``np.cross`` and four separate quadratic forms.
-
-    The oracle for ``criteria.xi_perp_stack``, which shares its row products
-    and writes the cross product out, and must return the same bits.
-    """
-
-    def quadratic(a, m, b):
-        return ((a[..., :, None] * m).sum(axis=-2) * b).sum(axis=-1)
-
-    mean_sq = (mean * mean).sum(axis=-1)
-    nonzero = mean_sq > 0.0
-    direction = np.where(nonzero[:, None], mean, (0.0, 0.0, 1.0))
-    mhat = direction / np.sqrt(np.where(nonzero, mean_sq, 1.0))[:, None]
-    cov = second - mean[:, :, None] * mean[:, None, :]
-    seed = np.eye(3)[np.argmin(np.abs(mhat), axis=-1)]
-    u = seed - (seed * mhat).sum(axis=-1)[:, None] * mhat
-    u /= np.sqrt((u * u).sum(axis=-1))[:, None]
-    v = np.cross(mhat, u)
-    uv = quadratic(u, cov, v)
-    vu = quadratic(v, cov, u)
-    restricted = np.empty((len(mhat), 2, 2))
-    restricted[:, 0, 0] = quadratic(u, cov, u)
-    restricted[:, 1, 1] = quadratic(v, cov, v)
-    restricted[:, 0, 1] = restricted[:, 1, 0] = 0.5 * (uv + vu)
-    w, vecs = np.linalg.eigh(restricted)
-    n1 = vecs[:, 0, 0, None] * u + vecs[:, 1, 0, None] * v
-    n1 /= np.sqrt((n1 * n1).sum(axis=-1))[:, None]
-    defined = mean_sq > MEAN_SPIN_FLOOR**2
-    value = np.maximum(0.0, cs.criteria.ATOM_COUNT * w[:, 0] / np.where(defined, mean_sq, 1.0))
-    return np.where(defined, value, np.inf), n1, mean_sq
 
 
 def _reference_float_text(value):

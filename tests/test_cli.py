@@ -781,6 +781,21 @@ def test_a_nan_deviation_fails_every_verify(argv, name, fake, monkeypatch, capsy
     assert "= nan" in capsys.readouterr().err
 
 
+def test_a_nan_population_deviation_fails_scan_time_verify(monkeypatch, capsys):
+    # The chunks' population deviations are folded so that a NaN survives;
+    # Python's max(0.0, nan) is 0.0, which passed.
+    read_back = cli.family_coeffs_stack
+
+    def nan_in_x1(states):
+        x1, *rest = read_back(states)
+        return (np.where(np.arange(len(x1)) == 1, math.nan, x1), *rest)
+
+    monkeypatch.setattr(cli, "family_coeffs_stack", nan_in_x1)
+    assert run_cli(["scan-time", "--steps", "3", "--verify"]) == EXIT_NUMERIC
+    out, err = capsys.readouterr()
+    assert err.startswith("verify: max |closed form - evolved| = nan over 3 rows\n")
+
+
 def test_check_state_accepts_hermitian_residue_within_tolerance(tmp_path, capsys):
     # 0.9e-10j above the diagonal only: Hermitian within HERMITIAN_ATOL, so
     # the moments must be read, not rejected for their imaginary residue.
@@ -1323,20 +1338,26 @@ def test_unchecked_spectrum_maps_a_solver_failure_to_exit_2(monkeypatch, capsys)
 @pytest.mark.parametrize(
     "argv",
     [
-        ["scan-time", "--steps", "3", "--verify"],
         ["family", "--x1", "0.2", "--x2", "0.5", "--x3", "0.3", "--verify"],
         ["check-state", "STATE"],
     ],
 )
-def test_perp_quotient_maps_a_solver_failure_to_exit_2(argv, tmp_path, monkeypatch, capsys):
-    # xi_perp_stack solves its 2 x 2 problems through the package's one
-    # eigensolver wrapper, so a LinAlgError there is NoConvergenceError too.
+def test_perp_quotient_runs_no_eigensolver(argv, tmp_path, monkeypatch, capsys):
+    # xi_perp_stack reads the smaller eigenvalue of its 2 x 2 block by
+    # formula, so the generic route needs eigenvectors nowhere; the solvers
+    # that remain read eigenvalues alone (test_a_values_only_solver_failure_exits_2).
     path = tmp_path / "state.json"
     write_state(path, np.diag([0.1, 0.2, 0.3, 0.4]), (2, 2))
     argv = [str(path) if arg == "STATE" else arg for arg in argv]
-    _stalls_on(2, monkeypatch)
-    assert run_cli(argv) == EXIT_NUMERIC
-    assert capsys.readouterr().err == STALLED
+    assert run_cli(argv) == EXIT_OK
+    usual = capsys.readouterr()
+
+    def forbidden(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    assert run_cli(argv) == EXIT_OK
+    assert capsys.readouterr() == usual
 
 
 @pytest.mark.parametrize(

@@ -29,7 +29,6 @@ from helpers import (
     random_density,
     random_separable,
     reference_spin_moments_stack,
-    reference_xi_perp_stack,
 )
 
 STEPS = 2500
@@ -246,18 +245,40 @@ def test_kitagawa_ueda_identity_holds_on_the_generic_route(coeffs):
     assert cs.family_squeezing_condition(c) == criteria.xi_entangled(cs.xi2_family(c))
 
 
-def test_generic_states_get_the_same_bits_alone_and_stacked():
+def _same_arrays(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _no_solver(*args, **kwargs):
+    raise AssertionError("the perp-optimal quotient ran an eigensolver")
+
+
+def test_generic_states_get_the_same_bits_alone_and_stacked(monkeypatch):
+    # A state read alone, unbatched, inside a flat stack or inside a stack
+    # of any shape gets the same bits from every generic kernel.
     rng = np.random.default_rng(41)
     states = [random_density(rng) for _ in range(300)]
     stack = np.stack([rho.mat for rho in states])
     mean, second = cs.spin_moments_stack(stack)
     perp = cs.xi_perp_stack(mean, second)
     spectra = cs.pt_spectrum(stack)
+    with monkeypatch.context() as patched:
+        patched.setattr(np.linalg, "eigh", _no_solver)
+        patched.setattr(np.linalg, "eigvalsh", _no_solver)
+        shaped = cs.xi_perp_stack(*cs.spin_moments_stack(stack[:40].reshape(2, 5, 4, 4, 4)))
+    assert shaped.value.shape == shaped.mean_sq.shape == (2, 5, 4)
+    assert shaped.n1.shape == (2, 5, 4, 3)
+    for got, want in zip(shaped, perp):
+        assert _same_arrays(got.reshape(want[:40].shape), want[:40])
     for i, rho in enumerate(states):
         moments = cs.spin_moments(rho)
         assert np.array_equal(moments.mean, mean[i])
         assert np.array_equal(moments.second, second[i])
+        alone = cs.xi_perp_stack(*cs.spin_moments_stack(rho.mat))
+        for got, want in zip(alone, perp):
+            assert _same_arrays(np.asarray(got), want[i])
         assert cs.xi_squared(rho).value == perp.value[i]
+        assert np.array_equal(cs.xi_squared(rho).frame.n1, perp.n1[i])
         assert np.array_equal(cs.pt_spectrum(rho), spectra[i])
 
 
@@ -295,24 +316,6 @@ def test_moment_bits_match_the_complex_contraction(size):
         for a, b in zip(got, want):
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
             assert not np.signbit(a[a == 0.0]).any(), name
-
-
-@pytest.mark.parametrize("size", (1, 70, 512))
-def test_perp_quotient_bits_match_the_first_formula(size):
-    # The written-out cross product and the shared row products reorder no
-    # floating-point operation, so every output keeps its bits.
-    rng = np.random.default_rng(size)
-    random_stack = np.stack([random_density(rng).mat for _ in range(size)])
-    gt = np.linspace(0.0, GT_MAX, size)
-    family_stack = cs.family_density_stack(*cs.closed_form_populations(2, gt))
-    for stack in (random_stack, family_stack):
-        mean, second = cs.spin_moments_stack(stack)
-        mean[::5] = 0.0  # rows with the stand-in direction
-        mean[1::5] *= 1e-9  # undefined rows that keep their own direction
-        got = cs.xi_perp_stack(mean, second)
-        want = reference_xi_perp_stack(mean, second)
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def _loop_moments(mat):
@@ -355,6 +358,28 @@ def test_kernel_matches_loop_and_projected_references():
             assert abs(perp.value[i] - max(0.0, want)) <= 1e-11 * max(1.0, want)
             compared += 1
     assert compared > 100
+
+    # Undefined rows: a zero mean (the stand-in direction, also where |<S>|^2
+    # underflows) and 0 < |<S>| <= MEAN_SPIN_FLOOR along the row's own mean.
+    norms = np.sqrt((mean * mean).sum(axis=-1))[:, None]
+    small = mean / norms * MEAN_SPIN_FLOOR * rng.uniform(1e-6, 1.0, size=norms.shape)
+    zero = np.zeros_like(mean[:50])
+    zero[10:20] = (0.0, 0.0, -0.0)
+    zero[20:30] = (1e-170, -1e-170, 1e-170)
+    undefined = cs.xi_perp_stack(np.concatenate([small, zero]), np.concatenate([second, second[:50]]))
+    assert np.isinf(undefined.value).all()
+    assert np.isfinite(undefined.n1).all()
+
+    defined = np.isfinite(perp.value)
+    assert defined.sum() > 350
+    for i in np.flatnonzero(defined):
+        n1, m = perp.n1[i], mean[i]
+        assert abs(n1 @ n1 - 1.0) <= 1e-12
+        assert abs(n1 @ m) <= 1e-12
+        mhat = m / np.sqrt(perp.mean_sq[i])
+        frame = cs.SpinFrame(n1, mhat, np.cross(n1, mhat))
+        again = cs.xi_frame_stack(m, second[i], frame).value
+        assert abs(again - perp.value[i]) <= 1e-12 * perp.value[i]
 
 
 def test_zero_mean_row_is_inf_in_the_stack_and_raises_alone():
