@@ -560,7 +560,7 @@ def _write(pieces, output):
 
 
 def _diagnose(mats):
-    """The generic route over a stack of states: moments, xi^2 and PT spectrum.
+    """The generic route over a state or a stack: moments, xi^2 and PT spectrum.
 
     ``mats`` is a validated complex (..., 4, 4) array: the family states of
     checked coefficients, or a ``DensityMatrix``'s matrix.  So the moments

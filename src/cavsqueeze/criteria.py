@@ -286,16 +286,22 @@ def xi_perp_stack(mean: np.ndarray, second: np.ndarray) -> PerpStack:
     # stays finite, and its quotient is inf all the same.
     nonzero = mean_sq > 0.0
     direction = np.where(nonzero[..., None], mean, _STAND_IN_AXIS)
-    x, y, z = np.moveaxis(direction / np.sqrt(np.where(nonzero, mean_sq, 1.0))[..., None], -1, 0)
+    mhat = direction / np.sqrt(np.where(nonzero, mean_sq, 1.0))[..., None]
+    x, y, z = mhat[..., 0], mhat[..., 1], mhat[..., 2]
     s = np.copysign(1.0, z)
     k = -1.0 / (s + z)
-    u = np.stack([1.0 + s * x * x * k, s * x * y * k, -s * x], axis=-1)
-    v = np.stack([x * y * k, s + y * y * k, -y], axis=-1)
+    # u and v as the rows of one (..., 2, 3) array
+    basis = np.stack(
+        [1.0 + s * x * x * k, s * x * y * k, -s * x, x * y * k, s + y * y * k, -y], axis=-1
+    ).reshape(z.shape + (2, 3))
+    u, v = basis[..., 0, :], basis[..., 1, :]
 
     cov = second - mean[..., :, None] * mean[..., None, :]
-    a = _quadratic(u, cov, u)
-    d = _quadratic(v, cov, v)
-    b = 0.5 * (_quadratic(u, cov, v) + _quadratic(v, cov, u))
+    # block[..., i, j] is basis_i @ cov @ basis_j
+    block = _quadratic(basis[..., :, None, :], cov[..., None, None, :, :], basis[..., None, :, :])
+    a, d = block[..., 0, 0], block[..., 1, 1]
+    # both orders, so the block is that of cov's symmetric part for any input
+    b = 0.5 * (block[..., 0, 1] + block[..., 1, 0])
     half_diff = 0.5 * (a - d)
     smallest = 0.5 * (a + d) - np.hypot(half_diff, b)
     phi = 0.5 * np.arctan2(b, half_diff)
