@@ -792,7 +792,7 @@ def test_a_nan_population_deviation_fails_scan_time_verify(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "family_coeffs_stack", nan_in_x1)
     assert run_cli(["scan-time", "--steps", "3", "--verify"]) == EXIT_NUMERIC
-    out, err = capsys.readouterr()
+    err = capsys.readouterr().err
     assert err.startswith("verify: max |closed form - evolved| = nan over 3 rows\n")
 
 

@@ -278,7 +278,6 @@ def test_generic_states_get_the_same_bits_alone_and_stacked(monkeypatch):
         for got, want in zip(alone, perp):
             assert _same_arrays(np.asarray(got), want[i])
         assert cs.xi_squared(rho).value == perp.value[i]
-        assert np.array_equal(cs.xi_squared(rho).frame.n1, perp.n1[i])
         assert np.array_equal(cs.pt_spectrum(rho), spectra[i])
 
 
