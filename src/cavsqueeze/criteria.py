@@ -54,6 +54,7 @@ atomic excitation number: rho_ee,gg = 0 and no coherence between |ee>,
 So xi^2 >= 1 under both policies, entangled (NPT) or not.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -335,10 +336,25 @@ def xi_squared_in_frame(rho: DensityMatrix, frame: SpinFrame) -> float:
     return float(result.value)
 
 
+def _unit(v: np.ndarray) -> np.ndarray:
+    """``v / np.linalg.norm(v)`` for a real 3-vector, with the same bits.
+
+    numpy's norm of a real 1-D array is sqrt(v.dot(v)); this skips its
+    Python-level dispatch, which the sphere search would pay per step.
+    """
+    return v / math.sqrt(v @ v)
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.cross(a, b)`` of two real 3-vectors, in numpy's order of operations."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def _frame_about(n1: np.ndarray, mean: np.ndarray) -> SpinFrame:
-    proj = mean - (mean @ n1) * n1
-    n2 = proj / np.linalg.norm(proj)
-    return SpinFrame(n1, n2, np.cross(n1, n2))
+    n2 = _unit(mean - (mean @ n1) * n1)
+    return SpinFrame(n1, n2, _cross(n1, n2))
 
 
 def _golden_section(fun, a: float, b: float, iterations: int = 10) -> float:
@@ -357,13 +373,17 @@ def _golden_section(fun, a: float, b: float, iterations: int = 10) -> float:
     return 0.5 * (a + b)
 
 
+@functools.cache
 def _fibonacci_directions(count: int) -> np.ndarray:
+    """``count`` unit directions spread over the sphere, built once per count, read-only."""
     i = np.arange(count, dtype=float)
     golden_ratio = (1.0 + math.sqrt(5.0)) / 2.0
     z = 1.0 - (2.0 * i + 1.0) / count
     radius = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     phi = (2.0 * math.pi / golden_ratio) * i
-    return np.column_stack([radius * np.cos(phi), radius * np.sin(phi), z])
+    dirs = np.column_stack([radius * np.cos(phi), radius * np.sin(phi), z])
+    dirs.setflags(write=False)
+    return dirs
 
 
 def _sphere_minimum(cov: np.ndarray, mean: np.ndarray, mm: float, baseline):
@@ -387,23 +407,18 @@ def _sphere_minimum(cov: np.ndarray, mean: np.ndarray, mm: float, baseline):
     best_dir, best_val = baseline
     seeds = [dirs[i] for i in np.argsort(values)[:3]] + [best_dir]
     for seed in seeds:
-        n = np.asarray(seed, dtype=float)
-        n = n / np.linalg.norm(n)
+        n = _unit(np.asarray(seed, dtype=float))
         halfwidth = spacing
         for _ in range(_REFINE_ROUNDS):
-            axis = np.zeros(3)
-            axis[int(np.argmin(np.abs(n)))] = 1.0
-            e1 = axis - (axis @ n) * n
-            e1 /= np.linalg.norm(e1)
-            e2 = np.cross(n, e1)
+            axis = _EYE3[int(np.argmin(np.abs(n)))]
+            e1 = _unit(axis - (axis @ n) * n)
+            e2 = _cross(n, e1)
             for e in (e1, e2):
                 def along(t, e=e, n=n):
-                    moved = n + t * e
-                    return quotient(moved / np.linalg.norm(moved))
+                    return quotient(_unit(n + t * e))
 
                 step = _golden_section(along, -halfwidth, halfwidth)
-                n = n + step * e
-                n /= np.linalg.norm(n)
+                n = _unit(n + step * e)
             halfwidth *= 0.7
         val = quotient(n)
         if val < best_val:

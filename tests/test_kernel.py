@@ -543,3 +543,17 @@ def test_kernel_rejects_states_that_are_not_two_qubit():
         for entry_point in entry_points:
             with pytest.raises(cs.DimensionMismatchError, match="4x4 two-qubit"):
                 entry_point(bad)
+
+
+_COMPONENT = st.floats(-1e3, 1e3, allow_nan=False) | st.floats(-1e-150, 1e-150)
+_VECTOR = st.tuples(_COMPONENT, _COMPONENT, _COMPONENT).map(np.array)
+
+
+@settings(max_examples=500, deadline=None)
+@given(a=_VECTOR, b=_VECTOR)
+def test_sphere_search_vector_steps_match_numpy_bit_for_bit(a, b):
+    # The sphere search normalizes and crosses 3-vectors without numpy's
+    # norm and cross dispatch; its results must be those functions' bits.
+    assume(a @ a > 0.0)
+    assert criteria._unit(a).tobytes() == (a / np.linalg.norm(a)).tobytes()
+    assert criteria._cross(a, b).tobytes() == np.cross(a, b).tobytes()
