@@ -256,14 +256,16 @@ def _quotient(numer, denom_sq):
     The one rule for an undefined squeezing quotient: its squared
     denominator, |<S>|^2 or the squared mean spin on the (n2, n3) plane, at
     or below the floor means no quotient.  Every kernel that forms a
-    quotient calls this, so they agree on which rows are undefined.
+    quotient calls this, so they agree on which rows are undefined.  A NaN
+    denominator is not at or below the floor: it goes through the division
+    and gives NaN, never the inf of a vanishing mean spin.
     Elementwise over arrays.  Two Python floats give a Python float without
     a numpy call: the sphere search calls this some 3 000 times per state.
     """
-    defined = denom_sq > MEAN_SPIN_FLOOR**2
-    if isinstance(defined, bool):
-        return numer / denom_sq if defined else math.inf
-    return np.where(defined, numer / np.where(defined, denom_sq, 1.0), np.inf)
+    undefined = denom_sq <= MEAN_SPIN_FLOOR**2
+    if isinstance(undefined, bool):
+        return math.inf if undefined else numer / denom_sq
+    return np.where(undefined, np.inf, numer / np.where(undefined, 1.0, denom_sq))
 
 
 def xi_perp_stack(mean: np.ndarray, second: np.ndarray) -> PerpStack:

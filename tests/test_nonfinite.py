@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cavsqueeze as cs
-from cavsqueeze import DimensionMismatchError, NonFiniteError
+from cavsqueeze import DimensionMismatchError, NonFiniteError, criteria
 from cavsqueeze.cli import EXIT_NUMERIC, main
 
 BAD_VALUES = (math.nan, math.inf, -math.inf)
@@ -91,6 +91,19 @@ def test_nan_frame_never_reaches_a_quotient():
     rho = cs.family_density(cs.FamilyCoeffs(0.5, 0.2, 0.3, 0.0))
     with pytest.raises(NonFiniteError):
         cs.xi_squared_in_frame(rho, cs.SpinFrame([math.nan, 0.0, 0.0], [0, 1, 0], [0, 0, 1]))
+
+
+def test_a_nan_squared_mean_spin_is_not_a_vanishing_one():
+    # Moments a library caller passes in are not checked; a NaN in the
+    # mean must come back as NaN, not as the inf of a zero mean spin.
+    mean = np.array([math.nan, 0.1, 0.2])
+    second = np.eye(3) / 2.0
+    assert math.isnan(cs.xi_perp_stack(mean, second).value)
+    assert math.isnan(criteria.xi_frame_stack(mean, second, cs.SpinFrame.canonical()).value)
+    assert math.isnan(criteria._quotient(1.0, math.nan))
+    np.testing.assert_array_equal(
+        criteria._quotient(np.ones(2), np.array([math.nan, 0.0])), [math.nan, math.inf]
+    )
 
 
 @pytest.mark.parametrize("shape", [(6, 6), (3, 4, 4, 3), (4,)])
