@@ -122,6 +122,12 @@ SCAN_CHUNK = 512
 # one serves every request.
 _CANONICAL_FRAME = SpinFrame.canonical()
 
+# The check-state cells second_xx, _xy, _xz, _yy, _yz, _zz: the upper
+# triangle of the second moments, row-major.  Built once, read-only.
+_UPPER_TRIANGLE = np.triu_indices(3)
+_UPPER_TRIANGLE[0].setflags(write=False)
+_UPPER_TRIANGLE[1].setflags(write=False)
+
 # The cell rule (see the module docstring).  Adding 0.0 turns -0 into 0
 # before a float column is formatted; these are what "%.12g" and then repr
 # print for +-inf, and what the report prints instead.  NaN, which no
@@ -748,13 +754,12 @@ def _cmd_check_state(args) -> int:
         print(f"cavsqueeze: cannot read {args.file}: {exc}", file=sys.stderr)
         return EXIT_PARSE
     mean, second, xi_opt, spectrum = _diagnose(rho.mat)
-    # the moment cells: the mean, then the upper triangle of second, row-major
     row = CheckRow(
         spectrum_negativity(spectrum),
         spectrum_entangled(spectrum),
         xi_opt,
         *mean,
-        *second[np.triu_indices(3)],
+        *second[_UPPER_TRIANGLE],
     )
     _write([_render_row(row, args.format)], args.output)
     if not args.verify:
