@@ -11,7 +11,6 @@ from .criteria import (
     GLOBAL,
     PERP_OPTIMAL,
     SpinFrame,
-    SpinMoments,
     XiResult,
     diagonal_family_entangled,
     family_squeezing_condition,
@@ -20,7 +19,6 @@ from .criteria import (
     pt_spectrum,
     spectrum_entangled,
     spectrum_negativity,
-    spin_moments,
     spin_moments_stack,
     xi2_closed_n1,
     xi2_family,

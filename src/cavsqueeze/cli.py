@@ -39,20 +39,21 @@ two formats parse to the same numbers, and no column prints ``inf``.
 Booleans print as ``true`` and ``false`` in both.  ``_float_cells`` applies
 the rule to an array of floats; a JSON cell is read back as a float only
 where its ``%.12g`` text does not show the number ``repr`` prints
-(``_json_number``).  The shape of a report picks its renderer, and both
-print by that rule.  A one-row report (``family``, ``check-state``) joins
-its cell texts, all float cells from one ``_float_cells`` call, with the
-literal text of ``_layout`` (``_render_row``).  A table of two or more rows
-(every ``scan-time`` report) goes through a byte kernel ``SCAN_CHUNK`` rows
-at a time, the slice size of ``--verify`` too; each piece is a matrix of
-uint64 lanes with NUL padding that one ``bytes.translate`` deletes.  Per
-float cell the kernel computes the decimal exponent and the correctly
-rounded 12-digit integer mantissa, with a guard band that proves them exact
-(``_float_lanes``), and lays the digits out by a plan derived from the cell
-rule itself (``_cell_plans``).  A cell it cannot prove, about 0.2% of the
-cells of the benchmark's scans, goes through ``_float_cells``.  ``_write``
-writes the pieces to stdout or ``--output``; a reader that closes stdout
-early ends the report, not the request.
+(``_json_number``).  Two renderers print by that rule, to the same bytes
+for any one row.  ``family`` and ``check-state`` print one row: its cell
+texts, all float cells from one ``_float_cells`` call, joined with the
+literal text of ``_layout`` (``_render_row``).  ``scan-time`` prints a
+table, of at least two rows, through a byte kernel (``_render_columns``)
+``SCAN_CHUNK`` rows at a time, the slice size of ``--verify`` too; each
+piece is a matrix of uint64 lanes with NUL padding that one
+``bytes.translate`` deletes.  Per float cell the kernel computes the
+decimal exponent and the correctly rounded 12-digit integer mantissa, with
+a guard band that proves them exact (``_float_lanes``), and lays the digits
+out by a plan derived from the cell rule itself (``_cell_plans``).  A cell
+it cannot prove, about 0.2% of the cells of the benchmark's scans, goes
+through ``_float_cells``.  ``_write`` writes the pieces to stdout or
+``--output``; a reader that closes stdout early ends the report, not the
+request.
 
 ``main`` parses with one parser, built on the first call.  Exit codes: 0
 success, 2 numeric or validation failure (a ``CavsqueezeError``, which
@@ -526,16 +527,11 @@ def _render_chunk(columns, fmt: str, first: bool) -> str:
 def _render_columns(columns, fmt: str):
     """Report text of a row type whose fields are equal-length columns, in pieces.
 
-    One row is ``_render_row``'s text; more go through the byte kernel,
-    ``SCAN_CHUNK`` rows per piece.
+    The byte kernel renders ``SCAN_CHUNK`` rows per piece.
     """
-    rows = len(columns[0])
-    if rows == 1:
-        yield _render_row(type(columns)._make(c[0] for c in columns), fmt)
-        return
     head, _, _, _, foot = _layout(type(columns)._fields, fmt)
     yield head
-    for start in range(0, rows, SCAN_CHUNK):
+    for start in range(0, len(columns[0]), SCAN_CHUNK):
         part = slice(start, start + SCAN_CHUNK)
         yield _render_chunk(type(columns)._make(c[part] for c in columns), fmt, start == 0)
     yield foot

@@ -26,9 +26,9 @@ operators, in real arithmetic over their 72 nonzero entries),
 formula), ``xi_frame_stack`` (fixed triad) and ``pt_spectrum`` (the
 partial-transpose eigenvalues, from which ``spectrum_negativity`` and
 ``spectrum_entangled`` read both PPT diagnostics).  The scalar functions
-``spin_moments``, ``xi_squared``, ``xi_squared_in_frame``, ``negativity``
-and ``ppt_entangled`` run it on the one state, which gets the same bits
-alone as inside any stack.  It serves ``check-state``, and it is the oracle
+``xi_squared``, ``xi_squared_in_frame``, ``negativity`` and
+``ppt_entangled`` run it on the one state, which gets the same bits alone
+as inside any stack.  It serves ``check-state``, and it is the oracle
 of the family kernel in the tests and under ``scan-time --verify`` and
 ``family --verify``.
 
@@ -175,14 +175,6 @@ class SpinFrame:
 
 
 @dataclass(frozen=True, eq=False)
-class SpinMoments:
-    """First and symmetrized second moments of the collective spin."""
-
-    mean: np.ndarray
-    second: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class XiResult:
     """Squeezing parameter value, the frame realizing it, and the verdict."""
 
@@ -321,11 +313,6 @@ def xi_frame_stack(mean: np.ndarray, second: np.ndarray, frame: SpinFrame) -> Fr
     m3 = (mean * frame.n3).sum(axis=-1)
     plane_sq = m2 * m2 + m3 * m3
     return FrameStack(_quotient(ATOM_COUNT * variance, plane_sq), plane_sq)
-
-
-def spin_moments(rho: DensityMatrix) -> SpinMoments:
-    """Mean vector tr(rho S_k) and symmetrized second-moment matrix."""
-    return SpinMoments(*spin_moments_stack(rho.mat))
 
 
 def xi_squared_in_frame(rho: DensityMatrix, frame: SpinFrame) -> float:
@@ -569,9 +556,9 @@ def family_diagnostics_stack(x1, x2, x3, y=0.0) -> FamilyStack:
     typed error of ``check_family_coeffs``.  With d = x1 - x3 the mean spin
     is d along z, and with 1 = x1 + x2 + x3:
 
-    * xi2_optimized = (1 + x2 - 2|y|)/d^2, clamped at 0: the transverse
-      covariance has the eigenvalues (1 + x2)/2 +- |y| (Kitagawa and Ueda,
-      PRA 47, 5138 (1993));
+    * xi2_optimized = (1 + x2 - 2|y|)/d^2: the transverse covariance has
+      the eigenvalues (1 + x2)/2 +- |y| (Kitagawa and Ueda, PRA 47, 5138
+      (1993));
     * xi2_fixed_frame = (1 + x2 + 2 Re y)/d^2, with S_x as n1 in the
       canonical triad;
     * the partial transpose splits into the blocks [[x1, x2/2], [x2/2, x3]]
@@ -583,9 +570,14 @@ def family_diagnostics_stack(x1, x2, x3, y=0.0) -> FamilyStack:
       are x2/2 +- |y|.  The larger eigenvalue of the first block is at
       least (x1 + x2 + x3)/2, about 1/2, so it never counts.
 
-    A row whose d^2 is at or below MEAN_SPIN_FLOOR^2 is undefined (inf), by
-    ``_quotient``, the rule of ``xi_perp_stack`` and ``xi_frame_stack``.  Every operation
-    acts elementwise, so a row gets the same bits alone as inside a scan.
+    Both quotients are clamped at 0.  Their numerators are twice a
+    variance, but under the rules' slack they are only at least
+    2 x2 - 3 FAMILY_ATOL, which can be -5e-12, and that over a d^2 just
+    above MEAN_SPIN_FLOOR^2 reads as a large negative quotient.  A row
+    whose d^2 is at or below MEAN_SPIN_FLOOR^2 is undefined (inf), by
+    ``_quotient``, the rule of ``xi_perp_stack`` and ``xi_frame_stack``.
+    Every operation acts elementwise, so a row gets the same bits alone as
+    inside a scan.
     """
     x1, x2, x3, y = check_family_coeffs(x1, x2, x3, y)
     mean_z = x1 - x3
@@ -593,7 +585,7 @@ def family_diagnostics_stack(x1, x2, x3, y=0.0) -> FamilyStack:
     modulus = np.abs(y)
     base = 1.0 + x2
     xi_opt = np.maximum(0.0, _quotient(base - 2.0 * modulus, mean_sq))
-    xi_fixed = _quotient(base + 2.0 * y.real, mean_sq)
+    xi_fixed = np.maximum(0.0, _quotient(base + 2.0 * y.real, mean_sq))
 
     half_x2 = 0.5 * x2
     half_sum = 0.5 * (x1 + x3)

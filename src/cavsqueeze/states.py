@@ -33,7 +33,6 @@ kernel has already checked, through the unchecked core ``_family_matrices``.
 import json
 import math
 from dataclasses import dataclass
-from typing import IO, Union
 
 import numpy as np
 
@@ -287,22 +286,21 @@ def _entry_part(part) -> float:
         return math.inf if part > 0 else -math.inf
 
 
-def load_density_matrix(source: Union[str, IO[str]]) -> DensityMatrix:
-    """Load a density matrix from the JSON state-file format.
+def load_density_matrix(source) -> DensityMatrix:
+    """Load a density matrix from a file in the JSON state-file format.
 
-    The document must carry ``dims`` (list of integers) and ``rows`` (list of
-    rows, each entry a two-element [re, im] pair), row-major with exactly
-    dim*dim entries.  Text that is not UTF-8 and layout problems raise
-    StateFormatError.  Once the layout has parsed, ``dims`` other than
-    ``[2, 2]`` raise DimensionMismatchError, and a two-qubit file describing
-    an invalid state raises the usual validation errors.
+    ``source`` is a path, ``str`` or ``os.PathLike``; a file that cannot be
+    read raises OSError.  The document must carry ``dims`` (list of integers)
+    and ``rows`` (list of rows, each entry a two-element [re, im] pair),
+    row-major with exactly dim*dim entries.  Text that is not UTF-8 and
+    layout problems raise StateFormatError.  Once the layout has parsed,
+    ``dims`` other than ``[2, 2]`` raise DimensionMismatchError, and a
+    two-qubit file describing an invalid state raises the usual validation
+    errors.
     """
     try:
-        if hasattr(source, "read"):
-            text = source.read()
-        else:
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
+        with open(source, "r", encoding="utf-8") as fh:
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise StateFormatError(f"not UTF-8 text: {exc}") from exc
     try:

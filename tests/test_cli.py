@@ -547,6 +547,20 @@ def test_family_verify_with_trace_slack_and_small_mean_spin(y, capsys):
     assert float(err.split(" = ")[1].split(",")[0]) < 1e-12
 
 
+# |y| a little past sqrt(x1 x3), within the rules' slack, with x1 - x3 =
+# 2e-8: the fixed-frame numerator 1 + x2 + 2 Re y, a variance, reads -1.8e-12
+# and its quotient over (x1 - x3)^2 = 4e-16 read -4499.73 before the clamp.
+def test_family_never_prints_a_negative_squeezing_parameter(capsys):
+    args = ["family", "--x1", "0.50000001", "--x2", "0", "--x3", "0.49999999", "--y", "-0.5000000000009"]
+    assert run_cli(args + ["--verify"]) == EXIT_OK
+    captured = capsys.readouterr()
+    row = parse_csv(captured.out)[0]
+    assert row["xi2_family"] == row["xi2_optimized"] == "0"
+    assert row["squeezing_condition"] == "true"
+    found = _FAMILY_VERIFY_LINE.fullmatch(captured.err)
+    assert found and float(found.group(1)) < 1e-11 and found.group(2) == "true"
+
+
 def test_family_invalid_coefficients_exit_2(capsys):
     assert run_cli(["family", "--x1", "0.6", "--x2", "0.0", "--x3", "0.6"]) == EXIT_NUMERIC
     assert "sum to 1" in capsys.readouterr().err
@@ -957,9 +971,9 @@ def _columns_of(rows):
     return type(rows[0])(*map(np.asarray, zip(*rows)))
 
 
-# Up to 40 rows: one row through the row renderer, more through the byte
-# kernel; a float column is all finite in some examples and holds an inf or
-# NaN in others.
+# Up to 40 rows through the byte kernel, and the first alone through the
+# row renderer of family and check-state too; a float column is all finite
+# in some examples and holds an inf or NaN in others.
 @settings(max_examples=150, deadline=None)
 @given(
     rows=st.sampled_from([ScanRow, FamilyRow, CheckRow]).flatmap(_rows_of),
@@ -968,6 +982,7 @@ def _columns_of(rows):
 def test_render_matches_reference_render(rows, fmt):
     assert "".join(_render_columns(_columns_of(rows), fmt)) == reference_render(rows, fmt)
     assert _render(rows, fmt) == reference_render(rows, fmt)
+    assert cli._render_row(rows[0], fmt) == reference_render(rows[:1], fmt)
 
 
 def test_render_folds_negative_zero_in_a_finite_column():
@@ -1085,9 +1100,9 @@ def test_render_at_the_kernel_threshold_and_the_piece_size(rows, fmt, monkeypatc
     columns = _kernel_columns(ScanRow, rows, edges, rows)
     text = "".join(_render_columns(columns, fmt))
     assert_same_text(text, reference_render(_rows_of_columns(columns), fmt))
-    # one row is the row renderer's; a table goes through the kernel
+    # every row count, one included, goes through the kernel in whole pieces
     whole, rest = divmod(rows, SCAN_CHUNK)
-    assert pieces == ([] if rows == 1 else [SCAN_CHUNK] * whole + [rest] * (rest > 0))
+    assert pieces == [SCAN_CHUNK] * whole + [rest] * (rest > 0)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

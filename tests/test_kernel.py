@@ -110,6 +110,26 @@ def test_xi_verdict_is_below_its_floor():
     assert criteria.xi_entangled(values).tolist() == [True, True, True] + [False] * 4
 
 
+def test_family_negativity_counts_the_top_eigenvalue():
+    # x2 a FAMILY_ATOL below 0 with y = 0 puts x2/2 in the partial-transpose
+    # spectrum twice, as the middle and the top eigenvalue; both count.
+    found = family_diagnostics_stack(0.5, -FAMILY_ATOL, 0.5 + FAMILY_ATOL)
+    assert float(found.pt_minimum) == -0.5 * FAMILY_ATOL
+    assert float(found.negativity) == FAMILY_ATOL
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_family_quotients_are_clamped_at_zero(sign):
+    # |y| at sqrt(x1 x3) + FAMILY_ATOL over a mean spin of 2e-8 takes
+    # 1 + x2 - 2|y| to about -2e-12, and for y < 0 the fixed-frame
+    # 1 + x2 + 2 Re y too: unclamped, each reads about -5000 over d^2 = 4e-16.
+    x1, x3 = 0.5 + 1e-8, 0.5 - 1e-8
+    y = sign * (math.sqrt(x1 * x3) + FAMILY_ATOL)
+    found = family_diagnostics_stack(x1, 0.0, x3, y)
+    assert float(found.xi2_optimized) == 0.0
+    assert float(found.xi2_fixed_frame) == max(0.0, (1.0 + 2.0 * y) / (x1 - x3) ** 2)
+
+
 def test_scan_and_xi_squared_read_one_verdict_rule(monkeypatch):
     # A different threshold in the one rule moves the scan's flag column and
     # xi_squared's flag alike.
@@ -271,10 +291,10 @@ def test_generic_states_get_the_same_bits_alone_and_stacked(monkeypatch):
     for got, want in zip(shaped, perp):
         assert _same_arrays(got.reshape(want[:40].shape), want[:40])
     for i, rho in enumerate(states):
-        moments = cs.spin_moments(rho)
-        assert np.array_equal(moments.mean, mean[i])
-        assert np.array_equal(moments.second, second[i])
-        alone = cs.xi_perp_stack(*cs.spin_moments_stack(rho.mat))
+        alone_mean, alone_second = cs.spin_moments_stack(rho.mat)
+        assert np.array_equal(alone_mean, mean[i])
+        assert np.array_equal(alone_second, second[i])
+        alone = cs.xi_perp_stack(alone_mean, alone_second)
         for got, want in zip(alone, perp):
             assert _same_arrays(np.asarray(got), want[i])
         assert cs.xi_squared(rho).value == perp.value[i]

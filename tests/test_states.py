@@ -1,5 +1,4 @@
 import dataclasses
-import io
 import json
 import math
 
@@ -228,6 +227,12 @@ class TestLoadDensityMatrix:
         rows = [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(mat)]
         return {"dims": list(dims), "rows": rows}
 
+    @staticmethod
+    def _file(tmp_path, doc):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc))
+        return path
+
     def test_loads_valid_file(self, tmp_path):
         path = tmp_path / "bell.json"
         path.write_text(json.dumps(self._doc(BELL_PHI_PLUS, (2, 2))))
@@ -235,9 +240,8 @@ class TestLoadDensityMatrix:
         assert rho.mat.shape == (4, 4)
         assert np.abs(rho.mat - BELL_PHI_PLUS).max() < 1e-15
 
-    def test_loads_from_file_object(self):
-        text = json.dumps(self._doc(BELL_PHI_PLUS, (2, 2)))
-        rho = load_density_matrix(io.StringIO(text))
+    def test_loads_from_a_path_object(self, tmp_path):
+        rho = load_density_matrix(self._file(tmp_path, self._doc(BELL_PHI_PLUS, (2, 2))))
         assert np.array_equal(rho.mat, BELL_PHI_PLUS)
 
     @pytest.mark.parametrize(
@@ -249,10 +253,10 @@ class TestLoadDensityMatrix:
             (np.eye(8) / 8.0, (2, 2, 2)),
         ],
     )
-    def test_rejects_valid_state_that_is_not_two_qubit(self, mat, dims):
+    def test_rejects_valid_state_that_is_not_two_qubit(self, mat, dims, tmp_path):
         doc = self._doc(mat, dims)
         with pytest.raises(DimensionMismatchError, match=r"dims \[2, 2\]"):
-            load_density_matrix(io.StringIO(json.dumps(doc)))
+            load_density_matrix(self._file(tmp_path, doc))
 
     def test_rejects_bad_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -260,41 +264,41 @@ class TestLoadDensityMatrix:
         with pytest.raises(StateFormatError, match="JSON"):
             load_density_matrix(str(path))
 
-    def test_rejects_missing_fields(self):
+    def test_rejects_missing_fields(self, tmp_path):
         with pytest.raises(StateFormatError, match="dims"):
-            load_density_matrix(io.StringIO(json.dumps({"rows": []})))
+            load_density_matrix(self._file(tmp_path, {"rows": []}))
 
-    def test_rejects_bad_dims(self):
+    def test_rejects_bad_dims(self, tmp_path):
         doc = {"dims": [2, "x"], "rows": []}
         with pytest.raises(StateFormatError):
-            load_density_matrix(io.StringIO(json.dumps(doc)))
+            load_density_matrix(self._file(tmp_path, doc))
 
-    def test_rejects_boolean_dims(self):
+    def test_rejects_boolean_dims(self, tmp_path):
         doc = self._doc(np.eye(4) / 4.0, (2, 2))
         doc["dims"] = [True, 4]
         with pytest.raises(StateFormatError, match="dims"):
-            load_density_matrix(io.StringIO(json.dumps(doc)))
+            load_density_matrix(self._file(tmp_path, doc))
 
-    def test_rejects_boolean_entry_part(self):
+    def test_rejects_boolean_entry_part(self, tmp_path):
         doc = self._doc(np.eye(2) / 2.0, (2,))
         doc["rows"][0][1] = [0.0, False]
         with pytest.raises(StateFormatError, match="pair"):
-            load_density_matrix(io.StringIO(json.dumps(doc)))
+            load_density_matrix(self._file(tmp_path, doc))
 
-    def test_rejects_row_count_mismatch(self):
+    def test_rejects_row_count_mismatch(self, tmp_path):
         # dims [2] are not two qubits either, but the layout is checked first
         doc = self._doc(np.eye(2) / 2.0, (2,))
         doc["rows"] = doc["rows"][:1]
         with pytest.raises(StateFormatError, match="rows"):
-            load_density_matrix(io.StringIO(json.dumps(doc)))
+            load_density_matrix(self._file(tmp_path, doc))
 
-    def test_rejects_bad_entry(self):
+    def test_rejects_bad_entry(self, tmp_path):
         doc = self._doc(np.eye(2) / 2.0, (2,))
         doc["rows"][0][0] = [0.5]
         with pytest.raises(StateFormatError, match="pair"):
-            load_density_matrix(io.StringIO(json.dumps(doc)))
+            load_density_matrix(self._file(tmp_path, doc))
 
-    def test_validation_errors_propagate(self):
+    def test_validation_errors_propagate(self, tmp_path):
         doc = self._doc(np.diag([0.45, 0.45, 0.0, 0.0]), (2, 2))
         with pytest.raises(NotNormalizedError, match="trace = 0.9"):
-            load_density_matrix(io.StringIO(json.dumps(doc)))
+            load_density_matrix(self._file(tmp_path, doc))
