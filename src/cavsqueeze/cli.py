@@ -307,7 +307,8 @@ def _float_cells(values: np.ndarray, fmt: str):
         # A text with a point and no exponent is a normal double's 12
         # digits from 1e-4 to 1e12, which repr prints back as they are.
         text = [t if "." in t and "e" not in t else _json_number(t) for t in text]
-    if np.isfinite(values).all():
+    # a value that is not finite prints as inf, -inf or nan
+    if _JSON_SPECIAL.keys().isdisjoint(text):
         return text
     special = _JSON_SPECIAL if fmt == "json" else _CSV_SPECIAL
     return list(map(special.get, text, text))
@@ -616,19 +617,20 @@ def _scaled_gap(closed, generic, closed_scale, generic_scale) -> np.ndarray:
     An inf is an undefined quotient: a row that both routes leave undefined
     agrees (0), one that only one route does disagrees (inf).
     """
-    closed_defined, generic_defined = ~np.isinf(closed), ~np.isinf(generic)
+    closed_undefined, generic_undefined = np.isinf(closed), np.isinf(generic)
     gap = np.abs(
-        np.where(closed_defined, closed, 0.0) * closed_scale
-        - np.where(generic_defined, generic, 0.0) * generic_scale
+        np.where(closed_undefined, 0.0, closed) * closed_scale
+        - np.where(generic_undefined, 0.0, generic) * generic_scale
     )
-    return np.where(closed_defined == generic_defined, gap, np.inf)
+    return np.where(closed_undefined == generic_undefined, gap, np.inf)
 
 
 def _generic_gap(closed: FamilyStack, x1, x2, x3, y):
     """|closed form - generic| over family rows, and the generic PPT verdicts.
 
-    ``closed`` is ``family_diagnostics_stack`` of the coefficient arrays,
-    which it has checked, so their states come from ``family_density_stack``'s
+    ``x1``, ``x2``, ``x3`` and ``y`` are arrays of one shape, or the numbers
+    of one tuple.  ``closed`` is ``family_diagnostics_stack`` of them, which
+    has checked them, so their states come from ``family_density_stack``'s
     unchecked core.  Each quotient is compared times its squared mean spin,
     which stays well conditioned where the mean spin nearly vanishes or the
     trace is 1e-12 off 1: xi2 |<S>|^2 of both quotients and |<S>|, then the
@@ -640,15 +642,19 @@ def _generic_gap(closed: FamilyStack, x1, x2, x3, y):
     mean_sq = (mean * mean).sum(axis=-1)
     closed_mean = np.abs(x1 - x3)
     closed_sq = closed_mean * closed_mean
-    gaps = (
-        _scaled_gap(closed.xi2_optimized, xi_opt, closed_sq, mean_sq),
-        _scaled_gap(closed.xi2_fixed_frame, fixed.value, closed_sq, fixed.plane_sq),
-        np.abs(closed_mean - np.sqrt(mean_sq)),
-        np.abs(closed.negativity - spectrum_negativity(spectrum)),
-        np.abs(closed.pt_minimum - spectrum[:, 0]),
+    # each comparison a row: the two quotients, then the three plain values
+    quotients = _scaled_gap(
+        np.array((closed.xi2_optimized, closed.xi2_fixed_frame)),
+        np.array((xi_opt, fixed.value)),
+        closed_sq,
+        np.array((mean_sq, fixed.plane_sq)),
+    )
+    plain = np.abs(
+        np.array((closed_mean, closed.negativity, closed.pt_minimum))
+        - np.array((np.sqrt(mean_sq), spectrum_negativity(spectrum), spectrum[..., 0]))
     )
     # max keeps a NaN, which then fails the tolerance
-    return np.concatenate(gaps).max(), spectrum_entangled(spectrum)
+    return np.concatenate((quotients, plain)).max(), spectrum_entangled(spectrum)
 
 
 def _verify_scan(photons: int, scan: ScanRow, closed: FamilyStack):
@@ -730,9 +736,8 @@ def _cmd_family(args) -> int:
     _write([_render_row(row, args.format)], args.output)
     if not args.verify:
         return EXIT_OK
-    coeffs = np.atleast_1d(args.x1, args.x2, args.x3, args.y)
-    worst, generic_ppt = _generic_gap(found, *coeffs)
-    agree = bool(generic_ppt[0]) == bool(found.ppt_entangled)
+    worst, generic_ppt = _generic_gap(found, args.x1, args.x2, args.x3, args.y)
+    agree = bool(generic_ppt) == bool(found.ppt_entangled)
     return _verified(
         [
             f"verify: max |closed form - generic| = {worst:.3e}, "

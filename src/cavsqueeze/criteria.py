@@ -257,7 +257,8 @@ def _quotient(numer, denom_sq):
     undefined = denom_sq <= MEAN_SPIN_FLOOR**2
     if isinstance(undefined, bool):
         return math.inf if undefined else numer / denom_sq
-    return np.where(undefined, np.inf, numer / np.where(undefined, 1.0, denom_sq))
+    quotient = np.full(np.broadcast(numer, denom_sq).shape, np.inf)
+    return np.divide(numer, denom_sq, out=quotient, where=~undefined)
 
 
 def xi_perp_stack(mean: np.ndarray, second: np.ndarray) -> PerpStack:
@@ -285,10 +286,15 @@ def xi_perp_stack(mean: np.ndarray, second: np.ndarray) -> PerpStack:
     x, y, z = mhat[..., 0], mhat[..., 1], mhat[..., 2]
     s = np.copysign(1.0, z)
     k = -1.0 / (s + z)
+    sx = s * x
     # u and v as the rows of one (..., 2, 3) array
-    basis = np.stack(
-        [1.0 + s * x * x * k, s * x * y * k, -s * x, x * y * k, s + y * y * k, -y], axis=-1
-    ).reshape(z.shape + (2, 3))
+    basis = np.empty(z.shape + (2, 3))
+    basis[..., 0, 0] = 1.0 + sx * x * k
+    basis[..., 0, 1] = sx * y * k
+    basis[..., 0, 2] = -sx
+    basis[..., 1, 0] = x * y * k
+    basis[..., 1, 1] = s + y * y * k
+    basis[..., 1, 2] = -y
     u, v = basis[..., 0, :], basis[..., 1, :]
 
     cov = second - mean[..., :, None] * mean[..., None, :]
@@ -307,10 +313,11 @@ def xi_perp_stack(mean: np.ndarray, second: np.ndarray) -> PerpStack:
 
 def xi_frame_stack(mean: np.ndarray, second: np.ndarray, frame: SpinFrame) -> FrameStack:
     """Quotient N var(S_n1) / (<S_n2>^2 + <S_n3>^2) of each state in one triad."""
-    along = (mean * frame.n1).sum(axis=-1)
+    # the mean spin along n1, n2 and n3 from one product and one sum, each
+    # with the bits of (mean * n).sum(axis=-1)
+    projected = (mean[..., None, :] * np.array((frame.n1, frame.n2, frame.n3))).sum(axis=-1)
+    along, m2, m3 = projected[..., 0], projected[..., 1], projected[..., 2]
     variance = _quadratic(frame.n1, second, frame.n1) - along * along
-    m2 = (mean * frame.n2).sum(axis=-1)
-    m3 = (mean * frame.n3).sum(axis=-1)
     plane_sq = m2 * m2 + m3 * m3
     return FrameStack(_quotient(ATOM_COUNT * variance, plane_sq), plane_sq)
 

@@ -87,7 +87,7 @@ def validate_density_stack(mats) -> np.ndarray:
     """
     mats = _two_qubit_stack(mats)
     check_hermitian(mats)
-    tr = np.trace(mats, axis1=-2, axis2=-1).real
+    tr = mats.trace(axis1=-2, axis2=-1).real
     _reject(
         np.abs(tr - 1.0) > TRACE_ATOL,
         NotNormalizedError,
@@ -138,18 +138,24 @@ def check_family_coeffs(x1, x2, x3, y=0.0):
         np.asarray(x3, dtype=float),
         np.asarray(y, dtype=complex),
     )
+    # the three populations as the rows of one array, so that each rule
+    # takes one pass over all of them
+    value = np.array((x1, x2, x3))
     _reject(
-        ~(np.isfinite(x1) & np.isfinite(x2) & np.isfinite(x3) & np.isfinite(y)),
+        ~(np.isfinite(value).all(axis=0) & np.isfinite(y)),
         NonFiniteError,
         lambda i: f"coefficients must be finite, got x1, x2, x3, y = "
         f"{x1[i]}, {x2[i]}, {x3[i]}, {y[i]}",
     )
-    for name, value in (("x1", x1), ("x2", x2), ("x3", x3)):
-        _reject(
-            (value < -FAMILY_ATOL) | (value > 1.0 + FAMILY_ATOL),
-            NotPositiveError,
-            lambda i: f"{name} = {value[i]:.12g} is outside [0, 1]",
-        )
+    outside = (value < -FAMILY_ATOL) | (value > 1.0 + FAMILY_ATOL)
+    if np.count_nonzero(outside):
+        # x1 before x2 before x3, each at its first bad tuple
+        for name, population, bad in zip(("x1", "x2", "x3"), value, outside):
+            _reject(
+                bad,
+                NotPositiveError,
+                lambda i: f"{name} = {population[i]:.12g} is outside [0, 1]",
+            )
     total = x1 + x2 + x3
     _reject(
         np.abs(total - 1.0) > FAMILY_ATOL,
@@ -298,9 +304,12 @@ def load_density_matrix(source) -> DensityMatrix:
     two-qubit file describing an invalid state raises the usual validation
     errors.
     """
+    with open(source, "rb") as fh:
+        data = fh.read()
     try:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        # a text-mode read of the whole file, universal newlines included
+        # (JSON error positions count them), without a text wrapper
+        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except UnicodeDecodeError as exc:
         raise StateFormatError(f"not UTF-8 text: {exc}") from exc
     try:
@@ -321,7 +330,9 @@ def load_density_matrix(source) -> DensityMatrix:
     rows = doc["rows"]
     if not isinstance(rows, list) or len(rows) != total:
         raise StateFormatError(f"'rows' must hold exactly {total} rows")
-    mat = np.empty((total, total), dtype=complex)
+    # re, im, re, im, ... in row-major order, converted in one call and
+    # viewed as the complex matrix
+    parts = []
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != total:
             raise StateFormatError(f"row {i} must hold exactly {total} entries")
@@ -329,10 +340,16 @@ def load_density_matrix(source) -> DensityMatrix:
             if (
                 not isinstance(entry, list)
                 or len(entry) != 2
-                or not all(type(p) in (int, float) for p in entry)
+                or type(entry[0]) not in (int, float)
+                or type(entry[1]) not in (int, float)
             ):
                 raise StateFormatError(f"entry ({i}, {j}) must be a [re, im] pair")
-            mat[i, j] = complex(_entry_part(entry[0]), _entry_part(entry[1]))
+            parts += entry
     if dims != [2, 2]:
         raise DimensionMismatchError(f"a state file needs dims [2, 2], this one carries {dims}")
-    return DensityMatrix(mat)
+    try:
+        values = list(map(float, parts))
+    except OverflowError:
+        # an integer beyond float range, which ``_entry_part`` reads as +-inf
+        values = list(map(_entry_part, parts))
+    return DensityMatrix(np.array(values).view(complex).reshape(total, total))

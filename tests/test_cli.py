@@ -885,6 +885,21 @@ def test_check_state_malformed_json_exit_65(tmp_path, capsys):
     assert "JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, code, message",
+    [
+        ("malformed_state", EXIT_PARSE, "not valid JSON: Expecting ',' delimiter: line 5 column 1 (char 166)"),
+        ("non_hermitian_state", EXIT_NUMERIC, "not Hermitian: max |rho - rho^dagger| = 1.000e-06"),
+    ],
+)
+@pytest.mark.parametrize("verify", ([], ["--verify"]))
+def test_committed_invalid_state_files(name, code, message, verify, capsys):
+    # the files CI also reads from a fresh process
+    path = Path(__file__).parent / "data" / f"{name}.json"
+    assert run_cli(["check-state", str(path)] + verify) == code
+    assert capsys.readouterr() == ("", f"cavsqueeze: {message}\n")
+
+
 def test_check_state_missing_fields_exit_65(tmp_path):
     path = tmp_path / "fields.json"
     path.write_text(json.dumps({"dims": [2, 2]}))

@@ -275,13 +275,17 @@ def _no_solver(*args, **kwargs):
 
 def test_generic_states_get_the_same_bits_alone_and_stacked(monkeypatch):
     # A state read alone, unbatched, inside a flat stack or inside a stack
-    # of any shape gets the same bits from every generic kernel.
+    # of any shape gets the same bits from every generic kernel, and from
+    # the CLI's generic route, which check-state runs on the one state.
     rng = np.random.default_rng(41)
     states = [random_density(rng) for _ in range(300)]
     stack = np.stack([rho.mat for rho in states])
     mean, second = cs.spin_moments_stack(stack)
     perp = cs.xi_perp_stack(mean, second)
+    canonical = cs.SpinFrame.canonical()
+    fixed = cs.xi_frame_stack(mean, second, canonical)
     spectra = cs.pt_spectrum(stack)
+    diagnosed = cli._diagnose(stack)
     with monkeypatch.context() as patched:
         patched.setattr(np.linalg, "eigh", _no_solver)
         patched.setattr(np.linalg, "eigvalsh", _no_solver)
@@ -297,8 +301,13 @@ def test_generic_states_get_the_same_bits_alone_and_stacked(monkeypatch):
         alone = cs.xi_perp_stack(alone_mean, alone_second)
         for got, want in zip(alone, perp):
             assert _same_arrays(np.asarray(got), want[i])
+        for got, want in zip(cs.xi_frame_stack(alone_mean, alone_second, canonical), fixed):
+            assert _same_arrays(np.asarray(got), want[i])
         assert cs.xi_squared(rho).value == perp.value[i]
         assert np.array_equal(cs.pt_spectrum(rho), spectra[i])
+        # mean, second moments, perp-optimal value and PT spectrum
+        for got, want in zip(cli._diagnose(rho.mat), diagnosed):
+            assert _same_arrays(np.asarray(got), want[i])
 
 
 def _sparse_hermitian_stack(rng, size):

@@ -50,11 +50,29 @@ def test_library_tour_values_match_its_comments():
 
 
 def _tolerance_rows():
-    """(name, value, derived from) of each row of the README's tolerance table."""
+    """(name, value, what it bounds, at the edge, derived from) of each row
+    of the README's tolerance table."""
     section = README.read_text(encoding="utf-8").split("## Tolerances", 1)[1]
     lines = [line for line in section.split("\n## ", 1)[0].splitlines() if line.startswith("| `")]
     cells = [[cell.strip() for cell in line.strip("|").split("|")] for line in lines]
-    return [(name.strip("`"), value, derived.strip("`")) for name, value, _, derived in cells]
+    assert all(len(row) == 5 for row in cells), "a tolerance row lacks a column"
+    return [
+        (name.strip("`"), value, bound, edge, derived.strip("`"))
+        for name, value, bound, edge, derived in cells
+    ]
+
+
+def _edge(bound: str) -> str:
+    """What a comparison does exactly at its constant, by how its row reads:
+    a verdict floor ("below it certifies") does not certify, the mean-spin
+    floor ("at or below ... is undefined") leaves the quotient undefined, and
+    every other bound ("largest ... accepts", "most negative ... accepts")
+    accepts the constant itself."""
+    if "certifies" in bound:
+        return "not certified"
+    if "at or below" in bound:
+        return "undefined"
+    return "accepted"
 
 
 def test_tolerance_table_matches_the_module():
@@ -65,9 +83,10 @@ def test_tolerance_table_matches_the_module():
         if isinstance(node, ast.Assign)
     }
     rows = _tolerance_rows()
-    assert [name for name, _, _ in rows] == list(written)
-    for name, value, derived in rows:
+    assert [name for name, *_ in rows] == list(written)
+    for name, value, bound, edge, derived in rows:
         assert float(value) == getattr(tolerances, name), name
+        assert edge == _edge(bound), name
         if derived == "set on its own":
             assert isinstance(ast.literal_eval(written[name]), float), name
         else:
