@@ -148,14 +148,13 @@ def check_family_coeffs(x1, x2, x3, y=0.0):
         f"{x1[i]}, {x2[i]}, {x3[i]}, {y[i]}",
     )
     outside = (value < -FAMILY_ATOL) | (value > 1.0 + FAMILY_ATOL)
-    if np.count_nonzero(outside):
-        # x1 before x2 before x3, each at its first bad tuple
-        for name, population, bad in zip(("x1", "x2", "x3"), value, outside):
-            _reject(
-                bad,
-                NotPositiveError,
-                lambda i: f"{name} = {population[i]:.12g} is outside [0, 1]",
-            )
+    # x1 before x2 before x3, each at its first bad tuple
+    for name, population, bad in zip(("x1", "x2", "x3"), value, outside):
+        _reject(
+            bad,
+            NotPositiveError,
+            lambda i: f"{name} = {population[i]:.12g} is outside [0, 1]",
+        )
     total = x1 + x2 + x3
     _reject(
         np.abs(total - 1.0) > FAMILY_ATOL,
@@ -347,9 +346,5 @@ def load_density_matrix(source) -> DensityMatrix:
             parts += entry
     if dims != [2, 2]:
         raise DimensionMismatchError(f"a state file needs dims [2, 2], this one carries {dims}")
-    try:
-        values = list(map(float, parts))
-    except OverflowError:
-        # an integer beyond float range, which ``_entry_part`` reads as +-inf
-        values = list(map(_entry_part, parts))
-    return DensityMatrix(np.array(values).view(complex).reshape(total, total))
+    values = np.array(list(map(_entry_part, parts)))
+    return DensityMatrix(values.view(complex).reshape(total, total))

@@ -264,6 +264,50 @@ class TestLoadDensityMatrix:
         with pytest.raises(StateFormatError, match="JSON"):
             load_density_matrix(str(path))
 
+    # Bytes whose decoding and newlines decide what the loader reports: JSON
+    # error positions count a translated newline as one character, and a
+    # decoding error names the byte offset.
+    _VALID = json.dumps({"dims": [2, 2], "rows": [[[0.25, 0.0]] * 4] * 4}, indent=1)
+    _MALFORMED = _VALID.replace("],", "]", 5)
+    READS = {
+        "valid, CRLF": _VALID.replace("\n", "\r\n").encode(),
+        "valid, lone CR": _VALID.replace("\n", "\r").encode(),
+        "valid, mixed newlines": _VALID.replace("\n", "\r\n", 9).replace("\n", "\r", 9).encode(),
+        "malformed, LF": _MALFORMED.encode(),
+        "malformed, CRLF": _MALFORMED.replace("\n", "\r\n").encode(),
+        "malformed, lone CR": _MALFORMED.replace("\n", "\r").encode(),
+        "malformed, CR LF LF LF": _MALFORMED.replace("\n", "\r\n\n\n").encode(),
+        "BOM, then valid JSON": b"\xef\xbb\xbf" + _VALID.encode(),
+        "BOM, then valid JSON, CRLF": b"\xef\xbb\xbf" + _VALID.replace("\n", "\r\n").encode(),
+        "bad byte mid-way, CRLF": _VALID.replace("\n", "\r\n").encode().replace(b"0.25", b"0.\xff5", 3),
+        "bad byte past 8 KiB": (" \r\n" * 4000 + _VALID).encode().replace(b"0.25", b"0.2\x80", 1),
+        "truncated multi-byte": _VALID.encode()[:-1] + b"\xc3",
+    }
+
+    @staticmethod
+    def _text_mode_read(path):
+        """What a text-mode read of the whole file loads: the document, or
+        the StateFormatError text the loader must raise instead."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                return json.loads(fh.read())
+        except UnicodeDecodeError as exc:
+            return f"not UTF-8 text: {exc}"
+        except json.JSONDecodeError as exc:
+            return f"not valid JSON: {exc}"
+
+    @pytest.mark.parametrize("name", sorted(READS))
+    def test_reads_as_text_mode_does(self, name, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_bytes(self.READS[name])
+        expected = self._text_mode_read(path)
+        if isinstance(expected, str):
+            with pytest.raises(StateFormatError) as caught:
+                load_density_matrix(path)
+            assert str(caught.value) == expected
+        else:
+            assert np.array_equal(load_density_matrix(path).mat, np.full((4, 4), 0.25))
+
     def test_rejects_missing_fields(self, tmp_path):
         with pytest.raises(StateFormatError, match="dims"):
             load_density_matrix(self._file(tmp_path, {"rows": []}))

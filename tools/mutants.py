@@ -4,8 +4,10 @@ Every tolerance comparison and three arithmetic steps of the family kernel
 decide something the tests must pin: flipping ``<`` to ``<=`` (or ``>`` to
 ``>=``) moves what happens exactly at a constant, and dropping the ``top``
 negativity term or either quotient's clamp at 0 changes a value on inputs
-that pass the family rules.  For each mutant the script copies ``src/`` and
-``tests/`` to a temporary directory, applies the one edit there and runs
+that pass the family rules.  The comparisons are the ones that
+``tests/test_tolerances.py`` finds and keys its edge rows on, so a new one
+gets a mutant as it gets a row.  For each mutant the script copies ``src/``
+and ``tests/`` to a temporary directory, applies the one edit there and runs
 
     python -m pytest tests/test_tolerances.py tests/test_kernel.py tests/test_cli.py -x -W error
 
@@ -16,6 +18,7 @@ neither the test suite nor CI runs it.
     python tools/mutants.py
 """
 
+import ast
 import os
 import shutil
 import subprocess
@@ -26,37 +29,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TESTS = ["tests/test_tolerances.py", "tests/test_kernel.py", "tests/test_cli.py"]
 
-# (name, module under src/cavsqueeze, text, its replacement); each text
-# occurs exactly once in its module.
-MUTANTS = [
-    ("VERIFY_TOLERANCE in _verified", "cli.py",
-     "worst <= VERIFY_TOLERANCE", "worst < VERIFY_TOLERANCE"),
-    ("FRAME_ORTHONORMAL_ATOL in SpinFrame", "criteria.py",
-     ".max()) > FRAME_ORTHONORMAL_ATOL", ".max()) >= FRAME_ORTHONORMAL_ATOL"),
-    ("MEAN_SPIN_FLOOR in _quotient", "criteria.py",
-     "undefined = denom_sq <= MEAN_SPIN_FLOOR**2", "undefined = denom_sq < MEAN_SPIN_FLOOR**2"),
-    ("PPT_EIGENVALUE_FLOOR in spectrum_entangled", "criteria.py",
-     "values[..., 0] < PPT_EIGENVALUE_FLOOR", "values[..., 0] <= PPT_EIGENVALUE_FLOOR"),
-    ("XI_SQUARED_FLOOR in xi_entangled", "criteria.py",
-     "np.asarray(values) < XI_SQUARED_FLOOR", "np.asarray(values) <= XI_SQUARED_FLOOR"),
-    ("NORM_ATOL in evolve_exact_stack", "dynamics.py",
-     "np.abs(norm - 1.0) <= NORM_ATOL", "np.abs(norm - 1.0) < NORM_ATOL"),
-    ("HERMITIAN_ATOL in check_hermitian", "linalg.py",
-     "herm > HERMITIAN_ATOL", "herm >= HERMITIAN_ATOL"),
-    ("TRACE_ATOL in validate_density_stack", "states.py",
-     "np.abs(tr - 1.0) > TRACE_ATOL", "np.abs(tr - 1.0) >= TRACE_ATOL"),
-    ("PSD_ATOL in validate_density_stack", "states.py",
-     "smallest < -PSD_ATOL", "smallest <= -PSD_ATOL"),
-    ("FAMILY_ATOL lower range in check_family_coeffs", "states.py",
-     "value < -FAMILY_ATOL", "value <= -FAMILY_ATOL"),
-    ("FAMILY_ATOL upper range in check_family_coeffs", "states.py",
-     "value > 1.0 + FAMILY_ATOL", "value >= 1.0 + FAMILY_ATOL"),
-    ("FAMILY_ATOL sum in check_family_coeffs", "states.py",
-     "np.abs(total - 1.0) > FAMILY_ATOL", "np.abs(total - 1.0) >= FAMILY_ATOL"),
-    ("FAMILY_ATOL coherence in check_family_coeffs", "states.py",
-     "np.abs(y) > bound + FAMILY_ATOL", "np.abs(y) >= bound + FAMILY_ATOL"),
-    ("FAMILY_RESIDUAL_ATOL in family_coeffs_stack", "states.py",
-     "worst > FAMILY_RESIDUAL_ATOL", "worst >= FAMILY_RESIDUAL_ATOL"),
+# Each operator and its flip: the same comparison, decided the other way
+# exactly at the constant.
+FLIPS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="), ast.GtE: (">=", ">")}
+
+# (name, module under src/cavsqueeze, text, its replacement) for the three
+# arithmetic steps; each text occurs exactly once in its module.
+ARITHMETIC = [
     ("family negativity without its top term", "criteria.py",
      " + np.maximum(-top, 0.0)", ""),
     ("family xi2_optimized without its clamp", "criteria.py",
@@ -64,6 +43,51 @@ MUTANTS = [
     ("family xi2_fixed_frame without its clamp", "criteria.py",
      "xi_fixed = np.maximum(0.0, _quotient(", "xi_fixed = (_quotient("),
 ]
+
+
+def _offset(lines, lineno, col):
+    """The text offset of an AST position (line from 1, column in UTF-8 bytes)."""
+    return sum(map(len, lines[: lineno - 1])) + len(lines[lineno - 1].encode()[:col].decode())
+
+
+def _boundary_flips():
+    """One mutant per tolerance comparison that ``tests/test_tolerances.py``
+    finds, named as its edge row is keyed: (name, module, edit)."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+    import test_tolerances
+
+    flips = []
+    for where, node, _ in test_tolerances._tolerance_comparisons():
+        module = where.split(":")[0]
+        (op,) = node.ops
+        symbol, flipped = FLIPS[type(op)]
+        lines = (test_tolerances.PACKAGE / module).read_text(encoding="utf-8").splitlines(keepends=True)
+        # the operator lies between the left operand and the right one
+        start = _offset(lines, node.left.end_lineno, node.left.end_col_offset)
+        end = _offset(lines, node.comparators[0].lineno, node.comparators[0].col_offset)
+        name = f"{where}: " + " vs ".join(ast.unparse(side) for side in (node.left, node.comparators[0]))
+
+        def edit(text, start=start, end=end, symbol=symbol, flipped=flipped):
+            gap = text[start:end]
+            assert gap.count(symbol) == 1, gap
+            return text[:start] + gap.replace(symbol, flipped) + text[end:]
+
+        flips.append((name, module, edit))
+    return flips
+
+
+def _replace(text, replacement):
+    def edit(source):
+        assert source.count(text) == 1, text
+        return source.replace(text, replacement)
+
+    return edit
+
+
+def _mutants():
+    return _boundary_flips() + [
+        (name, module, _replace(text, replacement)) for name, module, text, replacement in ARITHMETIC
+    ]
 
 
 def _copy(into: Path):
@@ -80,6 +104,7 @@ def _passes(tree: Path) -> bool:
 
 
 def main() -> int:
+    mutants = _mutants()
     with tempfile.TemporaryDirectory() as scratch:
         tree = Path(scratch)
         _copy(tree)
@@ -87,21 +112,20 @@ def main() -> int:
             print("the unedited copy fails its tests; no mutant can be scored")
             return 2
         killed = 0
-        for name, module, text, replacement in MUTANTS:
+        for name, module, edit in mutants:
             path = tree / "src" / "cavsqueeze" / module
             original = path.read_text(encoding="utf-8")
-            if original.count(text) != 1:
-                print(f"{name}: {text!r} does not occur exactly once in {module}")
-                return 2
-            path.write_text(original.replace(text, replacement), encoding="utf-8")
+            mutated = edit(original)
+            ast.parse(mutated)
+            path.write_text(mutated, encoding="utf-8")
             try:
                 survived = _passes(tree)
             finally:
                 path.write_text(original, encoding="utf-8")
             killed += not survived
             print(f"{'survived' if survived else 'killed  '}  {name}", flush=True)
-    print(f"{killed} of {len(MUTANTS)} mutants killed")
-    return 0 if killed == len(MUTANTS) else 1
+    print(f"{killed} of {len(mutants)} mutants killed")
+    return 0 if killed == len(mutants) else 1
 
 
 if __name__ == "__main__":
