@@ -1196,6 +1196,8 @@ ONE_ROW_REPORTS = [
     (["check-state", str(Path(__file__).parent / "data" / "squeezed_mixture.json")], "check_state_report"),
     # |<S>| = 1.009e-8: the quotient most sensitive to the kernel's arithmetic
     (["check-state", str(Path(__file__).parent / "data" / "spin_flip_mixture.json")], "spin_flip_mixture_report"),
+    # x1 = x3: both quotients print the token; y = -0 and the negativity print as 0
+    (["family", "--x1", "0.25", "--x2", "0.5", "--x3", "0.25", "--y", "-0.0"], "family_token_report"),
 ]
 
 
