@@ -31,16 +31,14 @@ kernel on the stack of one state, validated once as a ``DensityMatrix``,
 and reads the negativity and the PPT verdict from one partial-transpose
 spectrum.
 
-Both formats follow one cell rule.  A float's CSV text is ``"%.12g" % v``,
-except that -0 prints as ``0`` and an infinite value, which is always an
-undefined squeezing quotient (vanishing mean spin), as ``zero-mean-spin``;
-its JSON text is ``repr(float(csv_text))``, with the token quoted.  So the
-two formats parse to the same numbers, and no column prints ``inf``.
-Booleans print as ``true`` and ``false`` in both.  ``_float_cells`` applies
-the rule to an array of floats; a JSON cell is read back as a float only
-where its ``%.12g`` text does not show the number ``repr`` prints
-(``_json_number``).  Two renderers print by that rule, to the same bytes
-for any one row.  ``family`` and ``check-state`` print one row: its cell
+Both formats follow one cell rule, written once, in ``_float_cells``.  A
+float's CSV text is ``"%.12g" % v``, except that -0 prints as ``0`` and an
+infinite value, which is always an undefined squeezing quotient (vanishing
+mean spin), as ``zero-mean-spin``; its JSON text is
+``repr(float(csv_text))``, with the token quoted.  So the two formats parse
+to the same numbers, and no column prints ``inf``.  Booleans print as
+``true`` and ``false`` in both.  Two renderers print by that rule, to the
+same bytes for any one row.  ``family`` and ``check-state`` print one row: its cell
 texts, all float cells from one ``_float_cells`` call, joined with the
 literal text of ``_layout`` (``_render_row``).  ``scan-time`` prints a
 table, of at least two rows, through a byte kernel (``_render_columns``)
@@ -129,17 +127,14 @@ _UPPER_TRIANGLE = np.triu_indices(3)
 _UPPER_TRIANGLE[0].setflags(write=False)
 _UPPER_TRIANGLE[1].setflags(write=False)
 
-# The cell rule (see the module docstring).  Adding 0.0 turns -0 into 0
-# before a float column is formatted; these are what "%.12g" and then repr
-# print for +-inf, and what the report prints instead.  NaN, which no
-# validated input yields, prints as nan in CSV and as NaN, which Python's
-# json module reads, in JSON.
+# The cell rule (see the module docstring): per format, what "%.12g" and
+# then repr print for a value that is not finite, and what the report
+# prints instead.  NaN, which no validated input yields, prints as nan in
+# CSV and as NaN, which Python's json module reads, in JSON.
 _FLOAT_FORMAT = "%.12g"
-_CSV_SPECIAL = {"inf": ZERO_MEAN_TOKEN, "-inf": ZERO_MEAN_TOKEN}
-_JSON_SPECIAL = {
-    "inf": f'"{ZERO_MEAN_TOKEN}"',
-    "-inf": f'"{ZERO_MEAN_TOKEN}"',
-    "nan": "NaN",
+_NONFINITE_TEXT = {
+    "csv": {"inf": ZERO_MEAN_TOKEN, "-inf": ZERO_MEAN_TOKEN},
+    "json": {"inf": f'"{ZERO_MEAN_TOKEN}"', "-inf": f'"{ZERO_MEAN_TOKEN}"', "nan": "NaN"},
 }
 _BOOL_TEXT = {True: "true", False: "false"}
 
@@ -286,31 +281,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _json_number(text: str) -> str:
-    """``repr(float(text))`` of a ``%.12g`` text without a point or with an exponent.
-
-    A whole number below 1e12 prints as its digits, to which ``repr`` adds
-    ``.0``.  Every other such text takes the round trip: from 1e12 on ``%g``
-    writes an exponent that ``repr`` writes only from 1e16 on, a subnormal
-    holds fewer than 12 digits (5e-324 prints as 4.94065645841e-324), and
-    inf and nan are mapped to their tokens afterwards.
-    """
-    if text.lstrip("-").isdigit():
-        return text + ".0"
-    return repr(float(text))
-
-
 def _float_cells(values: np.ndarray, fmt: str):
-    """The cell texts of a float array whose -0 is already folded to 0."""
-    text = list(map(_FLOAT_FORMAT.__mod__, values.tolist()))
+    """The cell texts of a float array, by the cell rule.
+
+    Adding 0.0 folds -0 to 0; each value prints as "%.12g", a JSON cell is
+    that text read back by ``repr(float(text))``, and inf, -inf and nan map
+    through ``_NONFINITE_TEXT``.
+    """
+    text = list(map(_FLOAT_FORMAT.__mod__, (values + 0.0).tolist()))
     if fmt == "json":
-        # A text with a point and no exponent is a normal double's 12
-        # digits from 1e-4 to 1e12, which repr prints back as they are.
-        text = [t if "." in t and "e" not in t else _json_number(t) for t in text]
-    # a value that is not finite prints as inf, -inf or nan
-    if _JSON_SPECIAL.keys().isdisjoint(text):
-        return text
-    special = _JSON_SPECIAL if fmt == "json" else _CSV_SPECIAL
+        text = [repr(float(t)) for t in text]
+    special = _NONFINITE_TEXT[fmt]
     return list(map(special.get, text, text))
 
 
@@ -332,7 +313,7 @@ def _render_row(row, fmt: str) -> str:
     """Report text of one row: its cell texts between the literal text."""
     kinds = type(row).__annotations__.values()
     values = np.array([v for v, kind in zip(row, kinds) if kind is not bool], dtype=float)
-    floats = iter(_float_cells(values + 0.0, fmt))
+    floats = iter(_float_cells(values, fmt))
     cells = [_BOOL_TEXT[bool(v)] if kind is bool else next(floats) for v, kind in zip(row, kinds)]
     head, _, leads, tail, foot = _layout(type(row)._fields, fmt)
     return head + "".join(map(str.__add__, leads, cells)) + tail + foot
@@ -414,7 +395,7 @@ def _cell_plans(fmt: str):
 
 
 def _float_lanes(values, fmt: str) -> np.ndarray:
-    """The cells of a 1-D float array whose -0 is folded, a (5, N) uint64 array.
+    """The cells of a 1-D float array, a (5, N) uint64 array.
 
     Exactness.  For a normal |v| below 1e12 take e = floor(log10|v|) and
     m = |v| 10^(11 - e), multiplying by two doubles nearest to powers of
@@ -429,8 +410,9 @@ def _float_lanes(values, fmt: str) -> np.ndarray:
     way, however close log10 rounds.  r = 1e12 would be such a carry, and
     is left to the fallback.  r < 2^53, so the floor divisions of doubles
     that split it into three 4-digit groups are exact.  Zero is written
-    directly; every other cell (inf, NaN, subnormals, |v| >= 1e12, the
-    guard band) goes through the cell rule, ``_float_cells``, in one batch.
+    directly, and so is -0, as 0: it is neither below nor unequal to 0.
+    Every other cell (inf, NaN, subnormals, |v| >= 1e12, the guard band)
+    goes through the cell rule, ``_float_cells``, in one batch.
 
     The plans of ``_cell_plans`` serve every fast cell because the cell
     rule's text of such a cell depends on its sign, e and digits alone.  In
@@ -518,7 +500,7 @@ def _render_chunk(columns, fmt: str, first: bool) -> str:
     rows = len(columns[0])
     doc = np.empty((rows, template.size), np.uint64)
     doc[:] = template
-    doc.T[float_at] |= _float_lanes(values.ravel() + 0.0, fmt).reshape(len(float_at), rows)
+    doc.T[float_at] |= _float_lanes(values.ravel(), fmt).reshape(len(float_at), rows)
     doc.T[flag_at] |= _BOOL_LANES.take(flags)
     if first:
         doc.view(np.uint8)[0, sep_at : sep_at + sep] = 0
