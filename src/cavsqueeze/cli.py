@@ -20,8 +20,9 @@ The xi^2 flag column applies ``criteria.xi_entangled``, the verdict rule of
 (``scan_columns``).
 ``scan-time --verify`` checks the report by two independent routes, in
 chunks of ``SCAN_CHUNK`` rows, one stderr line each.  It evolves the gt
-column exactly (``evolve_exact_stack``), reads the populations back
-(``family_coeffs_stack``) and compares them with the printed columns.  And
+column exactly (``evolve_exact_stack``), reads the family coefficients back
+(``family_coeffs_stack``) and compares the populations with the printed
+columns and the coherence y with 0, which the printed quotients assume.  And
 ``_generic_gap`` builds the printed populations into family states and
 reads them by the generic kernel (``_diagnose``, ``xi_frame_stack``), the
 closed forms' oracle.  ``family`` calls the family kernel on its one tuple;
@@ -38,9 +39,9 @@ mean spin), as ``zero-mean-spin``; its JSON text is
 ``repr(float(csv_text))``, with the token quoted.  So the two formats parse
 to the same numbers, and no column prints ``inf``.  Booleans print as
 ``true`` and ``false`` in both.  Two renderers print by that rule, to the
-same bytes for any one row.  ``family`` and ``check-state`` print one row: its cell
-texts, all float cells from one ``_float_cells`` call, joined with the
-literal text of ``_layout`` (``_render_row``).  ``scan-time`` prints a
+same bytes for any one row.  ``family`` and ``check-state`` print one row:
+its cell texts, all float cells from one ``_float_cells`` call, joined with
+the literal text of ``_layout`` (``_render_row``).  ``scan-time`` prints a
 table, of at least two rows, through a byte kernel (``_render_columns``)
 ``SCAN_CHUNK`` rows at a time, the slice size of ``--verify`` too; each
 piece is a matrix of uint64 lanes with NUL padding that one
@@ -642,11 +643,12 @@ def _generic_gap(closed: FamilyStack, x1, x2, x3, y):
 def _verify_scan(photons: int, scan: ScanRow, closed: FamilyStack):
     """The two deviations of ``scan-time --verify``, each the largest over a scan.
 
-    The first is |closed form - evolved| over the populations: the gt column
-    is evolved exactly ``SCAN_CHUNK`` rows at a time and the read-back
-    populations are compared with the x1, x2 and x3 columns.  An evolved
-    state outside the symmetric family is the exact route's round-off, which
-    grows with gt * sqrt(n); the error says so.
+    The first is |closed form - evolved| over the family coefficients: the
+    gt column is evolved exactly ``SCAN_CHUNK`` rows at a time and the
+    read-back populations are compared with the x1, x2 and x3 columns, and
+    the read-back coherence y with 0, which every printed quotient assumes.
+    An evolved state outside the symmetric family is the exact route's
+    round-off, which grows with gt * sqrt(n); the error says so.
 
     The second is ``_generic_gap``: ``closed``, the closed forms the report
     printed, against the generic route on the printed populations, in the
@@ -657,7 +659,7 @@ def _verify_scan(photons: int, scan: ScanRow, closed: FamilyStack):
         part = slice(start, start + SCAN_CHUNK)
         states = evolve_exact_stack(photons, scan.gt[part])
         try:
-            evolved = family_coeffs_stack(states)[:3]
+            evolved = family_coeffs_stack(states)
         except OutsideFamilyError as exc:
             raise OutsideFamilyError(
                 f"scan-time --verify ran out of precision at n = {photons}: the exact "
@@ -666,9 +668,10 @@ def _verify_scan(photons: int, scan: ScanRow, closed: FamilyStack):
             ) from exc
         populations = (scan.x1[part], scan.x2[part], scan.x3[part])
         gap, _ = _generic_gap(closed._make(f[part] for f in closed), *populations, 0.0)
+        printed = (*populations, np.zeros_like(scan.gt[part]))
         # np.maximum keeps a NaN, which then fails the tolerance
         worst_population = np.maximum(
-            worst_population, np.abs(np.subtract(evolved, populations)).max()
+            worst_population, np.abs(np.subtract(evolved, printed)).max()
         )
         worst_generic = np.maximum(worst_generic, gap)
     return float(worst_population), float(worst_generic)

@@ -810,6 +810,30 @@ def test_a_nan_population_deviation_fails_scan_time_verify(monkeypatch, capsys):
     assert err.startswith("verify: max |closed form - evolved| = nan over 3 rows\n")
 
 
+def test_scan_time_verify_compares_the_evolved_coherence(monkeypatch, capsys):
+    # Every printed xi^2 assumes y = 0.  An evolution that also carried the
+    # coherence y = sqrt(x1 x3) / 2, inside the family rules, read back
+    # populations equal to the printed ones and passed.
+    evolve = cli.evolve_exact_stack
+
+    def coherent(photons, gt):
+        states = evolve(photons, gt)
+        y = 0.5 * np.sqrt(states[..., 0, 0].real * states[..., 3, 3].real)
+        states[..., 0, 3] += y
+        states[..., 3, 0] += y
+        return states
+
+    argv = ["scan-time", "--photons", "2", "--steps", "101", "--verify"]
+    assert run_cli(argv) == EXIT_OK
+    clean = capsys.readouterr().out
+    monkeypatch.setattr(cli, "evolve_exact_stack", coherent)
+    assert run_cli(argv) == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert captured.out == clean
+    worst = re.match(r"verify: max \|closed form - evolved\| = (\S+) over 101 rows\n", captured.err)
+    assert float(worst[1]) > 0.1
+
+
 def test_check_state_accepts_hermitian_residue_within_tolerance(tmp_path, capsys):
     # 0.9e-10j above the diagonal only: Hermitian within HERMITIAN_ATOL, so
     # the moments must be read, not rejected for their imaginary residue.
