@@ -425,6 +425,14 @@ def test_scan_usage_errors():
     assert run_cli(["scan-time", "--no-such-flag"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("photons", ["1.5", "two"])
+def test_scan_photons_that_are_not_integers_are_usage_errors(photons, capsys):
+    assert run_cli(["scan-time", "--photons", photons]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f"argument --photons: {photons!r} is not an integer\n")
+
+
 @pytest.mark.parametrize("steps", [99999999999999999999, 2**63, 2**62])
 def test_scan_grid_longer_than_numpy_can_size_is_a_usage_error(steps, capsys):
     # numpy raised ValueError or IndexError on these before sizing the grid
@@ -900,6 +908,16 @@ def test_check_state_exit_codes_for_files_that_are_not_two_qubit(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert ("dims" if code == EXIT_NUMERIC else "rows") in captured.err
+
+
+def test_check_state_short_row_exit_65(tmp_path, capsys):
+    path = tmp_path / "short_row.json"
+    write_state(path, np.eye(4) / 4.0, (2, 2))
+    doc = json.loads(path.read_text())
+    doc["rows"][1] = doc["rows"][1][:3]
+    path.write_text(json.dumps(doc))
+    assert run_cli(["check-state", str(path)]) == EXIT_PARSE
+    assert capsys.readouterr() == ("", "cavsqueeze: row 1 must hold exactly 4 entries\n")
 
 
 def test_check_state_malformed_json_exit_65(tmp_path, capsys):
