@@ -30,7 +30,10 @@ closed forms' oracle.  ``family`` calls the family kernel on its one tuple;
 the PPT verdicts, on one stderr line.  ``check-state`` runs the generic
 kernel on the stack of one state, validated once as a ``DensityMatrix``,
 and reads the negativity and the PPT verdict from one partial-transpose
-spectrum.
+spectrum.  ``check-state --verify`` checks the whole-sphere minimum of xi^2,
+which ``xi_squared`` reads by formula, against the sphere search of
+``criteria._sphere_minimum``, the one caller of that search
+(``_global_gaps``).
 
 Both formats follow one cell rule, written once, in ``_float_cells``.  A
 float's CSV text is ``"%.12g" % v``, except that -0 prints as ``0`` and an
@@ -73,11 +76,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .criteria import (
+    ATOM_COUNT,
     GLOBAL,
     FamilyStack,
     SpinFrame,
     _moments,
     _pt_values,
+    _sphere_minimum,
     family_diagnostics_stack,
     spectrum_entangled,
     spectrum_negativity,
@@ -85,7 +90,6 @@ from .criteria import (
     xi_frame_stack,
     xi_perp_stack,
     xi_squared,
-    xi_squared_in_frame,
 )
 from .dynamics import closed_form_populations, evolve_exact_stack
 from .errors import CavsqueezeError, OutsideFamilyError, StateFormatError
@@ -733,6 +737,30 @@ def _cmd_family(args) -> int:
     )
 
 
+def _global_gaps(rho, mean, second):
+    """The two deviations of ``check-state --verify``: the global xi^2 against a search.
+
+    ``xi_squared(rho, policy=GLOBAL)`` reads the whole-sphere minimum by
+    formula.  The sphere search (``criteria._sphere_minimum``), run from the
+    perp-optimal axis and value, is its check, and each direction n is read
+    by its slack N n^T C n - xi^2 (|<S>|^2 - (n.<S>)^2), in the xi^2 |<S>|^2
+    units of ``_generic_gap``: at least 0 wherever xi^2 is the minimum, and 0
+    along the axis that attains it.  Returns how far the search's direction
+    reads below the formula (0 when it does not; NaN stays NaN) and |slack|
+    along the formula's own axis.
+    """
+    wide = xi_squared(rho, policy=GLOBAL)
+    perp = xi_perp_stack(mean, second)
+    mean_sq = float(perp.mean_sq)
+    cov = second - np.outer(mean, mean)
+    searched, _ = _sphere_minimum(cov, mean, mean_sq, baseline=(perp.n1, float(perp.value)))
+
+    def slack(n):
+        return ATOM_COUNT * float(n @ cov @ n) - wide.value * (mean_sq - float(n @ mean) ** 2)
+
+    return float(np.maximum(0.0, -slack(searched))), abs(slack(wide.frame.n1))
+
+
 def _cmd_check_state(args) -> int:
     try:
         rho = load_density_matrix(args.file)
@@ -750,14 +778,14 @@ def _cmd_check_state(args) -> int:
     _write([_render_row(row, args.format)], args.output)
     if not args.verify:
         return EXIT_OK
-    worst = 0.0
-    if not math.isinf(xi_opt):
-        # The search returns its value and the frame it found; the value
-        # recomputed in that frame by the generic route must agree.
-        wide = xi_squared(rho, policy=GLOBAL)
-        again = xi_squared_in_frame(rho, wide.frame)
-        worst = abs(again - wide.value) / wide.value if wide.value else abs(again)
-    return _verified([f"verify: |global xi^2 - xi^2 in its frame| = {worst:.3e} relative"], [worst])
+    deviations = (0.0, 0.0) if math.isinf(xi_opt) else _global_gaps(rho, mean, second)
+    return _verified(
+        [
+            "verify: global xi^2 |<S>|^2 above the sphere search = {:.3e}, "
+            "off its own axis = {:.3e}".format(*deviations)
+        ],
+        deviations,
+    )
 
 
 @functools.cache

@@ -76,7 +76,13 @@ from .states import (
     check_family_coeffs,
     partial_transpose,
 )
-from .tolerances import FRAME_ORTHONORMAL_ATOL, MEAN_SPIN_FLOOR, PPT_EIGENVALUE_FLOOR, XI_SQUARED_FLOOR
+from .tolerances import (
+    FRAME_ORTHONORMAL_ATOL,
+    MEAN_SPIN_FLOOR,
+    PARALLEL_VARIANCE_FLOOR,
+    PPT_EIGENVALUE_FLOOR,
+    XI_SQUARED_FLOOR,
+)
 
 ATOM_COUNT = 2
 
@@ -422,6 +428,30 @@ def _sphere_minimum(cov: np.ndarray, mean: np.ndarray, mm: float, baseline):
     return best_dir, best_val
 
 
+def _global_minimum(mean: np.ndarray, second: np.ndarray, perp: PerpStack):
+    """Whole-sphere minimum of N n^T C n / (|m|^2 - (n.m)^2) and its axis, by formula.
+
+    ``perp`` is ``xi_perp_stack`` of the one state's moments, with a defined
+    quotient.  Write n = w + t m^ with w orthogonal to m^ = m/|m|: the
+    denominator is |m|^2 |w|^2 whatever t, and with p = C m^ and
+    c = m^T C m^ the numerator N (w^T C w + 2 t p.w + t^2 c) is smallest at
+    t = -p.w / c, where it is N w^T (C - p p^T / c) w.  So the minimum is the
+    perp-optimal quotient of that Schur complement, read by ``xi_perp_stack``
+    from the second moments less p p^T / c, along w lifted to
+    w - (p.w / c) m^.  A c at or below PARALLEL_VARIANCE_FLOOR is noise of
+    the validator's slack, and perhaps negative: then p is noise too, and the
+    perp-optimal quotient and axis are the answer.
+    """
+    mhat = mean / math.sqrt(float(perp.mean_sq))
+    p = (second - np.outer(mean, mean)) @ mhat
+    c = float(mhat @ p)
+    if c <= PARALLEL_VARIANCE_FLOOR:
+        return perp.n1, float(perp.value)
+    schur = xi_perp_stack(mean, second - np.outer(p, p) / c)
+    w = schur.n1
+    return _unit(w - (p @ w / c) * mhat), float(schur.value)
+
+
 def xi_squared(rho: DensityMatrix, policy: str = PERP_OPTIMAL) -> XiResult:
     """Frame-optimized squeezing parameter of a two-atom state.
 
@@ -432,8 +462,8 @@ def xi_squared(rho: DensityMatrix, policy: str = PERP_OPTIMAL) -> XiResult:
     policy:
         "perp-optimal" (default) minimizes the variance over directions
         orthogonal to the mean spin, the standard convention.  "global"
-        additionally searches the whole direction sphere and can only be
-        lower or equal.
+        minimizes over the whole direction sphere, by formula
+        (``_global_minimum``), and can only be lower or equal.
 
     Returns
     -------
@@ -458,9 +488,7 @@ def xi_squared(rho: DensityMatrix, policy: str = PERP_OPTIMAL) -> XiResult:
         )
     n1, value = perp.n1, float(perp.value)
     if policy == GLOBAL:
-        cov = second - np.outer(mean, mean)
-        n1, value = _sphere_minimum(cov, mean, mm, baseline=(n1, value))
-        value = max(0.0, float(value))
+        n1, value = _global_minimum(mean, second, perp)
     return XiResult(value, _frame_about(n1, mean), bool(xi_entangled(value)))
 
 

@@ -58,7 +58,18 @@ PPT_EIGENVALUE_FLOOR = -1e-12
 # down to 1/(1 + TRACE_ATOL); the floor adds TRACE_ATOL for round-off.
 XI_SQUARED_FLOOR = 1.0 - 2.0 * TRACE_ATOL
 
-# Largest deviation a ``--verify`` cross-check passes: absolute for the
-# closed forms against the exact and generic routes, relative for the global
-# sphere search against its own frame.  Set on its own.
+# A variance of the collective spin along the mean spin at or below this
+# counts as 0: the whole-sphere minimum of xi^2 (``criteria._global_minimum``)
+# then skips its Schur term, which divides by it.  A state reads every
+# variance >= 0; the validator's slack lowers one by up to this, to first
+# order.  A trace excess t lowers it by up to t: (1 + t)|ee><ee| reads
+# -t (1 + t) along z.  Negative eigenvalues of total size q lower it by up
+# to 4 q (|S_n| <= 1): (1 + q)|ee><ee| - q|gg><gg| reads -4 q (1 + q).  The
+# validator admits t up to TRACE_ATOL and, with the trace near 1, at most
+# three eigenvalues down to -PSD_ATOL.
+PARALLEL_VARIANCE_FLOOR = TRACE_ATOL + 4.0 * 3.0 * PSD_ATOL
+
+# Largest deviation a ``--verify`` cross-check passes: absolute, for the
+# closed forms against the exact and generic routes and for the global
+# xi^2 against the sphere search and its own axis.  Set on its own.
 VERIFY_TOLERANCE = 1e-9

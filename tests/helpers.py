@@ -13,6 +13,7 @@ import numpy as np
 
 import cavsqueeze as cs
 from cavsqueeze.cli import ZERO_MEAN_TOKEN
+from cavsqueeze.tolerances import TRACE_ATOL
 
 _PAULIS = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -84,6 +85,25 @@ def random_separable(rng, terms=4):
     for w in weights:
         mat += w * np.kron(_random_qubit(rng), _random_qubit(rng))
     return cs.DensityMatrix(mat)
+
+
+def product_states(rng, pure=150, mixtures=20):
+    """Separable two-qubit matrices whose mean spin is defined.
+
+    |ee><ee| and |gg><gg| (the basis states with a mean spin), ``pure``
+    random pure product states and ``mixtures`` separable mixtures scaled to
+    a trace excess drawn up to ``TRACE_ATOL``, the last of them at
+    0.99 ``TRACE_ATOL``.
+    """
+    mats = [np.diag([1.0, 0.0, 0.0, 0.0]), np.diag([0.0, 0.0, 0.0, 1.0])]
+    for _ in range(pure):
+        a, b = (rng.normal(size=2) + 1j * rng.normal(size=2) for _ in range(2))
+        psi = np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b))
+        mats.append(np.outer(psi, psi.conj()))
+    excess = rng.uniform(0.0, TRACE_ATOL, size=mixtures)
+    excess[-1] = 0.99 * TRACE_ATOL
+    mats += [random_separable(rng).mat * (1.0 + e) for e in excess]
+    return mats
 
 
 def random_family_coeffs(rng, real_y=True, min_mean_gap=0.0, allow_coherence=True):
@@ -175,8 +195,10 @@ def reference_global_minimum(rho):
 
     Writing the search direction as a component along the mean spin plus an
     in-plane part and eliminating the parallel component analytically turns
-    the quotient into an eigenvalue problem on the plane; no search involved,
-    so this is an independent oracle for the lattice-plus-refinement route.
+    the quotient into an eigenvalue problem on the plane.  It builds its own
+    plane basis and solves the reduced 2x2 form with ``np.linalg.eigvalsh``,
+    so it shares no step with ``xi_squared(policy=GLOBAL)``'s formula, whose
+    oracle it is.
     """
     mean, second = cs.spin_moments_stack(rho.mat)
     mm = float(mean @ mean)

@@ -35,6 +35,7 @@ from cavsqueeze.cli import (
     main,
 )
 from cavsqueeze.criteria import (
+    GLOBAL,
     XiResult,
     diagonal_family_entangled,
     family_diagnostics_stack,
@@ -43,7 +44,7 @@ from cavsqueeze.criteria import (
 )
 from cavsqueeze.dynamics import _eigensystem, closed_form_populations
 from cavsqueeze.errors import CavsqueezeError, NoConvergenceError
-from cavsqueeze.states import FamilyCoeffs, family_density
+from cavsqueeze.states import FamilyCoeffs, family_density, load_density_matrix
 from cavsqueeze.tolerances import (
     FAMILY_ATOL,
     FAMILY_RESIDUAL_ATOL,
@@ -54,7 +55,7 @@ from cavsqueeze.tolerances import (
     TRACE_ATOL,
     VERIFY_TOLERANCE,
 )
-from helpers import reference_render
+from helpers import product_states, random_density, reference_render
 
 
 def run_cli(argv):
@@ -717,13 +718,13 @@ def test_check_state_at_the_validator_edges(seed, edge, scale):
         assert err.getvalue().startswith(f"cavsqueeze: {_EDGE_ERRORS[edge]}")
 
 
-# |gg><gg| times 1 + eps is a valid product state for eps up to TRACE_ATOL,
-# yet the sphere search of xi_squared(policy=GLOBAL) misreads it: at
-# eps = 8.9e-16 it finds a quotient 4.4e-8 off the value in its own frame,
-# at 1e-12 one 0.997 off, and at 5e-11 its frame is not orthonormal
-# (NotOrthonormalError).  The exact whole-sphere minimum of ROADMAP item 4
-# is the fix.
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the sphere search misreads a product state")
+# |gg><gg| times 1 + eps is a valid product state for eps up to TRACE_ATOL.
+# Its variance along the mean spin reads -eps (1 + eps), so near the mean
+# spin the quotient's numerator is negative and its denominator vanishes: the
+# sphere search walks there (its direction reads 2 eps below the formula, in
+# xi^2 |<S>|^2 units), and when it answered xi_squared(policy=GLOBAL) it found
+# quotients up to 0.997 off and, at 5e-11, a frame that is not orthonormal.
+# The formula skips the Schur term at that variance and reads 1 - eps.
 @pytest.mark.parametrize("eps", [8.9e-16, 1e-12, 5e-11])
 def test_check_state_verify_on_a_product_state_with_trace_slack(eps, tmp_path, capsys):
     mat = np.zeros((4, 4))
@@ -731,6 +732,40 @@ def test_check_state_verify_on_a_product_state_with_trace_slack(eps, tmp_path, c
     path = tmp_path / "gg.json"
     write_state(path, mat, (2, 2))
     assert run_cli(["check-state", str(path), "--verify"]) == EXIT_OK
+
+
+def test_check_state_verify_on_the_committed_trace_slack_state(capsys):
+    # the file CI checks from a fresh process: the 5e-11 case above
+    path = Path(__file__).parent / "data" / "gg_trace_slack.json"
+    assert np.array_equal(load_density_matrix(path).mat, np.diag([0.0, 0.0, 0.0, 1.0 + 5e-11]))
+    assert run_cli(["check-state", str(path), "--verify"]) == EXIT_OK
+    assert capsys.readouterr().err == (
+        "verify: global xi^2 |<S>|^2 above the sphere search = 1.000e-10, off its own axis = 0.000e+00\n"
+    )
+
+
+def test_check_state_verify_on_product_states(tmp_path, capsys):
+    # Every product state passes: the search never reads below the formula.
+    path = tmp_path / "product.json"
+    for mat in product_states(np.random.default_rng(5)):
+        write_state(path, mat, (2, 2))
+        assert run_cli(["check-state", str(path), "--verify"]) == EXIT_OK
+
+
+def test_check_state_verify_where_the_global_minimum_leaves_the_plane(tmp_path, capsys):
+    # Random mixed states, whose whole-sphere minimum lies off the plane
+    # orthogonal to the mean spin: a formula without its Schur term, or an
+    # xi_perp_stack that reads the larger 2 x 2 eigenvalue, fails here.
+    rng = np.random.default_rng(30)
+    path = tmp_path / "mixed.json"
+    for _ in range(10):
+        rho = random_density(rng)
+        assert xi_squared(rho, policy=GLOBAL).value < xi_squared(rho).value - 1e-6
+        write_state(path, rho.mat, (2, 2))
+        assert run_cli(["check-state", str(path), "--verify"]) == EXIT_OK
+        err = capsys.readouterr().err
+        deviations = re.fullmatch(r"verify: .* = (\S+), off its own axis = (\S+)\n", err).groups()
+        assert max(map(float, deviations)) <= 1e-12
 
 
 def test_check_state_bell(tmp_path, capsys):
@@ -777,8 +812,14 @@ def test_check_state_verify_fails_when_value_and_frame_disagree(tmp_path, monkey
     path = tmp_path / "diag.json"
     write_state(path, np.diag([0.1, 0.2, 0.3, 0.4]), (2, 2))
     assert run_cli(["check-state", str(path), "--verify"]) == EXIT_NUMERIC
-    found = re.search(r"in its frame\| = (\S+) relative", capsys.readouterr().err)
-    assert abs(float(found.group(1)) - 1e-8) < 1e-10
+    # N var = xi^2 |<S>|^2 = 1 along every axis orthogonal to the mean spin,
+    # so a value 1e-8 too high reads 1e-8 above both the search and its axis
+    found = re.fullmatch(
+        r"verify: global xi\^2 \|<S>\|\^2 above the sphere search = (\S+), off its own axis = (\S+)\n",
+        capsys.readouterr().err,
+    )
+    for deviation in found.groups():
+        assert abs(float(deviation) - 1e-8) < 1e-10
 
 
 @pytest.mark.parametrize(
@@ -792,8 +833,8 @@ def test_check_state_verify_fails_when_value_and_frame_disagree(tmp_path, monkey
         ),
         (
             ["check-state", str(Path(__file__).parent / "data" / "squeezed_mixture.json")],
-            "xi_squared_in_frame",
-            lambda rho, frame: math.nan,
+            "_sphere_minimum",
+            lambda cov, mean, mean_sq, baseline: (np.full(3, math.nan), math.nan),
         ),
     ],
 )

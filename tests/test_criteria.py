@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from pathlib import Path
@@ -32,6 +33,7 @@ from cavsqueeze import (
     xi_squared,
     xi_squared_in_frame,
 )
+from cavsqueeze import criteria
 from cavsqueeze.criteria import family_diagnostics_stack, xi_entangled
 from cavsqueeze.dynamics import closed_form_populations, rabi_frequency
 from cavsqueeze.tolerances import MEAN_SPIN_FLOOR, TRACE_ATOL
@@ -40,6 +42,7 @@ from helpers import (
     check_rotation_covariance,
     check_separable_psd,
     check_witness_soundness,
+    product_states,
     random_density,
     random_family_coeffs,
     random_frame,
@@ -208,16 +211,49 @@ class TestXiSquared:
 
     def test_global_matches_reduced_form_oracle(self):
         rng = np.random.default_rng(27)
-        for _ in range(200):
+        checked = 0
+        while checked < 1000:
             rho = random_density(rng)
             try:
                 want = reference_global_minimum(rho)
             except ZeroMeanSpinError:
                 continue
             got = xi_squared(rho, policy=GLOBAL).value
-            scale = max(1.0, want)
-            assert got >= want - 1e-9 * scale, "search went below the true optimum"
-            assert abs(got - want) <= 2e-6 * scale, f"search missed: {got} vs {want}"
+            assert abs(got - want) <= 1e-12 * want, f"{got} vs {want}"
+            checked += 1
+
+    def test_global_runs_no_search(self, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("xi_squared searched the sphere")
+
+        monkeypatch.setattr(criteria, "_sphere_minimum", no_search)
+        rho = random_density(np.random.default_rng(31))
+        got = xi_squared(rho, policy=GLOBAL).value
+        assert abs(got - reference_global_minimum(rho)) <= 1e-12 * got
+
+    def test_global_reads_product_states_as_unsqueezed(self):
+        # Separable, so xi^2 >= 1 over every triad; the trace excess of the
+        # mixtures lowers it by at most TRACE_ATOL.
+        for mat in product_states(np.random.default_rng(5)):
+            result = xi_squared(DensityMatrix(mat), policy=GLOBAL)
+            assert not result.entangled_flag
+            assert result.value >= 1.0 - 1e-9
+
+    def test_global_frame_is_stable_under_one_ulp(self):
+        # Two diagonal entries moved by one ulp each, in opposite directions,
+        # move no frame axis by more than round-off: the formula has no
+        # branch that a last-bit change can flip.
+        rng = np.random.default_rng(32)
+        for _ in range(30):
+            mat = np.array(random_density(rng).mat)
+            base = xi_squared(DensityMatrix(mat), policy=GLOBAL).frame
+            for i, j in itertools.permutations(range(4), 2):
+                moved = mat.copy()
+                moved[i, i] = np.nextafter(moved[i, i].real, math.inf)
+                moved[j, j] = np.nextafter(moved[j, j].real, -math.inf)
+                frame = xi_squared(DensityMatrix(moved), policy=GLOBAL).frame
+                for axis, want in zip((frame.n1, frame.n2, frame.n3), (base.n1, base.n2, base.n3)):
+                    np.testing.assert_allclose(axis, want, rtol=0.0, atol=1e-12)
 
     def test_global_agrees_with_perp_for_squeezed_family(self):
         rho = family_density(SQUEEZED_COEFFS)
@@ -243,15 +279,11 @@ GLOBAL_PINS = json.loads((DATA / "global_search_pins.json").read_text(encoding="
 
 @pytest.mark.parametrize("pin", GLOBAL_PINS, ids=[pin["name"] for pin in GLOBAL_PINS])
 def test_global_search_matches_its_pins(pin):
-    """The sphere search returns the pinned value, frame and flag, or error.
+    """``xi_squared(policy=GLOBAL)`` returns the pinned value, frame and flag, or error.
 
-    The value and the flag are stable to round-off, so the value must agree
-    to its 12 pinned digits.  The frame is not: the search's minimum is
-    flat, and a seed that converges to -n1 replaces the baseline on a
-    last-bit win.  Moving two diagonal entries of a seeded state by one ulp
-    each moved the frame axes by up to 9.1e-8 and flipped n1 and n3 in 58
-    of 360 trials, and another CPU's BLAS kernel rounds differently too, so
-    the axes are compared up to that sign to 1e-6.
+    The pins hold 12 significant digits.  The frame comes from formulas
+    without a branch that a last-bit change can take the other way, so its
+    axes are compared as they are, sign included, to 1e-9.
     """
     if "file" in pin:
         rho = load_density_matrix(DATA / pin["file"])
@@ -264,11 +296,8 @@ def test_global_search_matches_its_pins(pin):
     got = xi_squared(rho, policy=GLOBAL)
     assert math.isclose(got.value, pin["value"], rel_tol=1e-11)
     assert got.entangled_flag == pin["entangled"]
-    n1, n2, n3 = (np.array(axis) for axis in pin["frame"])
-    sign = 1.0 if got.frame.n1 @ n1 >= 0.0 else -1.0
-    np.testing.assert_allclose(sign * got.frame.n1, n1, rtol=0.0, atol=1e-6)
-    np.testing.assert_allclose(got.frame.n2, n2, rtol=0.0, atol=1e-6)
-    np.testing.assert_allclose(sign * got.frame.n3, n3, rtol=0.0, atol=1e-6)
+    for axis, want in zip((got.frame.n1, got.frame.n2, got.frame.n3), pin["frame"]):
+        np.testing.assert_allclose(axis, want, rtol=0.0, atol=1e-9)
 
 
 class TestXi2ClosedN1:

@@ -64,12 +64,15 @@ def _tolerance_rows():
 
 def _edge(bound: str) -> str:
     """What a comparison does exactly at its constant, by how its row reads:
-    a verdict floor ("below it certifies") does not certify, the mean-spin
+    a verdict floor ("below it certifies") does not certify, the variance
+    floor ("at or below ... skips") skips the Schur term, the mean-spin
     floor ("at or below ... is undefined") leaves the quotient undefined, and
     every other bound ("largest ... accepts", "most negative ... accepts")
     accepts the constant itself."""
     if "certifies" in bound:
         return "not certified"
+    if "skips" in bound:
+        return "skipped"
     if "at or below" in bound:
         return "undefined"
     return "accepted"

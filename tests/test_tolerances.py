@@ -26,6 +26,7 @@ from cavsqueeze.tolerances import (
     FRAME_ORTHONORMAL_ATOL,
     HERMITIAN_ATOL,
     MEAN_SPIN_FLOOR,
+    PARALLEL_VARIANCE_FLOOR,
     PPT_EIGENVALUE_FLOOR,
     PSD_ATOL,
     VERIFY_TOLERANCE,
@@ -133,10 +134,11 @@ def test_quotient_kernels_share_one_undefined_rule():
 # The edge of every comparison.  Each row feeds its decision the quantity
 # exactly at the constant (step 0) and one np.nextafter step below (-1) or
 # above (+1) it, and returns whether the comparison fires: rejects an input,
-# certifies entanglement, leaves a quotient undefined or fails a --verify.
+# certifies entanglement, leaves a quotient undefined, skips the global
+# minimum's Schur term or fails a --verify.
 # The sets are the steps at which the README's tolerance table says it fires:
 # "largest ... accepted" fires above, "below it certifies" fires below, "at or
-# below ... is undefined" fires at and below.  Three quantities, |tr - 1|,
+# below ... is undefined" and "at or below ... skips" fire at and below.  Three quantities, |tr - 1|,
 # ||psi| - 1| and |x1 + x2 + x3 - 1|, are exact differences of doubles near 1,
 # multiples of 2**-53 that 1e-10 and 1e-12 are not; their rows move the
 # constant to a power of two nearby, so that the edge itself is reached.
@@ -175,6 +177,20 @@ def _quotient_undefined(step, monkeypatch):
     undefined = math.isinf(criteria._quotient(1.0, denom_sq))
     assert bool(np.isinf(criteria._quotient(1.0, np.array([denom_sq])))[0]) == undefined
     return undefined
+
+
+def _schur_skipped(step, monkeypatch):
+    # The mean spin 2**-20 along z, so m^ = z and |m|^2 = 2**-40 exactly, and
+    # a variance along z of the constant or a step off it, which
+    # (c + 2**-40) - 2**-40 gives back exactly.  The xz covariance 1e-5 makes
+    # the Schur term move the value where it applies.
+    c = _step(PARALLEL_VARIANCE_FLOOR, step)
+    mean = np.array([0.0, 0.0, 2.0**-20])
+    second = np.diag([0.5, 0.5, c + 2.0**-40])
+    second[0, 2] = second[2, 0] = 1e-5
+    perp = criteria.xi_perp_stack(mean, second)
+    _, value = criteria._global_minimum(mean, second, perp)
+    return value == float(perp.value)
 
 
 def _ppt_certified(step, monkeypatch):
@@ -254,6 +270,7 @@ EDGES = {
         ABOVE,
     ),
     "criteria.py:_quotient: denom_sq vs MEAN_SPIN_FLOOR ** 2": (_quotient_undefined, AT_OR_BELOW),
+    "criteria.py:_global_minimum: c vs PARALLEL_VARIANCE_FLOOR": (_schur_skipped, AT_OR_BELOW),
     "criteria.py:spectrum_entangled: values[..., 0] vs PPT_EIGENVALUE_FLOOR": (_ppt_certified, BELOW),
     "criteria.py:xi_entangled: np.asarray(values) vs XI_SQUARED_FLOOR": (_xi_certified, BELOW),
     "dynamics.py:evolve_exact_stack: np.abs(norm - 1.0) vs NORM_ATOL": (_norm_rejected, ABOVE),

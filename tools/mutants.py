@@ -1,10 +1,12 @@
 """One-edit mutants of the package's decisions, each run against the tests.
 
-Every tolerance comparison and three arithmetic steps of the family kernel
-decide something the tests must pin: flipping ``<`` to ``<=`` (or ``>`` to
-``>=``) moves what happens exactly at a constant, and dropping the ``top``
-negativity term or either quotient's clamp at 0 changes a value on inputs
-that pass the family rules.  The comparisons are the ones that
+Every tolerance comparison and five arithmetic steps decide something the
+tests must pin: flipping ``<`` to ``<=`` (or ``>`` to ``>=``) moves what
+happens exactly at a constant; dropping the family kernel's ``top``
+negativity term or either of its quotients' clamps at 0 changes a value on
+inputs that pass the family rules; and ``xi_perp_stack`` reading the larger
+2x2 eigenvalue, or the global xi^2 without its Schur term, prints a wrong
+quotient that ``check-state --verify`` must fail.  The comparisons are the ones that
 ``tests/test_tolerances.py`` finds and keys its edge rows on, so a new one
 gets a mutant as it gets a row.  For each mutant the script copies ``src/``
 and ``tests/`` to a temporary directory, applies the one edit there and runs
@@ -33,7 +35,7 @@ TESTS = ["tests/test_tolerances.py", "tests/test_kernel.py", "tests/test_cli.py"
 # exactly at the constant.
 FLIPS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="), ast.GtE: (">=", ">")}
 
-# (name, module under src/cavsqueeze, text, its replacement) for the three
+# (name, module under src/cavsqueeze, text, its replacement) for the five
 # arithmetic steps; each text occurs exactly once in its module.
 ARITHMETIC = [
     ("family negativity without its top term", "criteria.py",
@@ -42,6 +44,10 @@ ARITHMETIC = [
      "xi_opt = np.maximum(0.0, _quotient(", "xi_opt = (_quotient("),
     ("family xi2_fixed_frame without its clamp", "criteria.py",
      "xi_fixed = np.maximum(0.0, _quotient(", "xi_fixed = (_quotient("),
+    ("xi_perp_stack with the larger 2x2 eigenvalue", "criteria.py",
+     "smallest = 0.5 * (a + d) - np.hypot(", "smallest = 0.5 * (a + d) + np.hypot("),
+    ("global xi^2 without its Schur term", "criteria.py",
+     "xi_perp_stack(mean, second - np.outer(p, p) / c)", "xi_perp_stack(mean, second)"),
 ]
 
 
