@@ -45,7 +45,6 @@ from .errors import (
     NonFiniteError,
     NotHermitianError,
     NotNormalizedError,
-    NotOrthonormalError,
     NotPositiveError,
     OutsideFamilyError,
     StateFormatError,

@@ -102,8 +102,8 @@ EXIT_USAGE = 64
 EXIT_PARSE = 65
 
 # Every inf the CLI would print is an undefined squeezing quotient: the
-# kernels return inf exactly where the quotient's denominator (|<S>|^2, the
-# squared mean spin on the (n2, n3) plane, or (x1 - x3)^2 in the family's
+# kernels return inf exactly where the quotient's denominator (|<S>|^2,
+# |n1 x <S>|^2 along a fixed axis, or (x1 - x3)^2 in the family's
 # closed forms) is at or below MEAN_SPIN_FLOOR^2 (``criteria._quotient``),
 # and every other column is finite once its input is validated.  So inf
 # prints as this token in both formats.
@@ -121,7 +121,7 @@ ZERO_MEAN_TOKEN = "zero-mean-spin"
 # scans about 1.5 MB lower.
 SCAN_CHUNK = 512
 
-# The fixed (x, y, z) triad in which the generic route of scan-time --verify
+# The fixed axis e_x along which the generic route of scan-time --verify
 # and family --verify reads xi2_fixed_frame; a SpinFrame is immutable, so
 # one serves every request.
 _CANONICAL_FRAME = SpinFrame.canonical()

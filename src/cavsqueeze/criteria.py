@@ -10,7 +10,8 @@ Two independent criteria are implemented side by side:
   with the negativity as the quantitative companion, and
 * the collective-spin squeezing parameter
   xi^2 = N var(S_n1) / (<S_n2>^2 + <S_n3>^2) over orthonormal triads
-  (n1, n2, n3), which witnesses entanglement only when it drops below 1;
+  (n1, n2, n3), where the denominator is |n1 x <S>|^2, so a frame is its
+  axis n1 (``SpinFrame``); it witnesses entanglement only below 1;
   ``xi_entangled`` is that verdict, for ``xi_squared`` and the scan alike,
   with a floor just under 1 for the validator's trace slack.
 
@@ -23,7 +24,7 @@ The generic kernel works on one 4x4 state or a ``(..., 4, 4)`` stack of
 them: ``spin_moments_stack`` (the traces against the 12 spin-moment
 operators, in real arithmetic over their 72 nonzero entries),
 ``xi_perp_stack`` (the smaller eigenvalue of a 2x2 covariance block, by
-formula), ``xi_frame_stack`` (fixed triad) and ``pt_spectrum`` (the
+formula), ``xi_frame_stack`` (fixed axis) and ``pt_spectrum`` (the
 partial-transpose eigenvalues, from which ``spectrum_negativity`` and
 ``spectrum_entangled`` read both PPT diagnostics).  The scalar functions
 ``xi_squared``, ``xi_squared_in_frame``, ``negativity`` and
@@ -64,7 +65,6 @@ import numpy as np
 from .errors import (
     NonDiagonalError,
     NonFiniteError,
-    NotOrthonormalError,
     UnknownPolicyError,
     ZeroMeanSpinError,
 )
@@ -77,7 +77,6 @@ from .states import (
     partial_transpose,
 )
 from .tolerances import (
-    FRAME_ORTHONORMAL_ATOL,
     MEAN_SPIN_FLOOR,
     PARALLEL_VARIANCE_FLOOR,
     PPT_EIGENVALUE_FLOOR,
@@ -153,36 +152,31 @@ _STAND_IN_AXIS = _EYE3[2]
 
 @dataclass(frozen=True, eq=False)
 class SpinFrame:
-    """Right-handed orthonormal measurement triad (n1, n2, n3)."""
+    """A measurement frame: its axis n1, stored as n1/|n1|, read-only.
+
+    An axis whose normalization is not finite (a NaN or infinite entry, or
+    zero length) raises NonFiniteError.
+    """
 
     n1: np.ndarray
-    n2: np.ndarray
-    n3: np.ndarray
 
     def __post_init__(self):
-        axes = []
-        for name in ("n1", "n2", "n3"):
-            axis = np.asarray(getattr(self, name), dtype=float).reshape(3)
-            if not np.isfinite(axis).all():
-                # NaN would pass the orthonormality test below
-                raise NonFiniteError(f"frame axis {name} has a non-finite entry")
-            axis.setflags(write=False)
-            object.__setattr__(self, name, axis)
-            axes.append(axis)
-        gram = np.array([[a @ b for b in axes] for a in axes])
-        if float(np.abs(gram - _EYE3).max()) > FRAME_ORTHONORMAL_ATOL:
-            raise NotOrthonormalError(
-                f"frame axes are not orthonormal within {FRAME_ORTHONORMAL_ATOL:g}"
-            )
+        axis = np.asarray(self.n1, dtype=float).reshape(3)
+        length = math.hypot(*axis.tolist())
+        if not 0.0 < length < math.inf:
+            raise NonFiniteError(f"frame axis n1 has length {length}, which cannot be normalized")
+        unit = axis / length
+        unit.setflags(write=False)
+        object.__setattr__(self, "n1", unit)
 
     @classmethod
     def canonical(cls) -> "SpinFrame":
-        return cls(*_EYE3)
+        return cls(_EYE3[0])
 
 
 @dataclass(frozen=True, eq=False)
 class XiResult:
-    """Squeezing parameter value, the frame realizing it, and the verdict."""
+    """Squeezing parameter value, the frame (axis n1) realizing it, and the verdict."""
 
     value: float
     frame: SpinFrame
@@ -202,7 +196,7 @@ class PerpStack(NamedTuple):
 
 
 class FrameStack(NamedTuple):
-    """Fixed-triad quotients of a stack; inf where ``plane_sq`` is at or below the floor."""
+    """Fixed-axis quotients; inf where ``plane_sq``, |n1 x <S>|^2, is at or below the floor."""
 
     value: np.ndarray
     plane_sq: np.ndarray
@@ -252,8 +246,8 @@ def _quotient(numer, denom_sq):
     """``numer / denom_sq``, inf where ``denom_sq <= MEAN_SPIN_FLOOR**2``.
 
     The one rule for an undefined squeezing quotient: its squared
-    denominator, |<S>|^2 or the squared mean spin on the (n2, n3) plane, at
-    or below the floor means no quotient.  Every kernel that forms a
+    denominator, |<S>|^2 or |n1 x <S>|^2 along a fixed axis, at or below
+    the floor means no quotient.  Every kernel that forms a
     quotient calls this, so they agree on which rows are undefined.  A NaN
     denominator is not at or below the floor: it goes through the division
     and gives NaN, never the inf of a vanishing mean spin.
@@ -318,22 +312,32 @@ def xi_perp_stack(mean: np.ndarray, second: np.ndarray) -> PerpStack:
 
 
 def xi_frame_stack(mean: np.ndarray, second: np.ndarray, frame: SpinFrame) -> FrameStack:
-    """Quotient N var(S_n1) / (<S_n2>^2 + <S_n3>^2) of each state in one triad."""
-    # the mean spin along n1, n2 and n3 from one product and one sum, each
-    # with the bits of (mean * n).sum(axis=-1)
-    projected = (mean[..., None, :] * np.array((frame.n1, frame.n2, frame.n3))).sum(axis=-1)
-    along, m2, m3 = projected[..., 0], projected[..., 1], projected[..., 2]
+    """Quotient N var(S_n1) / |n1 x <S>|^2 of each state along one axis n1.
+
+    |n1 x <S>|^2 is <S_n2>^2 + <S_n3>^2 of any orthonormal triad on n1, read
+    per component, elementwise, free of the cancellation of
+    |<S>|^2 - (n1 . <S>)^2; on a coordinate axis it is exactly the sum of
+    the other two squared components.
+    """
+    x, y, z = frame.n1
+    mx, my, mz = mean[..., 0], mean[..., 1], mean[..., 2]
+    along = (mean * frame.n1).sum(axis=-1)
     variance = _quadratic(frame.n1, second, frame.n1) - along * along
-    plane_sq = m2 * m2 + m3 * m3
+    c0, c1, c2 = y * mz - z * my, z * mx - x * mz, x * my - y * mx
+    plane_sq = c0 * c0 + c1 * c1 + c2 * c2
     return FrameStack(_quotient(ATOM_COUNT * variance, plane_sq), plane_sq)
 
 
 def xi_squared_in_frame(rho: DensityMatrix, frame: SpinFrame) -> float:
-    """Squeezing quotient N var(S_n1) / (<S_n2>^2 + <S_n3>^2) in a fixed triad."""
+    """Squeezing quotient N var(S_n1) / |n1 x <S>|^2 along a fixed axis n1.
+
+    Its own denominator at or below MEAN_SPIN_FLOOR**2 raises
+    ZeroMeanSpinError, even along an axis that ``xi_squared`` returned.
+    """
     result = xi_frame_stack(*spin_moments_stack(rho.mat), frame)
     if math.isinf(result.value):
         raise ZeroMeanSpinError(
-            f"mean spin projection on the (n2, n3) plane is {math.sqrt(result.plane_sq):.3e}"
+            f"mean spin off the axis n1, |n1 x <S>|, is {math.sqrt(result.plane_sq):.3e}"
         )
     return float(result.value)
 
@@ -352,11 +356,6 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a0, a1, a2 = a.tolist()
     b0, b1, b2 = b.tolist()
     return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
-
-
-def _frame_about(n1: np.ndarray, mean: np.ndarray) -> SpinFrame:
-    n2 = _unit(mean - (mean @ n1) * n1)
-    return SpinFrame(n1, n2, _cross(n1, n2))
 
 
 def _golden_section(fun, a: float, b: float, iterations: int = 10) -> float:
@@ -438,9 +437,10 @@ def _global_minimum(mean: np.ndarray, second: np.ndarray, perp: PerpStack):
     t = -p.w / c, where it is N w^T (C - p p^T / c) w.  So the minimum is the
     perp-optimal quotient of that Schur complement, read by ``xi_perp_stack``
     from the second moments less p p^T / c, along w lifted to
-    w - (p.w / c) m^.  A c at or below PARALLEL_VARIANCE_FLOOR is noise of
-    the validator's slack, and perhaps negative: then p is noise too, and the
-    perp-optimal quotient and axis are the answer.
+    w - (p.w / c) m^, which ``SpinFrame`` normalizes.  A c at or below
+    PARALLEL_VARIANCE_FLOOR is noise of the validator's slack, and perhaps
+    negative: then p is noise too, and the perp-optimal quotient and axis
+    are the answer.
     """
     mhat = mean / math.sqrt(float(perp.mean_sq))
     p = (second - np.outer(mean, mean)) @ mhat
@@ -449,7 +449,7 @@ def _global_minimum(mean: np.ndarray, second: np.ndarray, perp: PerpStack):
         return perp.n1, float(perp.value)
     schur = xi_perp_stack(mean, second - np.outer(p, p) / c)
     w = schur.n1
-    return _unit(w - (p @ w / c) * mhat), float(schur.value)
+    return w - (p @ w / c) * mhat, float(schur.value)
 
 
 def xi_squared(rho: DensityMatrix, policy: str = PERP_OPTIMAL) -> XiResult:
@@ -468,14 +468,16 @@ def xi_squared(rho: DensityMatrix, policy: str = PERP_OPTIMAL) -> XiResult:
     Returns
     -------
     XiResult
-        The minimized quotient, the triad realizing it (n2 along the mean
-        spin projection), and the entanglement flag ``xi_entangled`` (value
-        below XI_SQUARED_FLOOR).
+        The minimized quotient, the frame (axis n1) realizing it, and the
+        entanglement flag ``xi_entangled`` (value below XI_SQUARED_FLOOR).
 
     Raises
     ------
     ZeroMeanSpinError
-        If |<S>| <= MEAN_SPIN_FLOOR (1e-8); the quotient is undefined there.
+        If its own denominator |<S>|^2 is at or below MEAN_SPIN_FLOOR**2.
+        A ``global`` axis off the plane orthogonal to <S> has
+        |n1 x <S>| < |<S>|, so ``xi_squared_in_frame`` along it can raise
+        where this returns a value.
     """
     if policy not in (PERP_OPTIMAL, GLOBAL):
         raise UnknownPolicyError(f"unknown policy {policy!r}")
@@ -489,7 +491,7 @@ def xi_squared(rho: DensityMatrix, policy: str = PERP_OPTIMAL) -> XiResult:
     n1, value = perp.n1, float(perp.value)
     if policy == GLOBAL:
         n1, value = _global_minimum(mean, second, perp)
-    return XiResult(value, _frame_about(n1, mean), bool(xi_entangled(value)))
+    return XiResult(value, SpinFrame(n1), bool(xi_entangled(value)))
 
 
 def xi2_closed_n1(theta: float) -> float:

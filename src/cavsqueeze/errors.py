@@ -64,9 +64,5 @@ class OutsideFamilyError(CavsqueezeError, ValueError):
     """A two-atom state has weight outside the symmetric-family pattern."""
 
 
-class NotOrthonormalError(CavsqueezeError, ValueError):
-    """The axes of a measurement frame are not orthonormal within tolerance."""
-
-
 class UnknownPolicyError(CavsqueezeError, ValueError):
     """A frame-optimization policy name is not one the library implements."""

@@ -37,14 +37,10 @@ FAMILY_ATOL = 1e-12
 # Set on its own.
 FAMILY_RESIDUAL_ATOL = 1e-10
 
-# A squeezing quotient whose squared denominator (|<S>|^2, or the squared
-# mean spin on the (n2, n3) plane) is at or below MEAN_SPIN_FLOOR**2 is
-# undefined, inf (``criteria._quotient``).  Set on its own.
+# A squeezing quotient whose squared denominator (|<S>|^2, or |n1 x <S>|^2
+# along a fixed axis n1) is at or below MEAN_SPIN_FLOOR**2 is undefined,
+# inf (``criteria._quotient``).  Set on its own.
 MEAN_SPIN_FLOOR = 1e-8
-
-# Largest entry of |G - 1|, G the Gram matrix of a SpinFrame's axes, that
-# still counts as orthonormal.  Set on its own.
-FRAME_ORTHONORMAL_ATOL = 1e-10
 
 # A partial-transpose eigenvalue below this certifies entanglement; values
 # above it count as numerical noise around zero.  Set on its own: it does not

@@ -13,7 +13,7 @@ import numpy as np
 
 import cavsqueeze as cs
 from cavsqueeze.cli import ZERO_MEAN_TOKEN
-from cavsqueeze.tolerances import TRACE_ATOL
+from cavsqueeze.tolerances import MEAN_SPIN_FLOOR, TRACE_ATOL
 
 _PAULIS = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -132,11 +132,29 @@ def rotation_from_su2(u):
 
 
 def random_frame(rng):
+    """A random unit axis n1 completed to a right-handed orthonormal triad
+    (n1, n2, n3) by QR: the first column of the draw is n1's direction."""
     q, r = np.linalg.qr(rng.normal(size=(3, 3)))
     q = q * np.sign(np.diagonal(r))
     if np.linalg.det(q) < 0:
         q[:, 2] = -q[:, 2]
-    return cs.SpinFrame(q[:, 0], q[:, 1], q[:, 2])
+    return q[:, 0], q[:, 1], q[:, 2]
+
+
+def triad_quotient(mean, second, n1, n2, n3):
+    """N var(S_n1) / (<S_n2>^2 + <S_n3>^2) over a whole triad, rows of a stack.
+
+    The three-axis form of the quotient, the oracle of the one-axis kernel
+    ``xi_frame_stack``: the mean spin projected on all three axes by one
+    product and one sum, the denominator from the n2 and n3 projections.
+    Undefined (inf) where that denominator is at or below MEAN_SPIN_FLOOR**2.
+    """
+    projected = (mean[..., None, :] * np.array((n1, n2, n3))).sum(axis=-1)
+    along, m2, m3 = projected[..., 0], projected[..., 1], projected[..., 2]
+    variance = ((n1[:, None] * second).sum(axis=-2) * n1).sum(axis=-1) - along * along
+    plane_sq = m2 * m2 + m3 * m3
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(plane_sq <= MEAN_SPIN_FLOOR**2, np.inf, 2.0 * variance / plane_sq)
 
 
 def kron_hamiltonian(cutoff):

@@ -16,7 +16,6 @@ from cavsqueeze import (
     DimensionMismatchError,
     FamilyCoeffs,
     NonDiagonalError,
-    NotOrthonormalError,
     SpinFrame,
     UnknownPolicyError,
     ZeroMeanSpinError,
@@ -125,18 +124,28 @@ class TestSpinFrame:
     def test_canonical(self):
         frame = SpinFrame.canonical()
         assert np.array_equal(frame.n1, [1.0, 0.0, 0.0])
-        assert np.array_equal(frame.n3, [0.0, 0.0, 1.0])
-
-    def test_rejects_non_orthonormal(self):
-        with pytest.raises(NotOrthonormalError, match="orthonormal"):
-            SpinFrame([1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
-        with pytest.raises(NotOrthonormalError, match="orthonormal"):
-            SpinFrame([2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0])
+        assert not frame.n1.flags.writeable
 
     def test_random_frames_accepted(self):
         rng = np.random.default_rng(23)
         for _ in range(50):
-            random_frame(rng)
+            n1, _, _ = random_frame(rng)
+            np.testing.assert_allclose(SpinFrame(n1).n1, n1, rtol=0.0, atol=1e-15)
+
+    def test_axis_length_does_not_matter(self):
+        # the constructor stores n1/|n1|: (2, 0, 0) is e_x to the bit
+        rho = family_density(SQUEEZED_COEFFS)
+        assert np.array_equal(SpinFrame([2.0, 0.0, 0.0]).n1, [1.0, 0.0, 0.0])
+        assert xi_squared_in_frame(rho, SpinFrame([2.0, 0.0, 0.0])) == xi_squared_in_frame(
+            rho, SpinFrame([1.0, 0.0, 0.0])
+        )
+
+    def test_keeps_no_reference_to_its_input(self):
+        axis = np.array([0.0, 3.0, 4.0])
+        frame = SpinFrame(axis)
+        axis[0] = 1.0
+        assert np.array_equal(frame.n1, [0.0, 0.6, 0.8])
+        assert axis.flags.writeable
 
 
 class TestXiSquaredInFrame:
@@ -153,8 +162,7 @@ class TestXiSquaredInFrame:
     def test_variance_axis_matters(self):
         rho = family_density(SQUEEZED_COEFFS)
         # swapping n1 from x to y trades 2y for -2y in the variance
-        frame = SpinFrame([0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
-        value = xi_squared_in_frame(rho, frame)
+        value = xi_squared_in_frame(rho, SpinFrame([0.0, 1.0, 0.0]))
         assert abs(value - (1.0 + 0.6) / 0.64) < 1e-12
 
 
@@ -176,8 +184,6 @@ class TestXiSquared:
                 continue
             again = xi_squared_in_frame(rho, result.frame)
             assert abs(again - result.value) <= 1e-9 * max(1.0, abs(result.value))
-            mean, _ = spin_moments_stack(rho.mat)
-            assert float(result.frame.n2 @ mean) > 0.0
 
     def test_perp_frame_orthogonal_to_mean(self):
         rng = np.random.default_rng(25)
@@ -252,8 +258,7 @@ class TestXiSquared:
                 moved[i, i] = np.nextafter(moved[i, i].real, math.inf)
                 moved[j, j] = np.nextafter(moved[j, j].real, -math.inf)
                 frame = xi_squared(DensityMatrix(moved), policy=GLOBAL).frame
-                for axis, want in zip((frame.n1, frame.n2, frame.n3), (base.n1, base.n2, base.n3)):
-                    np.testing.assert_allclose(axis, want, rtol=0.0, atol=1e-12)
+                np.testing.assert_allclose(frame.n1, base.n1, rtol=0.0, atol=1e-12)
 
     def test_global_agrees_with_perp_for_squeezed_family(self):
         rho = family_density(SQUEEZED_COEFFS)
@@ -279,11 +284,11 @@ GLOBAL_PINS = json.loads((DATA / "global_search_pins.json").read_text(encoding="
 
 @pytest.mark.parametrize("pin", GLOBAL_PINS, ids=[pin["name"] for pin in GLOBAL_PINS])
 def test_global_search_matches_its_pins(pin):
-    """``xi_squared(policy=GLOBAL)`` returns the pinned value, frame and flag, or error.
+    """``xi_squared(policy=GLOBAL)`` returns the pinned value, axis n1 and flag, or error.
 
-    The pins hold 12 significant digits.  The frame comes from formulas
-    without a branch that a last-bit change can take the other way, so its
-    axes are compared as they are, sign included, to 1e-9.
+    The pins hold 12 significant digits.  The axis comes from formulas
+    without a branch that a last-bit change can take the other way, so it is
+    compared as it is, sign included, to 1e-9.
     """
     if "file" in pin:
         rho = load_density_matrix(DATA / pin["file"])
@@ -296,8 +301,20 @@ def test_global_search_matches_its_pins(pin):
     got = xi_squared(rho, policy=GLOBAL)
     assert math.isclose(got.value, pin["value"], rel_tol=1e-11)
     assert got.entangled_flag == pin["entangled"]
-    for axis, want in zip((got.frame.n1, got.frame.n2, got.frame.n3), pin["frame"]):
-        np.testing.assert_allclose(axis, want, rtol=0.0, atol=1e-9)
+    np.testing.assert_allclose(got.frame.n1, pin["n1"], rtol=0.0, atol=1e-9)
+
+
+def test_each_quotient_is_undefined_by_its_own_denominator():
+    # |<S>| = 1.009e-8 clears the floor, so the global xi^2 is defined; its
+    # axis leans toward <S>, and |n1 x <S>| = 9.27e-9 along it does not, so
+    # the quotient in that frame is undefined.
+    rho = load_density_matrix(DATA / "spin_flip_mixture.json")
+    result = xi_squared(rho, policy=GLOBAL)
+    assert math.isfinite(result.value)
+    with pytest.raises(ZeroMeanSpinError, match=r"\|n1 x <S>\|, is 9\.268e-09$"):
+        xi_squared_in_frame(rho, result.frame)
+    mean, _ = spin_moments_stack(rho.mat)
+    assert math.isclose(np.linalg.norm(np.cross(result.frame.n1, mean)), 9.27e-9, rel_tol=1e-3)
 
 
 class TestXi2ClosedN1:
@@ -355,6 +372,31 @@ def test_no_squeezing_without_coherence_between_excitation_numbers(weights, spli
     assert not result.entangled_flag
     assert result.value >= 1.0 - 1e-12
     assert reference_global_minimum(rho) >= 1.0 - 1e-12
+
+
+_ENTRY = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    real=st.lists(_ENTRY, min_size=16, max_size=16),
+    imag=st.lists(_ENTRY, min_size=16, max_size=16),
+)
+def test_perp_axis_reproduces_its_value_in_frame(real, imag):
+    # The perp-optimal axis is orthogonal to <S>, so |n1 x <S>| = |<S>|: the
+    # quotient in its frame has the same denominator and is defined wherever
+    # xi^2 is.
+    g = (np.array(real) + 1j * np.array(imag)).reshape(4, 4)
+    mat = g @ g.conj().T
+    trace = float(np.trace(mat).real)
+    assume(trace > 0.1)
+    rho = DensityMatrix(mat / trace)
+    try:
+        result = xi_squared(rho)
+    except ZeroMeanSpinError:
+        assume(False)
+    again = xi_squared_in_frame(rho, result.frame)
+    assert abs(again - result.value) <= 1e-9 * max(1.0, result.value)
 
 
 class TestNegativity:

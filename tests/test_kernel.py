@@ -21,14 +21,16 @@ from hypothesis import strategies as st
 
 import cavsqueeze as cs
 from cavsqueeze import cli, criteria
-from cavsqueeze.cli import SCAN_CHUNK, build_scan_rows
+from cavsqueeze.cli import SCAN_CHUNK, build_scan_rows, scan_columns
 from cavsqueeze.criteria import family_diagnostics_stack
 from cavsqueeze.tolerances import FAMILY_ATOL, MEAN_SPIN_FLOOR, PPT_EIGENVALUE_FLOOR, XI_SQUARED_FLOOR
 from helpers import (
     SPIN_OPERATORS,
     random_density,
+    random_frame,
     random_separable,
     reference_spin_moments_stack,
+    triad_quotient,
 )
 
 STEPS = 2500
@@ -404,10 +406,42 @@ def test_kernel_matches_loop_and_projected_references():
         n1, m = perp.n1[i], mean[i]
         assert abs(n1 @ n1 - 1.0) <= 1e-12
         assert abs(n1 @ m) <= 1e-12
-        mhat = m / np.sqrt(perp.mean_sq[i])
-        frame = cs.SpinFrame(n1, mhat, np.cross(n1, mhat))
-        again = cs.xi_frame_stack(m, second[i], frame).value
+        again = cs.xi_frame_stack(m, second[i], cs.SpinFrame(n1)).value
         assert abs(again - perp.value[i]) <= 1e-12 * perp.value[i]
+
+
+def test_frame_kernel_matches_the_triad_oracle_on_random_axes():
+    # The kernel reads |n1 x <S>|^2 where the three-axis form reads
+    # <S_n2>^2 + <S_n3>^2 of a triad completed around n1.
+    rng = np.random.default_rng(44)
+    mean, second = cs.spin_moments_stack(np.stack([random_density(rng).mat for _ in range(500)]))
+    for _ in range(40):
+        n1, n2, n3 = random_frame(rng)
+        got = cs.xi_frame_stack(mean, second, cs.SpinFrame(n1)).value
+        want = triad_quotient(mean, second, n1, n2, n3)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_frame_kernel_is_the_triad_oracle_to_the_bit_on_coordinate_axes():
+    # On e_x, e_y and e_z the cross product is exact, so the one-axis
+    # denominator is the sum of the other two squared components, as the
+    # cyclic triad's was: the reference scan's states (mean spin along z, so
+    # e_z leaves every row undefined) and random states get the same bits.
+    scan = scan_columns(1, 3.0, 301)
+    rng = np.random.default_rng(45)
+    mats = np.concatenate(
+        [
+            cs.family_density_stack(scan.x1, scan.x2, scan.x3),
+            [random_density(rng).mat for _ in range(300)],
+        ]
+    )
+    mean, second = cs.spin_moments_stack(mats)
+    eye = np.eye(3)
+    for k in range(3):
+        triad = eye[k], eye[(k + 1) % 3], eye[(k + 2) % 3]
+        got = cs.xi_frame_stack(mean, second, cs.SpinFrame(eye[k])).value
+        assert got.tobytes() == triad_quotient(mean, second, *triad).tobytes(), k
+    assert np.isinf(got[:301]).all() and np.isfinite(got[301:]).all()
 
 
 def test_zero_mean_row_is_inf_in_the_stack_and_raises_alone():

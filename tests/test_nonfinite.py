@@ -78,19 +78,21 @@ def test_closed_form_coeffs_reject_non_finite_gt(bad):
         cs.closed_form_coeffs(1, bad)
 
 
-@pytest.mark.parametrize("bad", BAD_VALUES)
+@pytest.mark.parametrize("bad", BAD_VALUES + (-0.0,))
 @pytest.mark.parametrize("axis", range(3))
 def test_spin_frame_rejects_non_finite_axis(bad, axis):
-    axes = [row.copy() for row in np.eye(3)]
-    axes[axis][0] = bad
-    with pytest.raises(NonFiniteError):
-        cs.SpinFrame(*axes)
+    # The frame's one axis n1, with ``bad`` in entry ``axis`` and 0 in the
+    # others: a NaN or an infinity, or zero length, leaves n1/|n1| not finite.
+    n1 = np.zeros(3)
+    n1[axis] = bad
+    with pytest.raises(NonFiniteError, match="cannot be normalized"):
+        cs.SpinFrame(n1)
 
 
 def test_nan_frame_never_reaches_a_quotient():
     rho = cs.family_density(cs.FamilyCoeffs(0.5, 0.2, 0.3, 0.0))
     with pytest.raises(NonFiniteError):
-        cs.xi_squared_in_frame(rho, cs.SpinFrame([math.nan, 0.0, 0.0], [0, 1, 0], [0, 0, 1]))
+        cs.xi_squared_in_frame(rho, cs.SpinFrame([math.nan, 0.0, 0.0]))
 
 
 def test_a_nan_squared_mean_spin_is_not_a_vanishing_one():

@@ -16,14 +16,12 @@ from cavsqueeze import cli, criteria, dynamics, linalg, states, tolerances
 from cavsqueeze.errors import (
     NotHermitianError,
     NotNormalizedError,
-    NotOrthonormalError,
     NotPositiveError,
     OutsideFamilyError,
 )
 from cavsqueeze.tolerances import (
     FAMILY_ATOL,
     FAMILY_RESIDUAL_ATOL,
-    FRAME_ORTHONORMAL_ATOL,
     HERMITIAN_ATOL,
     MEAN_SPIN_FLOOR,
     PARALLEL_VARIANCE_FLOOR,
@@ -165,12 +163,6 @@ def _verify_fails(step, monkeypatch):
     return cli._verified([], [_step(VERIFY_TOLERANCE, step)]) != cli.EXIT_OK
 
 
-def _frame_rejected(step, monkeypatch):
-    # n1 . n2 is the Gram matrix's one entry off the identity
-    n2 = [_step(FRAME_ORTHONORMAL_ATOL, step), 1.0, 0.0]
-    return _raises(NotOrthonormalError, lambda: cs.SpinFrame([1.0, 0.0, 0.0], n2, [0.0, 0.0, 1.0]))
-
-
 def _quotient_undefined(step, monkeypatch):
     denom_sq = _step(MEAN_SPIN_FLOOR**2, step)
     # the scalar and the array form of the one rule
@@ -265,10 +257,6 @@ def _residual_rejected(step, monkeypatch):
 # Keyed by where the comparison is and what it compares, not by its operator.
 EDGES = {
     "cli.py:_verified: worst vs VERIFY_TOLERANCE": (_verify_fails, ABOVE),
-    "criteria.py:__post_init__: float(np.abs(gram - _EYE3).max()) vs FRAME_ORTHONORMAL_ATOL": (
-        _frame_rejected,
-        ABOVE,
-    ),
     "criteria.py:_quotient: denom_sq vs MEAN_SPIN_FLOOR ** 2": (_quotient_undefined, AT_OR_BELOW),
     "criteria.py:_global_minimum: c vs PARALLEL_VARIANCE_FLOOR": (_schur_skipped, AT_OR_BELOW),
     "criteria.py:spectrum_entangled: values[..., 0] vs PPT_EIGENVALUE_FLOOR": (_ppt_certified, BELOW),
