@@ -1292,6 +1292,19 @@ def test_one_row_report_prints_its_committed_bytes(argv, name, fmt, capsys):
     assert capsys.readouterr() == (reference.read_text(encoding="utf-8"), "")
 
 
+# The committed states whose check-state --verify stderr line is pinned in
+# tests/data/<name>_verify.txt, as the sphere-search check printed it when it
+# read the global xi^2 through xi_squared(policy=GLOBAL).
+VERIFY_LINES = ["squeezed_mixture", "spin_flip_mixture", "gg_trace_slack"]
+
+
+@pytest.mark.parametrize("name", VERIFY_LINES)
+def test_check_state_verify_prints_its_committed_line(name, capsys):
+    data = Path(__file__).parent / "data"
+    assert run_cli(["check-state", str(data / f"{name}.json"), "--verify"]) == EXIT_OK
+    assert capsys.readouterr().err == (data / f"{name}_verify.txt").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_kernel_sized_output_file_matches_stdout(fmt, tmp_path, capsys):
     args = ["scan-time", "--photons", "3", "--gt-max", "9", "--steps", "3001", "--format", fmt]
