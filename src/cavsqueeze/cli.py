@@ -30,8 +30,9 @@ closed forms' oracle.  ``family`` calls the family kernel on its one tuple;
 the PPT verdicts, on one stderr line.  ``check-state`` runs the generic
 kernel on the stack of one state, validated once as a ``DensityMatrix``,
 and reads the negativity and the PPT verdict from one partial-transpose
-spectrum.  ``check-state --verify`` checks the whole-sphere minimum of xi^2,
-which ``xi_squared`` reads by formula, against the sphere search of
+spectrum.  ``check-state --verify`` reads the whole-sphere minimum of xi^2
+from that same diagnosis by the formula of ``xi_squared(policy=GLOBAL)``,
+``criteria._global_minimum``, and checks it against the sphere search of
 ``criteria._sphere_minimum``, the one caller of that search
 (``_global_gaps``).
 
@@ -77,9 +78,10 @@ import numpy as np
 
 from .criteria import (
     ATOM_COUNT,
-    GLOBAL,
     FamilyStack,
+    PerpStack,
     SpinFrame,
+    _global_minimum,
     _moments,
     _pt_values,
     _sphere_minimum,
@@ -89,7 +91,6 @@ from .criteria import (
     xi_entangled,
     xi_frame_stack,
     xi_perp_stack,
-    xi_squared,
 )
 from .dynamics import closed_form_populations, evolve_exact_stack
 from .errors import CavsqueezeError, OutsideFamilyError, StateFormatError
@@ -557,12 +558,12 @@ def _diagnose(mats):
     and the partial-transpose spectrum are read through the kernels'
     unchecked cores, and only an eigensolver failure can raise
     (NoConvergenceError).  Returns the arrays of the mean spins (..., 3), the
-    second moments (..., 3, 3), the perp-optimal quotients (...), inf where
-    the mean spin vanishes, and the ascending partial-transpose spectra
-    (..., 4).
+    second moments (..., 3, 3), their ``xi_perp_stack`` (the perp-optimal
+    quotients, inf where the mean spin vanishes, their axes and the squared
+    mean spins) and the ascending partial-transpose spectra (..., 4).
     """
     mean, second = _moments(mats)
-    return mean, second, xi_perp_stack(mean, second).value, _pt_values(mats)
+    return mean, second, xi_perp_stack(mean, second), _pt_values(mats)
 
 
 def _closed_scan(photons: int, gt_max: float, steps: int):
@@ -624,21 +625,20 @@ def _generic_gap(closed: FamilyStack, x1, x2, x3, y):
     negativity and the smallest PT eigenvalue, all absolute.  Returns the
     largest deviation (NaN if any is) and ``spectrum_entangled`` of each row.
     """
-    mean, second, xi_opt, spectrum = _diagnose(_family_matrices(x1, x2, x3, y))
+    mean, second, perp, spectrum = _diagnose(_family_matrices(x1, x2, x3, y))
     fixed = xi_frame_stack(mean, second, _CANONICAL_FRAME)
-    mean_sq = (mean * mean).sum(axis=-1)
     closed_mean = np.abs(x1 - x3)
     closed_sq = closed_mean * closed_mean
     # each comparison a row: the two quotients, then the three plain values
     quotients = _scaled_gap(
         np.array((closed.xi2_optimized, closed.xi2_fixed_frame)),
-        np.array((xi_opt, fixed.value)),
+        np.array((perp.value, fixed.value)),
         closed_sq,
-        np.array((mean_sq, fixed.plane_sq)),
+        np.array((perp.mean_sq, fixed.plane_sq)),
     )
     plain = np.abs(
         np.array((closed_mean, closed.negativity, closed.pt_minimum))
-        - np.array((np.sqrt(mean_sq), spectrum_negativity(spectrum), spectrum[..., 0]))
+        - np.array((np.sqrt(perp.mean_sq), spectrum_negativity(spectrum), spectrum[..., 0]))
     )
     # max keeps a NaN, which then fails the tolerance
     return np.concatenate((quotients, plain)).max(), spectrum_entangled(spectrum)
@@ -737,28 +737,30 @@ def _cmd_family(args) -> int:
     )
 
 
-def _global_gaps(rho, mean, second):
+def _global_gaps(mean, second, perp: PerpStack):
     """The two deviations of ``check-state --verify``: the global xi^2 against a search.
 
-    ``xi_squared(rho, policy=GLOBAL)`` reads the whole-sphere minimum by
-    formula.  The sphere search (``criteria._sphere_minimum``), run from the
-    perp-optimal axis and value, is its check, and each direction n is read
-    by its slack N n^T C n - xi^2 (|<S>|^2 - (n.<S>)^2), in the xi^2 |<S>|^2
-    units of ``_generic_gap``: at least 0 wherever xi^2 is the minimum, and 0
-    along the axis that attains it.  Returns how far the search's direction
-    reads below the formula (0 when it does not; NaN stays NaN) and |slack|
-    along the formula's own axis.
+    ``mean``, ``second`` and ``perp`` are the one state's diagnosis
+    (``_diagnose``), with a defined perp-optimal quotient.
+    ``criteria._global_minimum`` reads the whole-sphere minimum from them by
+    formula, as ``xi_squared(policy=GLOBAL)`` does, and ``SpinFrame``
+    normalizes its axis.  The sphere search (``criteria._sphere_minimum``),
+    run from the perp-optimal axis and value, is its check, and each
+    direction n is read by its slack N n^T C n - xi^2 (|<S>|^2 - (n.<S>)^2),
+    in the xi^2 |<S>|^2 units of ``_generic_gap``: at least 0 wherever xi^2
+    is the minimum, and 0 along the axis that attains it.  Returns how far
+    the search's direction reads below the formula (0 when it does not; NaN
+    stays NaN) and |slack| along the formula's own axis.
     """
-    wide = xi_squared(rho, policy=GLOBAL)
-    perp = xi_perp_stack(mean, second)
+    axis, value = _global_minimum(mean, second, perp)
     mean_sq = float(perp.mean_sq)
     cov = second - np.outer(mean, mean)
     searched, _ = _sphere_minimum(cov, mean, mean_sq, baseline=(perp.n1, float(perp.value)))
 
     def slack(n):
-        return ATOM_COUNT * float(n @ cov @ n) - wide.value * (mean_sq - float(n @ mean) ** 2)
+        return ATOM_COUNT * float(n @ cov @ n) - value * (mean_sq - float(n @ mean) ** 2)
 
-    return float(np.maximum(0.0, -slack(searched))), abs(slack(wide.frame.n1))
+    return float(np.maximum(0.0, -slack(searched))), abs(slack(SpinFrame(axis).n1))
 
 
 def _cmd_check_state(args) -> int:
@@ -767,18 +769,18 @@ def _cmd_check_state(args) -> int:
     except OSError as exc:
         print(f"cavsqueeze: cannot read {args.file}: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    mean, second, xi_opt, spectrum = _diagnose(rho.mat)
+    mean, second, perp, spectrum = _diagnose(rho.mat)
     row = CheckRow(
         spectrum_negativity(spectrum),
         spectrum_entangled(spectrum),
-        xi_opt,
+        perp.value,
         *mean,
         *second[_UPPER_TRIANGLE],
     )
     _write([_render_row(row, args.format)], args.output)
     if not args.verify:
         return EXIT_OK
-    deviations = (0.0, 0.0) if math.isinf(xi_opt) else _global_gaps(rho, mean, second)
+    deviations = (0.0, 0.0) if math.isinf(perp.value) else _global_gaps(mean, second, perp)
     return _verified(
         [
             "verify: global xi^2 |<S>|^2 above the sphere search = {:.3e}, "

@@ -25,7 +25,7 @@ class NoConvergenceError(CavsqueezeError, RuntimeError):
 
 
 class NotNormalizedError(CavsqueezeError, ValueError):
-    """A state vector norm or a density-matrix trace differs from 1."""
+    """A density-matrix trace or the family populations' sum differs from 1."""
 
 
 class NotPositiveError(CavsqueezeError, ValueError):

@@ -16,15 +16,13 @@ This module imports nothing, so every other module can import it.
 HERMITIAN_ATOL = 1e-10
 
 # Largest |tr rho - 1| the density-matrix validator accepts.  Set on its own.
+# It is also the exact evolution's normalization check: a reduced state's
+# trace is its state vector's squared norm.
 TRACE_ATOL = 1e-10
 
 # Most negative eigenvalue the density-matrix validator accepts, negated.
 # Set on its own.
 PSD_ATOL = 1e-10
-
-# Largest | |psi| - 1 | of a state vector that the exact evolution accepts.
-# Set on its own.
-NORM_ATOL = 1e-10
 
 # Slack of the family coefficient rules: each population within [0, 1], their
 # sum equal to 1 and |y| <= sqrt(x1 x3), each within this.  Set on its own.

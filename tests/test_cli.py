@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cavsqueeze import cli
+from cavsqueeze import cli, criteria
 from cavsqueeze.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -36,7 +36,6 @@ from cavsqueeze.cli import (
 )
 from cavsqueeze.criteria import (
     GLOBAL,
-    XiResult,
     diagonal_family_entangled,
     family_diagnostics_stack,
     ppt_entangled,
@@ -804,11 +803,11 @@ def test_check_state_verify(tmp_path, capsys):
 
 
 def test_check_state_verify_fails_when_value_and_frame_disagree(tmp_path, monkeypatch, capsys):
-    def off_by_1e_8(rho, policy):
-        result = xi_squared(rho, policy=policy)
-        return XiResult(result.value * (1.0 + 1e-8), result.frame, result.entangled_flag)
+    def off_by_1e_8(mean, second, perp):
+        axis, value = criteria._global_minimum(mean, second, perp)
+        return axis, value * (1.0 + 1e-8)
 
-    monkeypatch.setattr(cli, "xi_squared", off_by_1e_8)
+    monkeypatch.setattr(cli, "_global_minimum", off_by_1e_8)
     path = tmp_path / "diag.json"
     write_state(path, np.diag([0.1, 0.2, 0.3, 0.4]), (2, 2))
     assert run_cli(["check-state", str(path), "--verify"]) == EXIT_NUMERIC
@@ -820,6 +819,43 @@ def test_check_state_verify_fails_when_value_and_frame_disagree(tmp_path, monkey
     )
     for deviation in found.groups():
         assert abs(float(deviation) - 1e-8) < 1e-10
+
+
+def _count_calls(monkeypatch, names):
+    """Count the calls of each named kernel through every binding of it in
+    ``cli`` and ``criteria``; returns the live counts by name."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        for module in (cli, criteria):
+            if hasattr(module, name):
+
+                def counted(*args, kernel=getattr(module, name), name=name, **kwargs):
+                    counts[name] += 1
+                    return kernel(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "argv, calls",
+    [
+        # the state's own moments, its perp-optimal quotient and that of its
+        # Schur complement: the global xi^2 reuses the request's diagnosis
+        (
+            ["check-state", str(Path(__file__).parent / "data" / "squeezed_mixture.json"), "--verify"],
+            {"_moments": 1, "spin_moments_stack": 0, "xi_perp_stack": 2, "xi_squared": 0},
+        ),
+        (
+            ["family", "--x1", "0.9", "--x2", "0", "--x3", "0.1", "--y", "-0.3", "--verify"],
+            {"_moments": 1, "spin_moments_stack": 0, "xi_perp_stack": 1, "xi_squared": 0},
+        ),
+    ],
+)
+def test_a_verified_request_diagnoses_its_state_once(argv, calls, monkeypatch, capsys):
+    counts = _count_calls(monkeypatch, calls)
+    assert run_cli(argv) == EXIT_OK
+    assert counts == calls
 
 
 @pytest.mark.parametrize(

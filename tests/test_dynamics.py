@@ -328,25 +328,43 @@ class TestEvolveExactStack:
         with pytest.raises(BadPhotonNumberError, match="photon number must be a finite whole"):
             evolve_exact_stack(2.5, [0.5])
 
-    def test_rejects_unnormalized(self, monkeypatch):
+    # Eigenvectors scaled by s give evolved vectors of norm s^2 and reduced
+    # states of trace s^4: the unit-trace rule, |trace - 1| <= TRACE_ATOL,
+    # rejects a norm more than about 5e-11 off 1.
+    @pytest.mark.parametrize(
+        "scale, trace",
+        [
+            (1.5, "5.0625"),
+            # norm 1 + 6e-11, which a norm test at 1e-10 would pass
+            (math.sqrt(1.0 + 6e-11), "1.00000000012"),
+            # norm 1 + 4e-11: trace 1 + 8e-11, accepted
+            (math.sqrt(1.0 + 4e-11), None),
+        ],
+        ids=["norm_2.25", "norm_1+6e-11", "norm_1+4e-11"],
+    )
+    def test_rejects_unnormalized(self, scale, trace, monkeypatch):
         atoms, photons, values, vectors = _eigensystem(2)
         monkeypatch.setattr(
-            dynamics, "_eigensystem", lambda n: (atoms, photons, values, 1.5 * vectors)
+            dynamics, "_eigensystem", lambda n: (atoms, photons, values, scale * vectors)
         )
-        with pytest.raises(NotNormalizedError, match="^entry 0: .*norm = 2.25$"):
+        if trace is None:
+            states = evolve_exact_stack(2, [0.5, 1.0])
+            assert np.all(np.abs(states.trace(axis1=-2, axis2=-1).real - 1.0 - 8e-11) < 1e-14)
+            return
+        with pytest.raises(NotNormalizedError, match=f"^entry 0: not unit trace: trace = {re.escape(trace)}$"):
             evolve_exact_stack(2, [0.5, 1.0])
 
-    def test_a_nan_norm_fails_the_norm_test(self, monkeypatch):
-        # NaN passes an "is the deviation too large" test; the norm test
-        # asks whether it is small enough instead.
+    def test_a_nan_state_vector_raises_non_finite_error(self, monkeypatch):
+        # the validator's finiteness check reads it first, with no numpy warning
         atoms, photons, values, vectors = _eigensystem(2)
         broken = vectors.copy()
         broken[0, 0] = np.nan
         monkeypatch.setattr(dynamics, "_eigensystem", lambda n: (atoms, photons, values, broken))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NotNormalizedError, match="^entry 0: .*norm = nan$"):
+            with pytest.raises(NonFiniteError, match="^entry 0: not finite") as raised:
                 evolve_exact_stack(2, [0.5, 1.0])
+        assert raised.value.index == (0,)
 
     def test_phase_overflow_names_the_gt_without_a_warning(self):
         # 1e308 times the sector's largest eigenvalue overflows a double;

@@ -275,6 +275,13 @@ def _no_solver(*args, **kwargs):
     raise AssertionError("the perp-optimal quotient ran an eigensolver")
 
 
+def _diagnosis_fields(mats):
+    """``cli._diagnose`` of ``mats`` as a flat tuple: the mean spins, the
+    second moments, each field of the ``PerpStack`` and the PT spectra."""
+    mean, second, perp, spectra = cli._diagnose(mats)
+    return (mean, second, *perp, spectra)
+
+
 def test_generic_states_get_the_same_bits_alone_and_stacked(monkeypatch):
     # A state read alone, unbatched, inside a flat stack or inside a stack
     # of any shape gets the same bits from every generic kernel, and from
@@ -287,7 +294,7 @@ def test_generic_states_get_the_same_bits_alone_and_stacked(monkeypatch):
     canonical = cs.SpinFrame.canonical()
     fixed = cs.xi_frame_stack(mean, second, canonical)
     spectra = cs.pt_spectrum(stack)
-    diagnosed = cli._diagnose(stack)
+    diagnosed = _diagnosis_fields(stack)
     with monkeypatch.context() as patched:
         patched.setattr(np.linalg, "eigh", _no_solver)
         patched.setattr(np.linalg, "eigvalsh", _no_solver)
@@ -307,8 +314,7 @@ def test_generic_states_get_the_same_bits_alone_and_stacked(monkeypatch):
             assert _same_arrays(np.asarray(got), want[i])
         assert cs.xi_squared(rho).value == perp.value[i]
         assert np.array_equal(cs.pt_spectrum(rho), spectra[i])
-        # mean, second moments, perp-optimal value and PT spectrum
-        for got, want in zip(cli._diagnose(rho.mat), diagnosed):
+        for got, want in zip(_diagnosis_fields(rho.mat), diagnosed, strict=True):
             assert _same_arrays(np.asarray(got), want[i])
 
 

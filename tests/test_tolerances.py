@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import cavsqueeze as cs
-from cavsqueeze import cli, criteria, dynamics, linalg, states, tolerances
+from cavsqueeze import cli, criteria, linalg, states, tolerances
 from cavsqueeze.errors import (
     NotHermitianError,
     NotNormalizedError,
@@ -193,13 +193,6 @@ def _xi_certified(step, monkeypatch):
     return bool(criteria.xi_entangled(_step(XI_SQUARED_FLOOR, step)))
 
 
-def _norm_rejected(step, monkeypatch):
-    monkeypatch.setattr(dynamics, "NORM_ATOL", 2.0**-33)
-    norm = _step(1.0 + 2.0**-33, step)
-    monkeypatch.setattr(np.linalg, "norm", lambda a, axis: np.full(np.shape(a)[:-1], norm))
-    return _raises(NotNormalizedError, lambda: dynamics.evolve_exact_stack(1, [0.5]))
-
-
 def _hermitian_rejected(step, monkeypatch):
     mats = np.zeros((4, 4), dtype=complex)
     mats[0, 1] = _step(HERMITIAN_ATOL, step)
@@ -261,7 +254,6 @@ EDGES = {
     "criteria.py:_global_minimum: c vs PARALLEL_VARIANCE_FLOOR": (_schur_skipped, AT_OR_BELOW),
     "criteria.py:spectrum_entangled: values[..., 0] vs PPT_EIGENVALUE_FLOOR": (_ppt_certified, BELOW),
     "criteria.py:xi_entangled: np.asarray(values) vs XI_SQUARED_FLOOR": (_xi_certified, BELOW),
-    "dynamics.py:evolve_exact_stack: np.abs(norm - 1.0) vs NORM_ATOL": (_norm_rejected, ABOVE),
     "linalg.py:check_hermitian: herm vs HERMITIAN_ATOL": (_hermitian_rejected, ABOVE),
     "states.py:validate_density_stack: np.abs(tr - 1.0) vs TRACE_ATOL": (_trace_rejected, ABOVE),
     "states.py:validate_density_stack: smallest vs -PSD_ATOL": (_psd_rejected, BELOW),
