@@ -31,9 +31,8 @@ the PPT verdicts, on one stderr line.  ``check-state`` runs the generic
 kernel on the stack of one state, validated once as a ``DensityMatrix``,
 and reads the negativity and the PPT verdict from one partial-transpose
 spectrum.  ``check-state --verify`` reads the whole-sphere minimum of xi^2
-from that same diagnosis by the formula of ``xi_squared(policy=GLOBAL)``,
-``criteria._global_minimum``, and checks it against the sphere search of
-``criteria._sphere_minimum``, the one caller of that search
+from that diagnosis, as ``xi_squared(policy=GLOBAL)`` does, and checks it
+against the sphere search of ``criteria._sphere_minimum``, its one caller
 (``_global_gaps``).
 
 Both formats follow one cell rule, written once, in ``_float_cells``.  A
@@ -740,17 +739,16 @@ def _cmd_family(args) -> int:
 def _global_gaps(mean, second, perp: PerpStack):
     """The two deviations of ``check-state --verify``: the global xi^2 against a search.
 
-    ``mean``, ``second`` and ``perp`` are the one state's diagnosis
-    (``_diagnose``), with a defined perp-optimal quotient.
-    ``criteria._global_minimum`` reads the whole-sphere minimum from them by
-    formula, as ``xi_squared(policy=GLOBAL)`` does, and ``SpinFrame``
-    normalizes its axis.  The sphere search (``criteria._sphere_minimum``),
-    run from the perp-optimal axis and value, is its check, and each
-    direction n is read by its slack N n^T C n - xi^2 (|<S>|^2 - (n.<S>)^2),
-    in the xi^2 |<S>|^2 units of ``_generic_gap``: at least 0 wherever xi^2
-    is the minimum, and 0 along the axis that attains it.  Returns how far
-    the search's direction reads below the formula (0 when it does not; NaN
-    stays NaN) and |slack| along the formula's own axis.
+    From one state's ``_diagnose``, with a defined perp-optimal quotient,
+    ``criteria._global_minimum`` reads the whole-sphere minimum by formula,
+    as ``xi_squared(policy=GLOBAL)`` does.  The sphere search
+    (``criteria._sphere_minimum``), run from the perp-optimal axis and
+    value, is its check, and each direction n is read by its slack
+    N n^T C n - xi^2 (|<S>|^2 - (n.<S>)^2), in the xi^2 |<S>|^2 units of
+    ``_generic_gap``: at least 0 wherever xi^2 is the minimum, and 0 along
+    the axis that attains it.  Returns how far the search's direction reads
+    below the formula (0 when it does not; NaN stays NaN) and |slack| along
+    the formula's own axis, normalized by ``SpinFrame``.
     """
     axis, value = _global_minimum(mean, second, perp)
     mean_sq = float(perp.mean_sq)

@@ -351,7 +351,8 @@ class TestEvolveExactStack:
             states = evolve_exact_stack(2, [0.5, 1.0])
             assert np.all(np.abs(states.trace(axis1=-2, axis2=-1).real - 1.0 - 8e-11) < 1e-14)
             return
-        with pytest.raises(NotNormalizedError, match=f"^entry 0: not unit trace: trace = {re.escape(trace)}$"):
+        message = f"^entry 0: not unit trace: trace = {re.escape(trace)}$"
+        with pytest.raises(NotNormalizedError, match=message):
             evolve_exact_stack(2, [0.5, 1.0])
 
     def test_a_nan_state_vector_raises_non_finite_error(self, monkeypatch):
