@@ -150,7 +150,7 @@ _NEGATIVE_NUMBER = re.compile(
 )
 
 class ScanRow(NamedTuple):
-    """One gt grid point of a time scan, or a whole scan with an array per field."""
+    """A whole time scan (``scan_columns``), one array per field; only the tests split it into rows."""
 
     gt: float
     x1: float
@@ -525,11 +525,6 @@ def _render_columns(columns, fmt: str):
     yield foot
 
 
-def _render(rows, fmt: str) -> str:
-    """Report text of a non-empty list of rows of one row type."""
-    return "".join(_render_columns(type(rows[0])(*list(zip(*rows))), fmt))
-
-
 def _write(pieces, output):
     """Write the report's text pieces to stdout, or to the ``--output`` path.
 
@@ -591,11 +586,6 @@ def scan_columns(photons: int, gt_max: float, steps: int) -> ScanRow:
     populations.  Where the mean spin vanishes both quotients are ``inf``.
     """
     return _closed_scan(photons, gt_max, steps)[0]
-
-
-def build_scan_rows(photons: int, gt_max: float, steps: int):
-    """The rows of ``scan_columns``, each field a Python float or bool."""
-    return list(map(ScanRow, *[c.tolist() for c in scan_columns(photons, gt_max, steps)]))
 
 
 def _scaled_gap(closed, generic, closed_scale, generic_scale) -> np.ndarray:

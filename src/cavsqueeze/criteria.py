@@ -90,6 +90,7 @@ GLOBAL = "global"
 
 _GLOBAL_GRID = 10_000
 _REFINE_ROUNDS = 30
+_GOLDEN_STEPS = 10
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -358,11 +359,11 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
-def _golden_section(fun, a: float, b: float, iterations: int = 10) -> float:
+def _golden_section(fun, a: float, b: float) -> float:
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = fun(c), fun(d)
-    for _ in range(iterations):
+    for _ in range(_GOLDEN_STEPS):
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)

@@ -61,6 +61,12 @@ SYMMETRIC_BASIS = np.array(
 )
 SYMMETRIC_BASIS.setflags(write=False)
 
+# The symmetric-basis entries outside the family pattern: all but x1, x2, x3
+# at (0, 0), (1, 1), (3, 3) and y, conj(y) at (0, 3), (3, 0).
+_OFF_FAMILY = np.ones((4, 4), dtype=bool)
+_OFF_FAMILY[[0, 1, 3, 0, 3], [0, 1, 3, 3, 0]] = False
+_OFF_FAMILY.setflags(write=False)
+
 
 def _two_qubit_stack(mats) -> np.ndarray:
     """``mats`` as a complex array, after checking its shape is ``(..., 4, 4)``.
@@ -260,10 +266,7 @@ def family_coeffs_stack(mats):
     rules of ``check_family_coeffs``.
     """
     sym = SYMMETRIC_BASIS.conj().T @ _two_qubit_stack(mats) @ SYMMETRIC_BASIS
-    residual = sym.copy()
-    for i, j in ((0, 0), (1, 1), (3, 3), (0, 3), (3, 0)):
-        residual[..., i, j] = 0.0
-    worst = np.abs(residual).max(axis=(-2, -1))
+    worst = np.abs(sym[..., _OFF_FAMILY]).max(axis=-1)
     _reject(
         worst > FAMILY_RESIDUAL_ATOL,
         OutsideFamilyError,

@@ -262,12 +262,18 @@ def _reference_json_value(value):
     return float(_reference_float_text(value))
 
 
+def rows_of_columns(columns):
+    """The rows of a row type's columns (as ``scan_columns`` returns them),
+    each field a Python float or bool."""
+    return [type(columns)(*row) for row in zip(*(c.tolist() for c in columns))]
+
+
 def reference_render(rows, fmt):
     """CLI report text of a non-empty list of rows, one cell at a time.
 
     Formats each cell by its Python type and hands JSON to
     ``json.dumps(indent=2)`` over one dict per row, so it shares no code
-    with the column-at-a-time ``cli._render`` it checks.
+    with the column-at-a-time ``cli._render_columns`` it checks.
     """
     columns = type(rows[0])._fields
     if fmt == "csv":

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 import cavsqueeze as cs
-from cavsqueeze.cli import _render, build_scan_rows
+from cavsqueeze.cli import _render_columns, scan_columns
 from helpers import (
     check_eigensolver_invariants,
     check_evolution_group_property,
@@ -21,6 +21,7 @@ from helpers import (
     check_separable_psd,
     check_witness_soundness,
     random_family_coeffs,
+    rows_of_columns,
 )
 
 GOLDEN_SCAN = Path(__file__).parent / "data" / "scan_n1_gt3_301.csv"
@@ -78,7 +79,8 @@ def test_criterion_02_optimized_quotient_matches_one_photon_closed_form():
 def test_criterion_03_transpose_detects_where_squeezing_stays_blind():
     lam = cs.rabi_frequency(1)
     grid = np.linspace(0.0, 3.0, 301)
-    rows = build_scan_rows(1, 3.0, 301)
+    scan = scan_columns(1, 3.0, 301)
+    rows = rows_of_columns(scan)
     flagged = 0
     for gt, row in zip(grid, rows):
         rho = cs.family_density(cs.closed_form_coeffs(1, float(gt)))
@@ -90,7 +92,7 @@ def test_criterion_03_transpose_detects_where_squeezing_stays_blind():
                 f"squeezing quotient {row.xi2_optimized} dipped below 1 at gt = {gt}"
             )
         assert not row.xi2_flags_entangled
-    text = _render(rows, "csv")
+    text = "".join(_render_columns(scan, "csv"))
     golden = GOLDEN_SCAN.read_text(encoding="utf-8")
     assert text == golden, "scan output drifted from the committed reference CSV"
     print(

@@ -29,9 +29,7 @@ from cavsqueeze.cli import (
     FamilyRow,
     SCAN_CHUNK,
     ScanRow,
-    _render,
     _render_columns,
-    build_scan_rows,
     main,
 )
 from cavsqueeze.criteria import (
@@ -54,7 +52,7 @@ from cavsqueeze.tolerances import (
     TRACE_ATOL,
     VERIFY_TOLERANCE,
 )
-from helpers import product_states, random_density, reference_render
+from helpers import product_states, random_density, reference_render, rows_of_columns
 
 
 def run_cli(argv):
@@ -105,7 +103,7 @@ def test_scan_first_row_is_ground_state(capsys):
 
 
 def test_scan_rows_match_library_routes():
-    rows = build_scan_rows(2, 3.0, 61)
+    rows = rows_of_columns(cli.scan_columns(2, 3.0, 61))
     assert len(rows) == 61
     from cavsqueeze import closed_form_coeffs
 
@@ -187,7 +185,8 @@ def test_scan_output_matches_reference_render(photons, gt_max, steps, fmt, capsy
     args = ["scan-time", "--photons", str(photons), "--gt-max", repr(gt_max), "--steps", str(steps)]
     assert run_cli(args + ["--format", fmt]) == EXIT_OK
     out = capsys.readouterr().out
-    assert_same_text(out, reference_render(build_scan_rows(photons, gt_max, steps), fmt))
+    rows = rows_of_columns(cli.scan_columns(photons, gt_max, steps))
+    assert_same_text(out, reference_render(rows, fmt))
     if steps == 8606:
         assert out.count(ZERO_MEAN_TOKEN) == 4  # two rows, two quotient columns each
 
@@ -1115,7 +1114,6 @@ def _columns_of(rows):
 )
 def test_render_matches_reference_render(rows, fmt):
     assert "".join(_render_columns(_columns_of(rows), fmt)) == reference_render(rows, fmt)
-    assert _render(rows, fmt) == reference_render(rows, fmt)
     assert cli._render_row(rows[0], fmt) == reference_render(rows[:1], fmt)
 
 
@@ -1179,10 +1177,6 @@ def _kernel_columns(row_type, rows, edges, seed):
     return row_type(*columns)
 
 
-def _rows_of_columns(columns):
-    return [type(columns)(*row) for row in zip(*(c.tolist() for c in columns))]
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     row_type=st.sampled_from([ScanRow, FamilyRow, CheckRow]),
@@ -1193,7 +1187,7 @@ def _rows_of_columns(columns):
 def test_kernel_render_matches_reference_render(row_type, edges, seed, fmt):
     columns = _kernel_columns(row_type, SCAN_CHUNK, edges, seed)
     text = "".join(_render_columns(columns, fmt))
-    assert_same_text(text, reference_render(_rows_of_columns(columns), fmt))
+    assert_same_text(text, reference_render(rows_of_columns(columns), fmt))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -1210,7 +1204,7 @@ def test_kernel_rounds_twelve_digit_ties_as_the_reference(fmt):
     values = np.array([_nudged(v, int(s)) for v, s in zip(ties, steps)]) * rng.choice([-1.0, 1.0], count)
     flags = rng.random(count // 7) < 0.5
     columns = ScanRow(*values.reshape(7, -1), flags, ~flags)
-    assert_same_text("".join(_render_columns(columns, fmt)), reference_render(_rows_of_columns(columns), fmt))
+    assert_same_text("".join(_render_columns(columns, fmt)), reference_render(rows_of_columns(columns), fmt))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -1233,7 +1227,7 @@ def test_render_at_the_kernel_threshold_and_the_piece_size(rows, fmt, monkeypatc
     edges += [9.9999999999996, math.nextafter(1e5, 0.0), -999999999999.6, math.nextafter(1e12, 0.0)]
     columns = _kernel_columns(ScanRow, rows, edges, rows)
     text = "".join(_render_columns(columns, fmt))
-    assert_same_text(text, reference_render(_rows_of_columns(columns), fmt))
+    assert_same_text(text, reference_render(rows_of_columns(columns), fmt))
     # every row count, one included, goes through the kernel in whole pieces
     whole, rest = divmod(rows, SCAN_CHUNK)
     assert pieces == [SCAN_CHUNK] * whole + [rest] * (rest > 0)
@@ -1253,7 +1247,7 @@ def test_kernel_sends_whole_columns_to_the_cell_rule(fmt):
     flags = rng.random(rows) < 0.5
     columns = ScanRow(huge, tiny, special, ties, plain, -huge, plain * 1e-200, flags, ~flags)
     text = "".join(_render_columns(columns, fmt))
-    assert_same_text(text, reference_render(_rows_of_columns(columns), fmt))
+    assert_same_text(text, reference_render(rows_of_columns(columns), fmt))
 
 
 def _pinned_scans():

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import cavsqueeze as cs
 from cavsqueeze import cli, criteria
-from cavsqueeze.cli import SCAN_CHUNK, build_scan_rows, scan_columns
+from cavsqueeze.cli import SCAN_CHUNK, scan_columns
 from cavsqueeze.criteria import family_diagnostics_stack
 from cavsqueeze.tolerances import FAMILY_ATOL, MEAN_SPIN_FLOOR, PPT_EIGENVALUE_FLOOR, XI_SQUARED_FLOOR
 from helpers import (
@@ -30,6 +30,7 @@ from helpers import (
     random_frame,
     random_separable,
     reference_spin_moments_stack,
+    rows_of_columns,
     triad_quotient,
 )
 
@@ -53,7 +54,7 @@ VERDICT_BAND = 1e-15
 
 @pytest.fixture(scope="module", params=PHOTONS)
 def scan(request):
-    return request.param, build_scan_rows(request.param, GT_MAX, STEPS)
+    return request.param, rows_of_columns(scan_columns(request.param, GT_MAX, STEPS))
 
 
 def test_grid_spans_more_than_two_chunks():
@@ -140,7 +141,7 @@ def test_scan_and_xi_squared_read_one_verdict_rule(monkeypatch):
 
     monkeypatch.setattr(criteria, "xi_entangled", below_two)
     monkeypatch.setattr(cli, "xi_entangled", below_two)
-    rows = build_scan_rows(1, GT_MAX, 301)
+    rows = rows_of_columns(scan_columns(1, GT_MAX, 301))
     assert all(type(row.xi2_flags_entangled) is bool for row in rows)
     assert all(row.xi2_flags_entangled == (row.xi2_optimized < 2.0) for row in rows)
     moved = [row for row in rows if 1.0 <= row.xi2_optimized < 2.0]

@@ -23,6 +23,7 @@ from cavsqueeze import (
     load_density_matrix,
     partial_transpose,
 )
+from cavsqueeze.tolerances import FAMILY_RESIDUAL_ATOL
 from helpers import check_pt_involution, random_density, random_family_coeffs
 
 BELL_PHI_PLUS = 0.5 * np.array(
@@ -215,6 +216,31 @@ class TestFamilyStates:
         )
         with pytest.raises(OutsideFamilyError, match="outside the symmetric family"):
             family_coeffs_from_density(DensityMatrix(singlet))
+
+    @pytest.mark.parametrize("i, j", [(i, j) for i in range(4) for j in range(4)])
+    def test_reads_each_symmetric_basis_entry(self, i, j):
+        # 2 FAMILY_RESIDUAL_ATOL added at one symmetric-basis entry of a
+        # family state with a coherence: outside the pattern it is the residual
+        # named; inside it, it moves a coefficient.
+        step = 2.0 * FAMILY_RESIDUAL_ATOL
+        state = family_density(FamilyCoeffs(0.3, 0.4, 0.3, 0.2 - 0.1j)).mat
+        sym = SYMMETRIC_BASIS.conj().T @ state @ SYMMETRIC_BASIS
+        base = SYMMETRIC_BASIS @ sym @ SYMMETRIC_BASIS.conj().T
+        sym[i, j] += step
+        moved = SYMMETRIC_BASIS @ sym @ SYMMETRIC_BASIS.conj().T
+        if (i, j) in ((0, 0), (1, 1), (3, 3)):
+            with pytest.raises(NotNormalizedError):
+                family_coeffs_stack(moved)
+        elif (i, j) == (0, 3):
+            y = family_coeffs_stack(moved)[3]
+            assert abs(y - family_coeffs_stack(base)[3] - step) < 1e-16
+        elif (i, j) == (3, 0):
+            # conj(y) is never read: the read-back trusts the validator's
+            # Hermitian rule and takes y from (0, 3) alone
+            assert family_coeffs_stack(moved) == family_coeffs_stack(base)
+        else:
+            with pytest.raises(OutsideFamilyError, match=f"residual = {step:.3e}$"):
+                family_coeffs_stack(moved)
 
     def test_rejects_wrong_size(self):
         with pytest.raises(DimensionMismatchError):
