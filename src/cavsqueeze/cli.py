@@ -8,7 +8,7 @@ and reports what the diagnostics say about it.
 Each report has one row type, a ``NamedTuple`` whose fields are its columns
 in output order: ``ScanRow``, ``FamilyRow`` and ``CheckRow``.  The CSV
 header and the JSON keys are those field names, so a column is named in one
-place only.
+place only; ``_flags`` reads which are flags from their ``bool`` annotations.
 
 ``scan-time`` reads every column from the family's closed forms: the
 closed-form populations of the whole gt grid go through one call of
@@ -17,13 +17,14 @@ coefficient rules and returns both squeezing quotients, the negativity and
 both verdicts by their formulas, with no eigensolver and no 4 x 4 state.
 The xi^2 flag column applies ``criteria.xi_entangled``, the verdict rule of
 ``xi_squared``.  The scan stays in columns, one ``ScanRow`` of arrays
-(``scan_columns``).
-``scan-time --verify`` checks the report by two independent routes, in
-chunks of ``SCAN_CHUNK`` rows, one stderr line each.  It evolves the gt
-column exactly (``evolve_exact_stack``), reads the family coefficients back
+(``scan_columns``), which ``_closed_scan`` fills by field name, and
+``_chunks`` alone splits it, into pieces of ``SCAN_CHUNK`` rows.
+``scan-time --verify`` checks the report by two independent routes, piece
+by piece, one stderr line each.  It evolves the gt column exactly
+(``evolve_exact_stack``), reads the family coefficients back
 (``family_coeffs_stack``) and compares the populations with the printed
-columns and the coherence y with 0, which the printed quotients assume.  And
-``_generic_gap`` builds the printed populations into family states and
+columns and the coherence y with 0, which the printed quotients assume.
+And ``_generic_gap`` builds the printed populations into family states and
 reads them by the generic kernel (``_diagnose``, ``xi_frame_stack``), the
 closed forms' oracle.  ``family`` calls the family kernel on its one tuple;
 ``family --verify`` runs the same ``_generic_gap`` on it and also compares
@@ -45,17 +46,17 @@ to the same numbers, and no column prints ``inf``.  Booleans print as
 same bytes for any one row.  ``family`` and ``check-state`` print one row:
 its cell texts, all float cells from one ``_float_cells`` call, joined with
 the literal text of ``_layout`` (``_render_row``).  ``scan-time`` prints a
-table, of at least two rows, through a byte kernel (``_render_columns``)
-``SCAN_CHUNK`` rows at a time, the slice size of ``--verify`` too; each
-piece is a matrix of uint64 lanes with NUL padding that one
-``bytes.translate`` deletes.  Per float cell the kernel computes the
-decimal exponent and the correctly rounded 12-digit integer mantissa, with
-a guard band that proves them exact (``_float_lanes``), and lays the digits
-out by a plan derived from the cell rule itself (``_cell_plans``).  A cell
-it cannot prove, about 0.2% of the cells of the benchmark's scans, goes
-through ``_float_cells``.  ``_write`` writes the pieces to stdout or
-``--output``; a reader that closes stdout early ends the report, not the
-request.
+table, of at least two rows, through a byte kernel (``_render_columns``),
+one piece per chunk: a matrix of uint64 lanes with NUL padding that one
+``bytes.translate`` deletes (``_render_chunk``).  Every row starts with the
+report's separator, which ``_render_columns`` drops from its first piece.
+Per float cell the kernel computes the decimal exponent and the correctly
+rounded 12-digit integer mantissa, with a guard band that proves them exact
+(``_float_lanes``), and lays the digits out by a plan derived from the cell
+rule itself (``_cell_plans``).  A cell it cannot prove, about 0.2% of the
+cells of the benchmark's scans, goes through ``_float_cells``.  ``_write``
+writes the pieces to stdout or ``--output``; a reader that closes stdout
+early ends the report, not the request.
 
 ``main`` parses with one parser, built on the first call.  Exit codes: 0
 success, 2 numeric or validation failure (a ``CavsqueezeError``, which
@@ -127,10 +128,8 @@ SCAN_CHUNK = 512
 _CANONICAL_FRAME = SpinFrame.canonical()
 
 # The check-state cells second_xx, _xy, _xz, _yy, _yz, _zz: the upper
-# triangle of the second moments, row-major.  Built once, read-only.
-_UPPER_TRIANGLE = np.triu_indices(3)
-_UPPER_TRIANGLE[0].setflags(write=False)
-_UPPER_TRIANGLE[1].setflags(write=False)
+# triangle of the second moments, row-major, as (rows, columns).
+_UPPER_TRIANGLE = ((0, 0, 0, 1, 1, 2), (0, 1, 2, 1, 2, 2))
 
 # The cell rule (see the module docstring): per format, what "%.12g" and
 # then repr print for a value that is not finite, and what the report
@@ -314,12 +313,18 @@ def _layout(names, fmt: str):
     return "[", ",", leads, "\n  }", "\n]\n"
 
 
+@functools.cache
+def _flags(row_type):
+    """Which fields of a row type are flags (annotated ``bool``), in field order."""
+    return tuple(kind is bool for kind in row_type.__annotations__.values())
+
+
 def _render_row(row, fmt: str) -> str:
     """Report text of one row: its cell texts between the literal text."""
-    kinds = type(row).__annotations__.values()
-    values = np.array([v for v, kind in zip(row, kinds) if kind is not bool], dtype=float)
+    flags = _flags(type(row))
+    values = np.array([v for v, flag in zip(row, flags) if not flag], dtype=float)
     floats = iter(_float_cells(values, fmt))
-    cells = [_BOOL_TEXT[bool(v)] if kind is bool else next(floats) for v, kind in zip(row, kinds)]
+    cells = [_BOOL_TEXT[bool(v)] if flag else next(floats) for v, flag in zip(row, flags)]
     head, _, leads, tail, foot = _layout(type(row)._fields, fmt)
     return head + "".join(map(str.__add__, leads, cells)) + tail + foot
 
@@ -466,18 +471,18 @@ def _float_lanes(values, fmt: str) -> np.ndarray:
 
 @functools.cache
 def _row_plan(row_type, fmt: str):
-    """One row's lanes with its literal text and NUL cells, and where things go.
+    """One row's lanes with its literal text and NUL cells, and where the cells go.
 
-    Each cell starts on a lane; its literal lead ends where the cell's
-    printed bytes start and may share the free bytes of this cell and the
-    last.  Returns the row's uint64 lanes; the lanes of the float cells,
-    lane-major as ``_render_chunk`` reshapes ``_float_lanes``, and the lane
-    of each flag; and the byte offset and length of ``sep``, which the
-    report's first row drops.
+    Every row starts with ``sep``, the first row of a report too:
+    ``_render_columns`` drops it from the report's text.  Each cell starts
+    on a lane; its literal lead ends where the cell's printed bytes start
+    and may share the free bytes of this cell and the last.  Returns the
+    row's uint64 lanes, the lanes of the float cells, lane-major as
+    ``_render_chunk`` reshapes ``_float_lanes``, and the lane of each flag.
     """
     _, sep, leads, tail, _ = _layout(row_type._fields, fmt)
     leads = [sep + leads[0], *leads[1:]]
-    flags = [kind is bool for kind in row_type.__annotations__.values()]
+    flags = _flags(row_type)
     text, first_lanes = bytearray(), []
     for lead, flag in zip(leads, flags):
         lead = lead.encode()
@@ -492,36 +497,40 @@ def _row_plan(row_type, fmt: str):
     flag_at = [at for at, flag in cells if flag]
     # each cell starts on a lane of its own, so one scatter writes each set
     assert len(set(float_at + flag_at)) == len(float_at) + len(flag_at)
-    sep_at = 8 * first_lanes[0] + _PRINTED_FROM - len(leads[0])
-    return np.frombuffer(bytes(text), np.uint64), np.array(float_at), np.array(flag_at), sep_at, len(sep)
+    return np.frombuffer(bytes(text), np.uint64), np.array(float_at), np.array(flag_at)
 
 
-def _render_chunk(columns, fmt: str, first: bool) -> str:
-    """Text of a run of rows, ``sep`` before each but the report's first."""
-    template, float_at, flag_at, sep_at, sep = _row_plan(type(columns), fmt)
-    kinds = type(columns).__annotations__.values()
-    values = np.array([c for c, kind in zip(columns, kinds) if kind is not bool], dtype=float)
-    flags = np.array([c for c, kind in zip(columns, kinds) if kind is bool], dtype=np.intp)
+def _render_chunk(columns, fmt: str) -> str:
+    """Text of a run of rows, each after ``sep``, laid out by ``_row_plan``."""
+    template, float_at, flag_at = _row_plan(type(columns), fmt)
+    flags = _flags(type(columns))
+    values = np.array([c for c, flag in zip(columns, flags) if not flag], dtype=float)
+    marks = np.array([c for c, flag in zip(columns, flags) if flag], dtype=np.intp)
     rows = len(columns[0])
     doc = np.empty((rows, template.size), np.uint64)
     doc[:] = template
     doc.T[float_at] |= _float_lanes(values.ravel(), fmt).reshape(len(float_at), rows)
-    doc.T[flag_at] |= _BOOL_LANES.take(flags)
-    if first:
-        doc.view(np.uint8)[0, sep_at : sep_at + sep] = 0
+    doc.T[flag_at] |= _BOOL_LANES.take(marks)
     return doc.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _chunks(columns):
+    """A row type of equal-length columns in pieces of that type, ``SCAN_CHUNK`` rows each."""
+    for start in range(0, len(columns[0]), SCAN_CHUNK):
+        yield columns._make(c[start : start + SCAN_CHUNK] for c in columns)
 
 
 def _render_columns(columns, fmt: str):
     """Report text of a row type whose fields are equal-length columns, in pieces.
 
-    The byte kernel renders ``SCAN_CHUNK`` rows per piece.
+    ``head``, the ``_render_chunk`` text of each of the ``_chunks``, then
+    ``foot``; the first row's ``sep`` is dropped as text.
     """
-    head, _, _, _, foot = _layout(type(columns)._fields, fmt)
+    head, sep, _, _, foot = _layout(type(columns)._fields, fmt)
+    pieces = (_render_chunk(chunk, fmt) for chunk in _chunks(columns))
     yield head
-    for start in range(0, len(columns[0]), SCAN_CHUNK):
-        part = slice(start, start + SCAN_CHUNK)
-        yield _render_chunk(type(columns)._make(c[part] for c in columns), fmt, start == 0)
+    yield next(pieces, "")[len(sep):]
+    yield from pieces
     yield foot
 
 
@@ -565,18 +574,8 @@ def _closed_scan(photons: int, gt_max: float, steps: int):
     gt = np.linspace(0.0, gt_max, steps)
     x1, x2, x3 = closed_form_populations(photons, gt)
     found = family_diagnostics_stack(x1, x2, x3)
-    columns = ScanRow(
-        gt,
-        x1,
-        x2,
-        x3,
-        found.xi2_optimized,
-        found.xi2_fixed_frame,
-        found.negativity,
-        found.ppt_entangled,
-        found.xi2_flags_entangled,
-    )
-    return columns, found
+    named = dict(found._asdict(), gt=gt, x1=x1, x2=x2, x3=x3)
+    return ScanRow._make(named[name] for name in ScanRow._fields), found
 
 
 def scan_columns(photons: int, gt_max: float, steps: int) -> ScanRow:
@@ -636,32 +635,31 @@ def _generic_gap(closed: FamilyStack, x1, x2, x3, y):
 def _verify_scan(photons: int, scan: ScanRow, closed: FamilyStack):
     """The two deviations of ``scan-time --verify``, each the largest over a scan.
 
-    The first is |closed form - evolved| over the family coefficients: the
-    gt column is evolved exactly ``SCAN_CHUNK`` rows at a time and the
-    read-back populations are compared with the x1, x2 and x3 columns, and
-    the read-back coherence y with 0, which every printed quotient assumes.
-    An evolved state outside the symmetric family is the exact route's
-    round-off, which grows with gt * sqrt(n); the error says so.
+    Both walk the scan and ``closed`` in the same ``_chunks``, the pieces
+    ``_render_columns`` prints.  The first is |closed form - evolved| over
+    the family coefficients: each piece's gt column is evolved exactly and
+    the read-back populations are compared with its x1, x2 and x3 columns,
+    and the read-back coherence y with 0, which every printed quotient
+    assumes.  An evolved state outside the symmetric family is the exact
+    route's round-off, which grows with gt * sqrt(n); the error says so.
 
     The second is ``_generic_gap``: ``closed``, the closed forms the report
-    printed, against the generic route on the printed populations, in the
-    same chunks.
+    printed, against the generic route on the printed populations.
     """
     worst_population = worst_generic = 0.0
-    for start in range(0, len(scan.gt), SCAN_CHUNK):
-        part = slice(start, start + SCAN_CHUNK)
-        states = evolve_exact_stack(photons, scan.gt[part])
+    for part, found in zip(_chunks(scan), _chunks(closed)):
+        states = evolve_exact_stack(photons, part.gt)
         try:
             evolved = family_coeffs_stack(states)
         except OutsideFamilyError as exc:
             raise OutsideFamilyError(
                 f"scan-time --verify ran out of precision at n = {photons}: the exact "
-                f"evolution to gt = {scan.gt[part][exc.index]:.12g} leaves the symmetric "
+                f"evolution to gt = {part.gt[exc.index]:.12g} leaves the symmetric "
                 f"family by round-off ({str(exc).rpartition(': ')[2]})"
             ) from exc
-        populations = (scan.x1[part], scan.x2[part], scan.x3[part])
-        gap, _ = _generic_gap(closed._make(f[part] for f in closed), *populations, 0.0)
-        printed = (*populations, np.zeros_like(scan.gt[part]))
+        populations = (part.x1, part.x2, part.x3)
+        gap, _ = _generic_gap(found, *populations, 0.0)
+        printed = (*populations, np.zeros_like(part.gt))
         # np.maximum keeps a NaN, which then fails the tolerance
         worst_population = np.maximum(
             worst_population, np.abs(np.subtract(evolved, printed)).max()
@@ -778,14 +776,10 @@ def _cmd_check_state(args) -> int:
     )
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses, built once per process.
-
-    Parsing leaves an argparse parser as it was, and building one costs more
-    than most requests (a help formatter per argument).
-    """
-    return build_parser()
+# The parser main uses, built once per process: parsing leaves an argparse
+# parser as it was, and building one costs more than most requests (a help
+# formatter per argument).
+_parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:

@@ -376,11 +376,11 @@ def _golden_section(fun, a: float, b: float) -> float:
 
 
 @functools.cache
-def _fibonacci_directions(count: int) -> np.ndarray:
-    """``count`` unit directions spread over the sphere, built once per count, read-only."""
-    i = np.arange(count, dtype=float)
+def _fibonacci_directions() -> np.ndarray:
+    """``_GLOBAL_GRID`` unit directions spread over the sphere, built once, read-only."""
+    i = np.arange(_GLOBAL_GRID, dtype=float)
     golden_ratio = (1.0 + math.sqrt(5.0)) / 2.0
-    z = 1.0 - (2.0 * i + 1.0) / count
+    z = 1.0 - (2.0 * i + 1.0) / _GLOBAL_GRID
     radius = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     phi = (2.0 * math.pi / golden_ratio) * i
     dirs = np.column_stack([radius * np.cos(phi), radius * np.sin(phi), z])
@@ -401,7 +401,7 @@ def _sphere_minimum(cov: np.ndarray, mean: np.ndarray, mm: float, baseline):
     def quotient(n: np.ndarray) -> float:
         return _quotient(ATOM_COUNT * float(n @ cov @ n), mm - float(n @ mean) ** 2)
 
-    dirs = _fibonacci_directions(_GLOBAL_GRID)
+    dirs = _fibonacci_directions()
     numer = ATOM_COUNT * np.einsum("id,de,ie->i", dirs, cov, dirs)
     values = _quotient(numer, mm - (dirs @ mean) ** 2)
     spacing = 2.0 * math.sqrt(math.pi / _GLOBAL_GRID)

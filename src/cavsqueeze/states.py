@@ -136,14 +136,14 @@ def check_family_coeffs(x1, x2, x3, y=0.0):
     Every value must be finite, each population must lie in [0, 1] and the
     three must sum to 1, and |y| <= sqrt(x1*x3), all within FAMILY_ATOL
     (1e-12).  Returns the inputs broadcast together as float, float, float
-    and complex arrays.
+    and complex arrays (``DimensionMismatchError`` if they do not broadcast).
     """
-    x1, x2, x3, y = np.broadcast_arrays(
-        np.asarray(x1, dtype=float),
-        np.asarray(x2, dtype=float),
-        np.asarray(x3, dtype=float),
-        np.asarray(y, dtype=complex),
-    )
+    coeffs = [np.asarray(x, dtype=float) for x in (x1, x2, x3)] + [np.asarray(y, dtype=complex)]
+    try:
+        x1, x2, x3, y = np.broadcast_arrays(*coeffs)
+    except ValueError:
+        shapes = ", ".join(str(c.shape) for c in coeffs)
+        raise DimensionMismatchError(f"x1, x2, x3 and y must broadcast together, got shapes {shapes}") from None
     # the three populations as the rows of one array, so that each rule
     # takes one pass over all of them
     value = np.array((x1, x2, x3))

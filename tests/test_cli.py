@@ -251,6 +251,44 @@ def _verify_deviations(err, steps):
     return float(found.group(1)), float(found.group(3))
 
 
+# A scan whose last chunk holds one row.  The stderr row count is --steps,
+# so only a deviation planted in that row shows that --verify reached it.
+_LAST_ROW_STEPS = 2 * SCAN_CHUNK + 1
+_LAST_ROW_ARGV = ["scan-time", "--photons", "3", "--gt-max", "6", "--steps", str(_LAST_ROW_STEPS), "--verify"]
+
+
+def test_scan_verify_evolves_the_last_row(monkeypatch, capsys):
+    # 1e-8 moved from x3 (0.99 there) to x1 (1.4e-5) keeps the last tuple
+    # valid, so only the exact evolution can catch it
+    def shifted(photons, gt):
+        x1, x2, x3 = (np.copy(x) for x in closed_form_populations(photons, gt))
+        x1[-1] += 1e-8
+        x3[-1] -= 1e-8
+        return x1, x2, x3
+
+    monkeypatch.setattr(cli, "closed_form_populations", shifted)
+    assert run_cli(_LAST_ROW_ARGV) == EXIT_NUMERIC
+    population, generic = _verify_deviations(capsys.readouterr().err, _LAST_ROW_STEPS)
+    assert abs(population - 1e-8) < 1e-10
+    assert generic <= 1e-12
+
+
+def test_scan_verify_reads_the_last_row_by_the_generic_route(monkeypatch, capsys):
+    family_diagnostics_stack = cli.family_diagnostics_stack
+
+    def drifted(*coeffs):
+        found = family_diagnostics_stack(*coeffs)
+        negativity = np.copy(found.negativity)
+        negativity[-1] += 1e-8
+        return found._replace(negativity=negativity)
+
+    monkeypatch.setattr(cli, "family_diagnostics_stack", drifted)
+    assert run_cli(_LAST_ROW_ARGV) == EXIT_NUMERIC
+    population, generic = _verify_deviations(capsys.readouterr().err, _LAST_ROW_STEPS)
+    assert population <= 1e-12
+    assert abs(generic - 1e-8) < 1e-10
+
+
 def test_scan_verify_checks_the_closed_forms_against_the_generic_route(capsys):
     argv = ["scan-time", "--photons", "5", "--gt-max", "9", "--steps", str(SCAN_CHUNK + 7)]
     assert run_cli(argv + ["--verify"]) == EXIT_OK

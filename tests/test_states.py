@@ -16,13 +16,16 @@ from cavsqueeze import (
     NotPositiveError,
     OutsideFamilyError,
     StateFormatError,
+    check_family_coeffs,
     evolve_exact,
     family_coeffs_from_density,
     family_coeffs_stack,
     family_density,
+    family_density_stack,
     load_density_matrix,
     partial_transpose,
 )
+from cavsqueeze.criteria import family_diagnostics_stack
 from cavsqueeze.tolerances import FAMILY_RESIDUAL_ATOL
 from helpers import check_pt_involution, random_density, random_family_coeffs
 
@@ -127,6 +130,14 @@ class TestFamilyCoeffs:
     def test_coherence_bound_is_tight(self):
         FamilyCoeffs(0.5, 0.0, 0.5, 0.5)  # |y| = sqrt(x1*x3) exactly
         FamilyCoeffs(0.25, 0.5, 0.25, -0.25)
+
+    @pytest.mark.parametrize("check", [check_family_coeffs, family_density_stack, family_diagnostics_stack])
+    def test_coefficients_that_do_not_broadcast_are_a_typed_error(self, check):
+        # every array entry point checks its coefficients by check_family_coeffs
+        with pytest.raises(DimensionMismatchError, match=r"got shapes \(2,\), \(3,\), \(\), \(\)$"):
+            check([0.3, 0.3], [0.4, 0.4, 0.4], 0.3)
+        with pytest.raises(DimensionMismatchError, match=r"got shapes \(3,\), \(\), \(\), \(2,\)$"):
+            check([0.3] * 3, 0.4, 0.3, np.zeros(2))
 
 
 class TestPartialTranspose:
